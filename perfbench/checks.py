@@ -9,9 +9,10 @@ import json
 from fractions import Fraction
 
 import causalbox as cb
+from causalbox import fileio
 from causalbox.recipes import Evaluator
 
-from workloads import PS_INEQ, bell_score, mix, signed_score
+from workloads import as_joint, mix
 
 
 def _same(a: cb.Kernel, b: cb.Kernel) -> bool:
@@ -79,53 +80,6 @@ def _monotone(flags) -> list[str]:
     ]
 
 
-def check_bell_gyni(req, out, ctx) -> list[str]:
-    c, ps, n, i = out
-    box, joint = req.inputs["box"], req.inputs["joint"]
-    problems = _monotone([c.member, ps.member, n.member, i.member])
-    if req.kind == "c-member":
-        expected = {"C": True, "PS": True}
-    elif req.kind == "ps-not-c":
-        if "bell_max" not in ctx:
-            ctx["bell_max"] = max(bell_score(v) for v in ctx["vertices"])
-        if not bell_score(box) > ctx["bell_max"]:
-            problems.append("input lacks its Bell certificate")
-        expected = {"C": False, "PS": True}
-    else:
-        if not signed_score(joint, PS_INEQ[req.expect["ps_inequality"]]) < 0:
-            problems.append("input lacks its PS certificate")
-        expected = {"C": False, "PS": False}
-    # gyni_graph() has no equality records: every joint is in N and I
-    expected.update(N=True, I=True)
-    for model, verdict in zip(("C", "PS", "N", "I"), (c, ps, n, i)):
-        if verdict.member != expected[model]:
-            problems.append(f"{req.kind}: {model} verdict {verdict.member}, expected {expected[model]}")
-    if c.member:
-        problems += _weights_ok(c.weights, ctx["vertices"], box)
-    if ps.member:
-        problems += _check_ps_certificate(ps.certificate, joint, ctx)
-    problems += check_witnesses(n, joint) + check_witnesses(i, joint)
-    return problems
-
-
-def _check_ps_certificate(cert, joint, ctx) -> list[str]:
-    if "hyper" not in ctx:
-        ctx["hyper"] = cb.build_hypergraph(ctx["graph"])
-    h = ctx["hyper"]
-    if cert is None:
-        return ["PS member without a certificate"]
-    try:
-        if not cb.ns_member(cert, h):
-            return ["PS certificate is signalling"]
-        lifted = cb.join_inputs(cert, cb.uniform_table(cert.index_vars))
-        projected = cb.project(lifted, h.copies)
-    except (ValueError, KeyError) as exc:
-        return [f"PS certificate is malformed: {exc}"]
-    if not _same(projected, joint):
-        return ["PS certificate does not project to the joint"]
-    return []
-
-
 def check_nested_chain(req, out, ctx) -> list[str]:
     n, i = out
     joint = req.inputs["joint"]
@@ -152,6 +106,60 @@ def check_ns_decompose(req, out, ctx) -> list[str]:
     return problems + _rebuild_decomposition(pr, weights, req.inputs["box"])
 
 
+def _check_ps_certificate(cert, joint, hyper) -> list[str]:
+    if cert is None:
+        return ["PS member without a certificate"]
+    try:
+        if not cb.ns_member(cert, hyper):
+            return ["PS certificate is signalling"]
+        lifted = cb.join_inputs(cert, cb.uniform_table(cert.index_vars))
+        projected = cb.project(lifted, hyper.copies)
+    except (ValueError, KeyError) as exc:
+        return [f"PS certificate is malformed: {exc}"]
+    if not _same(projected, joint):
+        return ["PS certificate does not project to the joint"]
+    return []
+
+
+def _check_c_weights(weights, graph, joint, ctx) -> list[str]:
+    """The weights mix the graph's classical vertices into the joint,
+    conditioned on the vertices' setting variables."""
+    cache = ctx.setdefault("vertices", {})
+    if graph not in cache:
+        cache[graph] = [v.table for v in cb.enumerate_classical_vertices(ctx["fixtures"][graph])]
+    tables = cache[graph]
+    settings = [name for name, _ in tables[0].index_vars]
+    target = cb.split_joint(joint, settings)[0] if settings else joint
+    return _weights_ok(weights, tables, target)
+
+
+def _check_cli_member(req, doc, ctx) -> list[str]:
+    model, member = req.inputs["model"], doc.get("member")
+    graph, dist = req.inputs["files"]
+    problems = [
+        f"{model} on ({graph}, {dist}): CLI verdict {member}, {source} verdict {want}"
+        for source, want in (("known", req.expect["member"]),
+                             ("in-process", req.expect["in_process"]))
+        if member != want
+    ]
+    if not member:
+        return problems
+    joint = as_joint(ctx["fixtures"][dist])
+    try:
+        if model == "C":
+            weights = [Fraction(w) for w in doc["weights"]]
+            problems += _check_c_weights(weights, graph, joint, ctx)
+        elif model == "PS":
+            hypers = ctx.setdefault("hypergraphs", {})
+            if graph not in hypers:
+                hypers[graph] = cb.build_hypergraph(ctx["fixtures"][graph])
+            cert = fileio.kernel_from_dict(doc["certificate"])
+            problems += _check_ps_certificate(cert, joint, hypers[graph])
+    except (KeyError, TypeError, ValueError) as exc:
+        problems.append(f"{model} member output is malformed: {exc!r}")
+    return problems
+
+
 def check_cli(req, out, ctx) -> list[str]:
     if out["rc"] != req.expect["rc"]:
         return [f"exit code {out['rc']}, expected {req.expect['rc']}: {out['stderr'].strip()[:200]}"]
@@ -160,9 +168,7 @@ def check_cli(req, out, ctx) -> list[str]:
     except json.JSONDecodeError:
         return ["output is not JSON"]
     if req.kind == "member":
-        if doc.get("member") != req.expect["member"]:
-            return [f"CLI verdict {doc.get('member')}, in-process {req.expect['member']}"]
-        return []
+        return _check_cli_member(req, doc, ctx)
     if req.kind == "decompose":
         pr = tuple(doc["pr_box"]) if doc.get("pr_box") else None
         if pr != req.expect["pr"]:
@@ -175,7 +181,6 @@ def check_cli(req, out, ctx) -> list[str]:
 
 
 CHECKS = {
-    "bell-gyni": check_bell_gyni,
     "nested-chain": check_nested_chain,
     "ns-decompose": check_ns_decompose,
     "cli-fixtures": check_cli,

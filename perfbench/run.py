@@ -9,10 +9,21 @@ live in ``BENCHMARK.json`` at the repository root.  With ``--trace 0`` the
 run measures the end-to-end metrics with no tracing.  With ``--trace 1``
 it spends the first half of ``--seconds`` untraced and the second half with
 the tracer's wrappers installed, and reports per-layer metrics plus the
-tracing overhead.  Every output is checked (``checks.py``); the last line
-of standard output is one JSON object with ``correct``, ``attempted``,
-``failed`` and ``metrics``.  The line before it records the seed, a hash of
-the generated inputs and the machine.
+tracing overhead.
+
+The speed of a shared machine drifts by tens of percent within minutes, so
+every latency is normalized by a gauge: a fixed loop of ``Fraction``
+additions, timed before each request, after the last one and around each
+set-up probe.  The gauge runs the way the timed work runs: in this process
+for library requests, in a fresh interpreter for CLI requests and set-up
+probes.  A time ``t`` between gauge readings ``g0`` and ``g1`` is reported
+as ``t * ref / mean(g0, g1)``, seconds on a machine on which the gauge
+takes ``ref`` (``GAUGE_REF_S``).  Span self times are raw wall seconds.
+
+Every output is checked (``checks.py``); the last line of standard output
+is one JSON object with ``correct``, ``attempted``, ``failed`` and
+``metrics``.  The line before it records the seed, a hash of the generated
+inputs and the machine.
 """
 
 from __future__ import annotations
@@ -37,8 +48,16 @@ from time import perf_counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
-WORKLOAD_NAMES = ("bell-gyni", "nested-chain", "ns-decompose", "cli-fixtures")
-SETUP_PROBES = 5
+WORKLOAD_NAMES = ("nested-chain", "ns-decompose", "cli-fixtures")
+SETUP_PROBES = 11
+GAUGE_SOURCE = (
+    "from fractions import Fraction\n"
+    "total = Fraction(0)\n"
+    "for i in range(1, 2000):\n"
+    "    total += Fraction(1, i % 97 + 1)\n"
+)
+GAUGE_CODE = compile(GAUGE_SOURCE, "<gauge>", "exec")
+GAUGE_REF_S = {False: 0.009, True: 0.090}  # keyed by ``fresh``
 
 
 @dataclass
@@ -46,9 +65,29 @@ class Sample:
     index: int
     request: object
     output: object
-    seconds: float
+    seconds: float  # wall time
+    scale: float  # the gauge's reference time over the mean of the readings around the request
     model_seconds: dict
     error: str | None
+
+    @property
+    def norm_seconds(self) -> float:
+        return self.seconds * self.scale
+
+
+def gauge(fresh: bool) -> float:
+    """Wall seconds of the gauge loop, in this process or, if ``fresh``, in
+    a fresh interpreter (its start-up included)."""
+    t0 = perf_counter()
+    if fresh:
+        subprocess.run([sys.executable, "-c", GAUGE_SOURCE], check=True)
+    else:
+        exec(GAUGE_CODE, {})
+    return perf_counter() - t0
+
+
+def scale(fresh: bool, before: float, after: float) -> float:
+    return 2 * GAUGE_REF_S[fresh] / (before + after)
 
 
 def quantiles(values):
@@ -64,7 +103,8 @@ def quantiles(values):
 
 
 def probe_setup(name: str) -> tuple[float, float]:
-    """Median set-up seconds and import seconds over fresh interpreters.
+    """Median normalized set-up seconds and raw import seconds over fresh
+    interpreters.
 
     Library workloads: import causalbox plus the workload's preparation,
     timed inside the child.  CLI workload: wall time of a fresh process
@@ -74,26 +114,36 @@ def probe_setup(name: str) -> tuple[float, float]:
     probe = [sys.executable, os.path.join(HERE, "setup_probe.py"), name]
     bare = [sys.executable, "-c", "import causalbox.cli"]
     setups, imports = [], []
+    before = gauge(True)
     for i in range(SETUP_PROBES + 1):
         t0 = perf_counter()
         # no timeout: with one, waiting polls every 50 ms and quantizes the wall time
         if name == "cli-fixtures":
             subprocess.run(bare, env=env, check=True)
-            setups.append(perf_counter() - t0)
+            seconds = perf_counter() - t0
             imports.append(0.0)
-            continue
-        out = subprocess.run(probe, env=env, check=True, capture_output=True, text=True)
-        doc = json.loads(out.stdout.strip().splitlines()[-1])
-        setups.append(doc["import_s"] + doc["prep_s"])
-        imports.append(doc["import_s"])
+        else:
+            out = subprocess.run(probe, env=env, check=True, capture_output=True, text=True)
+            doc = json.loads(out.stdout.strip().splitlines()[-1])
+            seconds = doc["import_s"] + doc["prep_s"]
+            imports.append(doc["import_s"])
+        after = gauge(True)
+        setups.append(seconds * scale(True, before, after))
+        before = after
     return statistics.median(setups[1:]), statistics.median(imports[1:])
 
 
 def measure(workload, ctx, pool, seconds, spans_dir=None, tracer=None):
-    """Closed loop over ``pool`` in order; stops at a cycle boundary once
-    ``seconds`` have passed.  Returns (samples, elapsed seconds)."""
+    """Closed loop over ``pool`` in order, with a gauge reading between
+    requests.  Stops at a cycle boundary once ``seconds`` of normalized time
+    (requests and gauges) have passed, so that the number of cycles does not
+    follow the machine's drift, or once twice that has passed on the wall
+    clock."""
     samples = []
     start = perf_counter()
+    fresh = workload.fresh_processes
+    before = gauge(fresh)
+    elapsed = 0.0
     i = 0
     while True:
         req = pool[i % len(pool)]
@@ -107,17 +157,25 @@ def measure(workload, ctx, pool, seconds, spans_dir=None, tracer=None):
         except Exception:  # a failed request is counted, not fatal
             output, model_seconds, error = None, {}, traceback.format_exc()
         t1 = perf_counter()
-        samples.append(Sample(i, req, output, t1 - t0, model_seconds, error))
+        after = gauge(fresh)
+        k = scale(fresh, before, after)
+        samples.append(Sample(i, req, output, t1 - t0, k, model_seconds, error))
+        elapsed += (t1 - t0 + after) * k
+        before = after
         i += 1
-        if i % workload.cycle == 0 and t1 - start >= seconds:
-            return samples, perf_counter() - start
+        if i % workload.cycle == 0 and (elapsed >= seconds
+                                        or perf_counter() - start >= 2 * seconds):
+            return samples
 
 
 def check(name, ctx, samples) -> int:
     from checks import CHECKS
 
     failed = 0
-    verdicts = {}  # the checker is deterministic: an output seen before has the same verdict
+    # Inputs repeat every cycle and the checker is deterministic, so an
+    # output seen before has the same verdict.  Uncached, nested-chain spent
+    # about 8 s checking the ~110 samples of a 30-s run (6 distinct inputs).
+    verdicts = {}
     for s in samples:
         if s.error:
             problems = [s.error]
@@ -136,7 +194,7 @@ def check(name, ctx, samples) -> int:
 def model_metrics(samples) -> dict:
     out = {}
     for model in ("C", "PS", "N", "I"):
-        times = [s.model_seconds[model] for s in samples if model in s.model_seconds]
+        times = [s.model_seconds[model] * s.scale for s in samples if model in s.model_seconds]
         p50, tail, _, _ = quantiles(times)
         out[f"{model}_p50_s"] = (p50, "s")
         out[f"{model}_tail_s"] = (tail, "s")
@@ -146,12 +204,13 @@ def model_metrics(samples) -> dict:
 def kind_medians(samples) -> dict:
     by_kind = defaultdict(list)
     for s in samples:
-        by_kind[s.request.kind].append(s.seconds)
+        by_kind[s.request.kind].append(s.norm_seconds)
     return {k: statistics.median(v) for k, v in sorted(by_kind.items())}
 
 
-def end_to_end(name, samples, elapsed, setup_s) -> dict:
-    p50, tail, _, _ = quantiles([s.seconds for s in samples])
+def end_to_end(name, samples, setup_s) -> dict:
+    norm = [s.norm_seconds for s in samples]
+    p50, tail, _, _ = quantiles(norm)
     if name == "cli-fixtures":
         rss_kb = max(s.output["maxrss_kb"] for s in samples if s.output)
     else:
@@ -160,7 +219,7 @@ def end_to_end(name, samples, elapsed, setup_s) -> dict:
         "setup_s": (setup_s, "s"),
         "req_p50_s": (p50, "s"),
         "req_tail_s": (tail, "s"),
-        "req_per_s": (len(samples) / elapsed, "1/s"),
+        "req_per_s": (len(norm) / sum(norm), "1/s"),
         "peak_rss_mb": (rss_kb / 1024.0, "MB"),
     }
 
@@ -173,8 +232,7 @@ def _merge_counts(total: Counter, part: dict) -> None:
             total[key] += value
 
 
-def layer_metrics(span_sets, counts_sets, traced, untraced, elapsed_t, elapsed_u,
-                  import_s) -> dict:
+def layer_metrics(span_sets, counts_sets, traced, untraced, import_s) -> dict:
     """Per-layer metrics from spans grouped by request id.
 
     ``span_sets`` is a list of span lists (one per process); a span's
@@ -213,8 +271,8 @@ def layer_metrics(span_sets, counts_sets, traced, untraced, elapsed_t, elapsed_u
 
     lp_calls = calls["req", "lp_solve"]
     decompositions = calls["req", "decompose_ns_box"]
-    rps_u = len(untraced) / elapsed_u
-    rps_t = len(traced) / elapsed_t
+    mean_u = statistics.fmean(s.norm_seconds for s in untraced)
+    mean_t = statistics.fmean(s.norm_seconds for s in traced)
     cover = max((req_self[s.index] / s.seconds for s in traced), default=0.0)
     return {
         "lp_solve.calls": (per_req("lp_solve", calls), "count"),
@@ -227,8 +285,6 @@ def layer_metrics(span_sets, counts_sets, traced, untraced, elapsed_t, elapsed_u
         "ps_system.self_s": (per_req("ps_system"), "s"),
         "ps_member.self_s": (per_req("ps_member"), "s"),
         "enumerate_classical_vertices.self_s": (per_req("enumerate_classical_vertices"), "s"),
-        "setup.enumerate_classical_vertices.self_s":
-            (self_s["setup", "enumerate_classical_vertices"], "s"),
         "vertices": (all_counts["vertices"], "count"),
         "classical_member.self_s": (per_req("classical_member"), "s"),
         "decompose_ns_box.self_s": (per_req("decompose_ns_box"), "s"),
@@ -264,7 +320,7 @@ def layer_metrics(span_sets, counts_sets, traced, untraced, elapsed_t, elapsed_u
         "dispatch.self_s": (per_req("dispatch"), "s"),
         "load.self_s": (per_req("load"), "s"),
         "emit.self_s": (per_req("emit"), "s"),
-        "trace.overhead_frac": (rps_u / rps_t - 1.0, "ratio"),
+        "trace.overhead_frac": (mean_t / mean_u - 1.0, "ratio"),
         "trace.self_cover_max": (cover, "ratio"),
     }
 
@@ -344,14 +400,17 @@ def main(argv=None) -> int:
                       inputs_sha256=input_hash(args.seed, pool, ctx), inputs=len(pool),
                       gen_s=gen_s, setup_probes=SETUP_PROBES)
         if not args.trace:
-            samples, elapsed = measure(workload, ctx, pool, args.seconds)
-            metrics = end_to_end(workload.name, samples, elapsed, setup_s)
+            samples = measure(workload, ctx, pool, args.seconds)
+            metrics = end_to_end(workload.name, samples, setup_s)
             _, _, pct, n = quantiles([s.seconds for s in samples])
             record.update(requests=n, tail_percentile=pct, tail_samples_beyond=min(n, 10),
-                          kind_p50_s=kind_medians(samples))
+                          kind_p50_s=kind_medians(samples),
+                          raw_req_p50_s=statistics.median(s.seconds for s in samples),
+                          gauge_p50_s=GAUGE_REF_S[workload.fresh_processes]
+                          / statistics.median(s.scale for s in samples))
             attempted = samples
         else:
-            untraced, elapsed_u = measure(workload, ctx, pool, args.seconds / 2)
+            untraced = measure(workload, ctx, pool, args.seconds / 2)
             spans_dir = None
             if workload.name == "cli-fixtures":
                 spans_dir = os.path.join(tmp, "spans")
@@ -359,7 +418,7 @@ def main(argv=None) -> int:
             else:
                 tracer.install()
             try:
-                traced, elapsed_t = measure(workload, ctx, pool, args.seconds / 2,
+                traced = measure(workload, ctx, pool, args.seconds / 2,
                                             spans_dir=spans_dir, tracer=tracer)
             finally:
                 tracer.uninstall()
@@ -369,12 +428,13 @@ def main(argv=None) -> int:
                 span_sets += child_spans
                 counts_sets += child_counts
                 import_s = statistics.median(imports) if imports else 0.0
-            metrics = layer_metrics(span_sets, counts_sets, traced, untraced, elapsed_t,
-                                    elapsed_u, import_s)
+            metrics = layer_metrics(span_sets, counts_sets, traced, untraced, import_s)
             metrics.update(model_metrics(untraced))
             record.update(requests_untraced=len(untraced), requests_traced=len(traced))
             attempted = untraced + traced
+        t0 = perf_counter()
         failed = check(workload.name, ctx, attempted)
+        record["check_s"] = perf_counter() - t0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
         try:

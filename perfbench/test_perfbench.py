@@ -16,13 +16,12 @@ ROOT = os.path.dirname(HERE)
 sys.path[:0] = [HERE, os.path.join(ROOT, "src")]
 
 import causalbox as cb  # noqa: E402
+from causalbox import fileio  # noqa: E402
 from causalbox.constraints import Violation  # noqa: E402
 
 import checks  # noqa: E402
 import tracer  # noqa: E402
-from workloads import (  # noqa: E402
-    GYNI_BELL, PS_INEQ, WORKLOADS, bell_score, mix, signed_score,
-)
+from workloads import KNOWN_VERDICTS, WORKLOADS, mix  # noqa: E402
 
 with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
     SPEC = json.load(fh)
@@ -33,78 +32,70 @@ def _run(*args, cwd=ROOT):
                           capture_output=True, text=True, timeout=170)
 
 
-# -- certificates used to label generated inputs --------------------------------
-
-
-def test_gyni_bell_inequality_separates_gyni_projected():
-    vertices = cb.enumerate_classical_vertices(cb.gyni_graph())
-    assert max(bell_score(v.table) for v in vertices) == 0
-    assert bell_score(cb.gyni_projected()) == Fraction(2, 3)
-    assert len(GYNI_BELL) == 4
-
-
-def test_ps_inequalities_hold_on_every_no_signalling_lift():
-    """min over no-signalling boxes q of y . diag(q) is 0, so y . p >= 0 on PS."""
-    g = cb.gyni_graph()
-    p = cb.join_inputs(cb.gyni_projected(), cb.uniform_table((("X", 2),)))
-    system, h, inputs, outputs = cb.ps_system(p, g)
-    names = p.var_names()
-    for cells in PS_INEQ.values():
-        lp = cb.LinearSystem(tuple(v for v in system.variables if v != "t"))
-        for coeffs, rhs in system.equalities:
-            if "t" not in coeffs:
-                lp.add_equality(coeffs, rhs)
-        objective = {}
-        for env, _ in p.cells():
-            env = dict(env)
-            for copy, source in h.copies.items():
-                env[copy] = env[source]
-            q = "q[%s|%s]" % (",".join(str(env[o]) for o in outputs),
-                              ",".join(str(env[i]) for i in inputs))
-            sign = -1 if tuple(env[n] for n in names) in cells else 1
-            objective[q] = objective.get(q, 0) - sign  # maximize -y.diag(q)
-        lp.objective = objective
-        result = cb.lp_solve(lp)
-        assert result.is_optimal and result.value == 0
-
-
-def test_generated_boxes_carry_their_certificates():
-    wl = WORKLOADS["bell-gyni"]
-    ctx = wl.prepare()
-    for req in wl.generate(random.Random(5), ctx):
-        if req.kind == "ps-not-c":
-            assert bell_score(req.inputs["box"]) > 0
-        elif req.kind == "signalling":
-            assert signed_score(req.inputs["joint"], PS_INEQ[req.expect["ps_inequality"]]) < 0
-
-
 # -- the checker counts corrupted outputs ----------------------------------------
 
 
-def _gyni_request(kind):
-    wl = WORKLOADS["bell-gyni"]
-    ctx = wl.prepare()
-    req = next(r for r in wl.generate(random.Random(1), ctx) if r.kind == kind)
-    return wl, ctx, req
+def _cli_requests(tmp_path):
+    wl = WORKLOADS["cli-fixtures"]
+    ctx = dict(wl.prepare(), tmp=str(tmp_path), src=os.path.join(ROOT, "src"))
+    return wl, ctx, wl.generate(random.Random(1), ctx)
 
 
-def test_checker_accepts_and_rejects_corrupted_gyni_verdicts():
-    wl, ctx, req = _gyni_request("c-member")
-    out, _ = wl.run(req, ctx)
-    assert checks.check_bell_gyni(req, out, ctx) == []
-    c, ps, n, i = out
-    flipped = (cb.MemberVerdict(False), ps, n, i)
-    assert checks.check_bell_gyni(req, flipped, ctx)
-    bad_weights = (cb.MemberVerdict(True, tuple(reversed(c.weights))), ps, n, i)
-    assert any("reproduce" in p for p in checks.check_bell_gyni(req, bad_weights, ctx))
-    foreign = cb.PsVerdict("member", certificate=cb.gyni_box(), scale=ps.scale)
-    assert checks.check_bell_gyni(req, (c, foreign, n, i), ctx)
+def _member_request(reqs, model, dist):
+    return next(r for r in reqs if r.kind == "member" and r.inputs["model"] == model
+                and r.inputs["files"][1] == dist)
 
 
-def test_checker_rejects_ps_member_without_certificate():
-    wl, ctx, req = _gyni_request("c-member")
-    c, ps, n, i = wl.run(req, ctx)[0]
-    assert checks.check_bell_gyni(req, (c, cb.PsVerdict("member"), n, i), ctx)
+def _with_doc(out, **changes):
+    doc = dict(json.loads(out["stdout"]), **changes)
+    return dict(out, stdout=json.dumps(doc))
+
+
+def test_known_verdict_labels_hold(tmp_path):
+    """The hard-coded CLI labels agree with the library and the inputs."""
+    h = cb.build_hypergraph(cb.chsh_graph())
+    _, ctx, reqs = _cli_requests(tmp_path)
+    fixtures = ctx["fixtures"]
+    assert cb.ns_member(fixtures["pr-box"], h)
+    assert not cb.ns_member(fixtures["signalling-box"], h)
+    for req in reqs:
+        if req.kind == "member":
+            assert req.expect["member"] == req.expect["in_process"], req.inputs["files"]
+    for verdicts in KNOWN_VERDICTS.values():
+        flags = [verdicts[m] for m in ("C", "PS", "N", "I") if m in verdicts]
+        assert flags == sorted(flags)  # once in a model, in every larger one
+
+
+def test_checker_rejects_corrupted_cli_verdicts(tmp_path):
+    wl, ctx, reqs = _cli_requests(tmp_path)
+    ps = _member_request(reqs, "PS", "pr-box")
+    out, _ = wl.run(ps, ctx)
+    assert checks.check_cli(ps, out, ctx) == []
+    # a flipped verdict, with a matching exit code, against the known label
+    flipped = dict(_with_doc(out, member=False), rc=ps.expect["rc"])
+    assert any("known" in p for p in checks.check_cli(ps, flipped, ctx))
+    # a certificate for another box, and one that is missing
+    foreign = fileio.kernel_to_dict(cb.join_inputs(
+        ctx["fixtures"]["signalling-box"], cb.uniform_table((("X", 2), ("Y", 2)))))
+    doc = json.loads(out["stdout"])
+    cert = fileio.kernel_from_dict(doc["certificate"])
+    other = fileio.kernel_to_dict(cb.Kernel(cert.outcome_vars, cert.index_vars,
+                                            tuple(reversed(cert.entries))))
+    assert checks.check_cli(ps, _with_doc(out, certificate=other), ctx)
+    assert checks.check_cli(ps, _with_doc(out, certificate=foreign), ctx)
+    no_cert = dict(json.loads(out["stdout"]))
+    del no_cert["certificate"]
+    assert checks.check_cli(ps, dict(out, stdout=json.dumps(no_cert)), ctx)
+
+
+def test_checker_rejects_corrupted_c_weights(tmp_path):
+    wl, ctx, reqs = _cli_requests(tmp_path)
+    c = _member_request(reqs, "C", "med-joint")
+    out, _ = wl.run(c, ctx)
+    assert checks.check_cli(c, out, ctx) == []
+    weights = json.loads(out["stdout"])["weights"]
+    assert checks.check_cli(c, _with_doc(out, weights=list(reversed(weights))), ctx)
+    assert checks.check_cli(c, _with_doc(out, weights=weights[:-1]), ctx)
 
 
 def test_checker_rejects_corrupted_witnesses():
@@ -205,7 +196,7 @@ def test_fails_without_the_program(tmp_path):
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
     shutil.copytree(HERE, tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
-    proc = _run("--workload", "bell-gyni", "--seed", "1", "--seconds", "1", "--trace", "0",
+    proc = _run("--workload", "ns-decompose", "--seed", "1", "--seconds", "1", "--trace", "0",
                 cwd=tmp_path)
     assert proc.returncode != 0
     assert '"metrics"' not in proc.stdout

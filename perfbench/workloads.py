@@ -1,14 +1,12 @@
 """The workloads: seeded input generation and one request each.
 
-``BENCHMARK.json`` lists nested-chain, ns-decompose and cli-fixtures.
-bell-gyni runs by name only: its requests take 0.5-2 s, too few fit in a
-run for a steady median (see README.md).
-
 Every workload exposes ``prepare()`` (the per-graph set-up a user pays
 once), ``generate(rng, ctx)`` (the inputs; a list whose length is a
 multiple of ``cycle``) and ``run(request, ctx)``, which returns
-``(output, {model: seconds})``.  Library calls go through module
-attributes (``cb.ps_member``) so a tracer's rebinding takes effect.
+``(output, {model: seconds})``.  ``fresh_processes`` says whether a
+request runs in a fresh interpreter, which decides where ``run.py`` runs
+its speed gauge.  Library calls go through module attributes
+(``cb.ps_member``) so a tracer's rebinding takes effect.
 """
 
 from __future__ import annotations
@@ -27,41 +25,6 @@ from causalbox import cli as cb_cli
 from causalbox import fileio
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-
-# -- separating inequalities --------------------------------------------------
-#
-# Cells are (A, B, C, X) on gyni_graph().  GYNI_BELL is a Bell inequality for
-# C(G): beta = +1 on these cells and -1 elsewhere, summed against the
-# conditional box p(a,b,c|x), is at most 0 on every classical vertex and 2/3
-# on gyni_projected(), so (1-e) gyni_projected + e noise is outside C for
-# e < 1/4.  PS_INEQ[s] is a PS-valid inequality y . p >= 0 on the joint with
-# uniform X (y = -1 on the listed cells, +1 elsewhere); the signalling box s
-# scores -1, so (1-e) s + e noise is outside PS for e < 1/2.  The test suite
-# checks both claims.
-GYNI_BELL = {(0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 0)}
-PS_INEQ = {
-    "C=X": {(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 0), (0, 1, 1, 0)},
-    "B=X": {(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1), (0, 1, 1, 1)},
-}
-_SIGNALLING = {
-    "C=X": lambda a, b, c, x: a == 0 and b == 0 and c == x,
-    "B=X": lambda a, b, c, x: a == 0 and b == x and c == 0,
-}
-
-
-def signed_score(kernel: cb.Kernel, minus_cells: set) -> Fraction:
-    """Sum of kernel entries with sign -1 on ``minus_cells``, +1 elsewhere."""
-    names = kernel.var_names()
-    total = Fraction(0)
-    for env, value in kernel.cells():
-        cell = tuple(env[n] for n in names)
-        total += -value if cell in minus_cells else value
-    return total
-
-
-def bell_score(box: cb.Kernel) -> Fraction:
-    """GYNI_BELL on a conditional box: +1 on its cells, -1 elsewhere."""
-    return -signed_score(box, GYNI_BELL)
 
 
 def mix(weights, kernels) -> cb.Kernel:
@@ -106,80 +69,23 @@ class Request:
         return json.dumps([self.kind, parts, sorted(self.expect)], sort_keys=True, default=str)
 
 
-# -- bell-gyni ------------------------------------------------------------------
-
-
-class BellGyni:
-    name = "bell-gyni"
-    cycle = 5
-
-    def prepare(self):
-        g = cb.gyni_graph()
-        cb.build_hypergraph(g)
-        vertices = cb.enumerate_classical_vertices(g)
-        cb.enumerate_constraints(g)
-        return {"graph": g, "vertices": [v.table for v in vertices]}
-
-    def generate(self, rng, ctx, cycles=8):
-        vertices = ctx["vertices"]
-        uniform_x = cb.uniform_table((("X", 2),))
-        gp = cb.gyni_projected()
-        layout = (gp.outcome_vars, gp.index_vars)
-        signalling = {
-            name: cb.Kernel.from_function(
-                *layout, lambda v, f=f: Fraction(int(f(v["A"], v["B"], v["C"], v["X"])))
-            )
-            for name, f in _SIGNALLING.items()
-        }
-        out = []
-        for c in range(cycles):
-            for kind in ("c-member", "ps-not-c", "signalling", "ps-not-c", "c-member"):
-                expect = {}
-                if kind == "c-member":
-                    box = _random_mixture(rng, vertices)
-                elif kind == "ps-not-c":
-                    # the pool's first such box is gyni_projected() itself
-                    first = not any(r.kind == kind for r in out)
-                    eps = Fraction(0) if first else Fraction(rng.randint(1, 4), 20)
-                    box = mix([1 - eps, eps], [gp, _random_mixture(rng, vertices)])
-                else:
-                    sig = "C=X" if c % 2 == 0 else "B=X"
-                    eps = Fraction(rng.randint(1, 8), 20)
-                    box = mix([1 - eps, eps], [signalling[sig], _random_mixture(rng, vertices)])
-                    expect["ps_inequality"] = sig
-                joint = cb.join_inputs(box, uniform_x)
-                out.append(Request(kind, {"box": box, "joint": joint}, expect))
-        return out
-
-    def run(self, req, ctx):
-        g = ctx["graph"]
-        box, joint = req.inputs["box"], req.inputs["joint"]
-        t0 = perf_counter()
-        c = cb.classical_member(box, g)
-        t1 = perf_counter()
-        ps = cb.ps_member(joint, g)
-        t2 = perf_counter()
-        n = cb.check_nested(joint, g)
-        t3 = perf_counter()
-        i = cb.i_member(joint, g)
-        t4 = perf_counter()
-        return (c, ps, n, i), {"C": t1 - t0, "PS": t2 - t1, "N": t3 - t2, "I": t4 - t3}
-
-
 # -- nested-chain ---------------------------------------------------------------
 
 
-def chain_graph(n: int = 7) -> cb.CausalDag:
-    """V0 -> V1 -> ... -> V{n-1}; latent L0 confounds (V1, V3), L1 (V4, V6)."""
-    names = [f"V{i}" for i in range(n)]
+def chain_graph() -> cb.CausalDag:
+    """V0 -> V1 -> ... -> V5; latent L0 confounds (V0, V2), L1 (V3, V5).
+    56 CI records and 1 Verma record; a request takes about 0.25 s, so a
+    run holds about a hundred of them."""
+    names = [f"V{i}" for i in range(6)]
     vertices = [(v, cb.OBSERVED, 2) for v in names] + [("L0", cb.LATENT), ("L1", cb.LATENT)]
-    edges = [(names[i], names[i + 1]) for i in range(n - 1)]
-    edges += [("L0", "V1"), ("L0", "V3"), ("L1", "V4"), ("L1", "V6")]
+    edges = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
+    edges += [("L0", "V0"), ("L0", "V2"), ("L1", "V3"), ("L1", "V5")]
     return cb.CausalDag(vertices, edges)
 
 
 class NestedChain:
     name = "nested-chain"
+    fresh_processes = False
     cycle = 3
 
     def prepare(self):
@@ -225,6 +131,7 @@ class NestedChain:
 
 class NsDecompose:
     name = "ns-decompose"
+    fresh_processes = False
     cycle = 52
 
     def prepare(self):
@@ -265,20 +172,27 @@ class CliFixtures:
     """Each request is one fresh ``python -m causalbox.cli`` process."""
 
     name = "cli-fixtures"
-    cycle = 15
+    fresh_processes = True
+    cycle = 20
 
     def prepare(self):
         return {}
 
     def generate(self, rng, ctx):
         tmp = ctx["tmp"]
+        pr = cb.pr_box()
         files = {
             "chsh-graph": cb.chsh_graph(),
             "gyni-graph": cb.gyni_graph(),
             "mediation-graph": cb.mediation_graph(),
-            "pr-box": cb.pr_box(),
+            "pr-box": pr,
+            # Alice answers Bob's input: signalling, so outside NS and PS
+            "signalling-box": cb.Kernel.from_function(
+                pr.outcome_vars, pr.index_vars,
+                lambda v: Fraction(int(v["A"] == v["Y"] and v["B"] == 0))),
             "gyni-projected": cb.gyni_projected(),
             "med-joint": cb.random_network(cb.mediation_graph(), rng).joint_observed(),
+            "local-mix": _random_mixture(rng, [cb.local_box(k) for k in range(16)]),
         }
         paths = {}
         for name, obj in files.items():
@@ -289,21 +203,15 @@ class CliFixtures:
                 fileio.dump_graph(obj, paths[name])
             with open(paths[name]) as fh:
                 ctx.setdefault("fixture_text", {})[name] = fh.read()
-        pairs = [
-            ("chsh-graph", "pr-box", "CPSNI"),
-            ("gyni-graph", "gyni-projected", "CPSNI"),
-            # PS is outside the LP's scope on the mediation graph (the CLI
-            # answers "unsupported" with exit 1), so it is not requested there
-            ("mediation-graph", "med-joint", "CNI"),
-        ]
+        ctx["fixtures"] = files
         out = []
-        for graph, dist, models in pairs:
-            for model in ("C", "PS", "N", "I"):
-                if model not in models:
-                    continue
+        for (graph, dist), verdicts in KNOWN_VERDICTS.items():
+            for model, member in verdicts.items():
                 argv = ["member", "--model", model, "--graph", paths[graph],
                         "--dist", paths[dist], "--format", "machine"]
-                expect = _expected_member(model, files[graph], files[dist])
+                expect = {"rc": cb_cli.EXIT_OK if member else cb_cli.EXIT_REJECTED,
+                          "member": member,
+                          "in_process": _in_process_member(model, files[graph], files[dist])}
                 out.append(Request("member", {"argv": argv, "model": model,
                                               "files": [graph, dist]}, expect))
         pr_index, weights = cb.decompose_ns_box(files["pr-box"])
@@ -317,12 +225,12 @@ class CliFixtures:
                                      paths["mediation-graph"], "--format", "machine"]},
             {"rc": 0, "records": [type(r).__name__ for r in records]}))
         rng.shuffle(out)
-        # PS on gyni, the slowest request, runs three times per cycle so that
-        # the tail (ten samples beyond it) lands inside its cluster even when
-        # a run completes only four cycles
+        # PS on gyni, the slowest request, runs five times per cycle, so that
+        # a run of three cycles holds 15 of them and the tail (ten samples
+        # beyond it) lands inside their cluster rather than on its edge
         ps_gyni = next(r for r in out if r.inputs.get("model") == "PS"
                        and r.inputs["files"][0] == "gyni-graph")
-        out += [ps_gyni, ps_gyni]
+        out += [ps_gyni] * 4
         return out
 
     def command(self, req, spans_path: str | None):
@@ -354,21 +262,36 @@ class CliFixtures:
                 "maxrss_kb": usage.ru_maxrss}, times
 
 
-def _expected_member(model, graph, dist):
-    """In-process verdict the CLI should reproduce, computed once per run."""
+# Verdicts known without running causalbox: the PR box breaks CHSH but is
+# its own no-signalling lift; gyni_projected() is the paper's box in PS but
+# not in C; a network's joint, and a mixture of the 16 local deterministic
+# boxes (the classical vertices of chsh), are in C by construction; the
+# signalling box breaks the CI constraint A _||_ Y | X.  The chsh and gyni
+# graphs have no constraint the no-signalling boxes break, so those are in
+# N and I.  PS is outside the LP's scope on the mediation graph (the CLI
+# answers "unsupported" with exit 1), so it is not requested there.
+KNOWN_VERDICTS = {
+    ("chsh-graph", "pr-box"): {"C": False, "PS": True, "N": True, "I": True},
+    ("chsh-graph", "signalling-box"): {"PS": False},
+    ("chsh-graph", "local-mix"): {"C": True, "PS": True},
+    ("gyni-graph", "gyni-projected"): {"C": False, "PS": True, "N": True, "I": True},
+    ("mediation-graph", "med-joint"): {"C": True, "N": True, "I": True},
+}
+
+
+def as_joint(dist: cb.Kernel) -> cb.Kernel:
+    """The joint the CLI builds from a box: uniform settings."""
+    if not dist.index_vars:
+        return dist
+    return cb.join_inputs(dist, cb.uniform_table(dist.index_vars))
+
+
+def _in_process_member(model, graph, dist) -> bool:
+    """The library's own verdict, computed once per run before timing."""
     if model == "C":
-        member = cb.classical_member(dist, graph).member
-    else:
-        joint = dist
-        if dist.index_vars:
-            joint = cb.join_inputs(dist, cb.uniform_table(dist.index_vars))
-        if model == "PS":
-            member = cb.ps_member(joint, graph).member
-        elif model == "N":
-            member = cb.check_nested(joint, graph).member
-        else:
-            member = cb.i_member(joint, graph).member
-    return {"rc": cb_cli.EXIT_OK if member else cb_cli.EXIT_REJECTED, "member": member}
+        return cb.classical_member(dist, graph).member
+    member = {"PS": cb.ps_member, "N": cb.check_nested, "I": cb.i_member}[model]
+    return member(as_joint(dist), graph).member
 
 
-WORKLOADS = {w.name: w for w in (BellGyni(), NestedChain(), NsDecompose(), CliFixtures())}
+WORKLOADS = {w.name: w for w in (NestedChain(), NsDecompose(), CliFixtures())}
