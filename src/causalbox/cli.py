@@ -50,6 +50,7 @@ from .polytope import (
     functional_from_indicator,
     maximize_functional,
 )
+from .recipes import render
 from .tables import Kernel, project, uniform_table
 
 EXIT_OK = 0
@@ -184,7 +185,7 @@ def _cmd_constraints(args) -> int:
             payload["constraints"].append(
                 {
                     "kind": "verma",
-                    "recipe": str(r).split("VERMA: ")[1].rsplit(" _||_", 1)[0],
+                    "recipe": render(r.recipe),
                     "independent_of": sorted(r.independent_of),
                 }
             )
@@ -333,9 +334,9 @@ def _cmd_score(args) -> int:
 def _cmd_optimize(args) -> int:
     dag = _load_graph(args)
     if args.lift:
-        vertices = enumerate_h_vertices(build_hypergraph(dag), jobs=args.jobs)
+        vertices = enumerate_h_vertices(build_hypergraph(dag))
     else:
-        vertices = enumerate_classical_vertices(dag, jobs=args.jobs)
+        vertices = enumerate_classical_vertices(dag)
     try:
         functional = _functional_for(args.functional, vertices[0].table)
     except KeyError as exc:
@@ -356,9 +357,9 @@ def _cmd_optimize(args) -> int:
 def _cmd_vertices(args) -> int:
     dag = _load_graph(args)
     if args.lift:
-        vertices = enumerate_h_vertices(build_hypergraph(dag), jobs=args.jobs)
+        vertices = enumerate_h_vertices(build_hypergraph(dag))
     else:
-        vertices = enumerate_classical_vertices(dag, jobs=args.jobs)
+        vertices = enumerate_classical_vertices(dag)
     payload = {
         "count": len(vertices),
         "vertices": [kernel_to_dict(v.table) for v in vertices],
@@ -475,12 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--functional", required=True, choices=("chsh", "gyni"))
     p.add_argument("--lift", action="store_true", help="use hypergraph vertices")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("vertices", help="enumerate polytope vertices", parents=[fmt])
     common(p)
     p.add_argument("--lift", action="store_true", help="use hypergraph vertices")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser(
         "decompose-ns", help="PR-plus-local decomposition", parents=[fmt]
@@ -527,7 +526,11 @@ _DISPATCH = {
 
 def dispatch(argv) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad usage, which would read as a rejection
+        return EXIT_ERROR if exc.code else EXIT_OK
     if not args.cmd:
         parser.print_help()
         return EXIT_ERROR

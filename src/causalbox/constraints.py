@@ -49,7 +49,7 @@ from .recipes import (
     simplify,
     sum_over,
 )
-from .tables import Kernel, ZeroConditioningError, assignments, marginalize
+from .tables import Kernel, ZeroConditioningError, assignments, ci_violation
 
 __all__ = [
     "VermaConstraint",
@@ -356,25 +356,6 @@ class NestedVerdict:
     indeterminate: tuple[ConstraintRecord, ...] = ()
 
 
-def _ci_violation(table: Kernel, record: CiConstraint) -> dict | None:
-    names = set(table.var_names())
-    a, b, z = {record.a}, {record.b}, set(record.given)
-    other = names - a - b - z
-    p_abz = marginalize(table, other)
-    p_az = marginalize(p_abz, b)
-    p_bz = marginalize(p_abz, a)
-    p_z = marginalize(p_az, a)
-    for assign, v_abz in p_abz.cells():
-        v_z = p_z.value({k: assign[k] for k in z}) if z else Fraction(1)
-        if v_z == 0:
-            continue
-        v_az = p_az.value({k: assign[k] for k in a | z})
-        v_bz = p_bz.value({k: assign[k] for k in b | z})
-        if v_abz * v_z != v_az * v_bz:
-            return assign
-    return None
-
-
 def _verma_violation(
     ev: Evaluator, record: VermaConstraint
 ) -> tuple[dict | None, bool]:
@@ -413,7 +394,7 @@ def i_member(table: Kernel, dag: CausalDag) -> NestedVerdict:
         raise ValueError("i_member expects a joint probability table")
     violations = []
     for record in ci_constraints(dag):
-        witness = _ci_violation(table, record)
+        witness = ci_violation(table, {record.a}, {record.b}, record.given)
         if witness is not None:
             violations.append(Violation(record, witness))
     return NestedVerdict(not violations, tuple(violations))
@@ -440,7 +421,7 @@ def check_nested(table: Kernel, dag: CausalDag) -> NestedVerdict:
     ev = Evaluator(table)
     for record in records:
         if isinstance(record, CiConstraint):
-            witness = _ci_violation(table, record)
+            witness = ci_violation(table, {record.a}, {record.b}, record.given)
             if witness is not None:
                 violations.append(Violation(record, witness))
         else:

@@ -145,7 +145,8 @@ def lp_solve(system: LinearSystem) -> LpResult:
     costs1 = [_ZERO] * n + [-_ONE] * m
     ztail = _zrow(rows, basis, costs1, n + m)
     status = _run_simplex(rows, ztail, basis, n + m)
-    assert status == "optimal"  # bounded below by construction
+    if status != "optimal":
+        raise RuntimeError(f"phase 1 is bounded by construction but ended {status}")
     if ztail[-1] != _ZERO:
         return LpResult("infeasible")
 

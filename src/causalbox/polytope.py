@@ -3,18 +3,20 @@ LPs, linear-functional optimization and the bipartite no-signalling
 decomposition.
 
 The classical distribution set of a single-latent graph is a convex polytope
-whose vertices arise from deterministic response strategies on the Bell-type
-hypergraph, projected back through the diagonal post-selection.  Membership
-of a conditional table is then an exact linear-programming feasibility
-question over convex weights of those vertices.
+whose vertices are its deterministic functional models: every outcome
+vertex applies a response function of its observed parents, and the
+outcomes follow by direct substitution in topological order.  This is the
+Bell-type hypergraph strategy seen through the diagonal post-selection.
+Membership of a conditional table is then an exact linear-programming
+feasibility question over convex weights of those vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as _iterproduct
+from math import prod
 from typing import Callable, Mapping, Sequence
 
 from .boxes import ns_box_vertices, pr_box
@@ -26,9 +28,10 @@ from .graphs import (
     bell_outputs,
     build_hypergraph,
     is_bell_type,
+    topological_order,
 )
 from .linprog import LinearSystem, lp_solve
-from .tables import Kernel, assignments, join_inputs, project, split_joint, uniform_table
+from .tables import Kernel, assignments, conditional
 
 __all__ = [
     "Vertex",
@@ -66,116 +69,65 @@ class Vertex:
     table: Kernel
 
 
-def _response_functions(dag: CausalDag, output: str) -> list[tuple[int, ...]]:
-    parents = sorted(p for p in dag.parents(output) if p in set(dag.observed()))
-    domain = 1
-    for p in parents:
-        domain *= dag.cardinality(p)
-    card = dag.cardinality(output)
-    return [resp for resp in _iterproduct(range(card), repeat=domain)]
+def _deterministic_vertices(g: CausalDag) -> list[Vertex]:
+    """Point-mass tables of the deterministic strategies on ``g``.
 
-
-def _observed_parents(dag: CausalDag, v: str) -> list[str]:
-    observed = set(dag.observed())
-    return sorted(p for p in dag.parents(v) if p in observed)
-
-
-def _strategy_table(
-    dag: CausalDag, outputs: list[str], inputs: list[str], responses: dict
-) -> Kernel:
-    out_vars = tuple((v, dag.cardinality(v)) for v in outputs)
-    in_vars = tuple((v, dag.cardinality(v)) for v in inputs)
-
-    def fn(a):
-        for v in outputs:
-            parents = _observed_parents(dag, v)
-            pos = 0
-            for p in parents:
-                pos = pos * dag.cardinality(p) + a[p]
-            if a[v] != responses[v][pos]:
-                return Fraction(0)
-        return Fraction(1)
-
-    return Kernel.from_function(out_vars, in_vars, fn)
-
-
-def _vertex_chunk(args) -> list[Vertex]:
-    dag, outputs, inputs, combos = args
-    out = []
-    for combo in combos:
-        responses = dict(zip(outputs, combo))
-        out.append(Vertex(responses, _strategy_table(dag, outputs, inputs, responses)))
-    return out
-
-
-def enumerate_h_vertices(h: HyperDag, jobs: int = 1) -> list[Vertex]:
-    """Deterministic strategies of a Bell-type single-latent hypergraph.
-
-    Every output vertex independently picks a response function of its
-    observed parents; the count is the product over outputs of
-    cardinality ** (parent assignment count).  ``jobs`` > 1 builds the
-    strategy tables in parallel worker processes.
+    Strategies run in the lift's order: each output picks a response
+    function of its sorted observed parents in the hypergraph.  Outputs are
+    evaluated by direct substitution in topological order of ``g``, a copy
+    parent reading its source.  The first strategy of each table is kept.
     """
-    if len(h.base.latent()) > 1:
+    if len(g.latent()) > 1:
         raise MultiLatentError("vertex enumeration requires at most one latent vertex")
+    h = build_hypergraph(g)
+    card = {v: h.base.cardinality(v) for v in h.base.observed()}
+    outputs = bell_outputs(h.base)
+    parents = {
+        v: [(h.copies.get(p, p), card[p]) for p in sorted(h.base.parents(v)) if p in card]
+        for v in outputs
+    }
+    order = [v for v in topological_order(g) if v in parents]
+    out_vars = tuple((v, card[v]) for v in outputs)
+    in_vars = tuple((v, card[v]) for v in bell_inputs(g))
+    rows = [dict(zip([n for n, _ in in_vars], x)) for x in assignments(in_vars)]
+    choices = [
+        _iterproduct(range(card[v]), repeat=prod(c for _, c in parents[v])) for v in outputs
+    ]
+    seen: dict[tuple[Fraction, ...], Vertex] = {}
+    for combo in _iterproduct(*choices):
+        responses = dict(zip(outputs, combo))
+        entries = [Fraction(0)] * (prod(c for _, c in out_vars) * len(rows))
+        for r, values in enumerate(dict(row) for row in rows):
+            for v in order:
+                pos = 0
+                for p, c in parents[v]:
+                    pos = pos * c + values[p]
+                values[v] = responses[v][pos]
+            cell = 0
+            for v, c in out_vars:
+                cell = cell * c + values[v]
+            entries[cell * len(rows) + r] = Fraction(1)
+        key = tuple(entries)
+        if key not in seen:
+            seen[key] = Vertex(responses, Kernel(out_vars, in_vars, key))
+    return list(seen.values())
+
+
+def enumerate_h_vertices(h: HyperDag) -> list[Vertex]:
+    """Deterministic strategies of a Bell-type single-latent hypergraph:
+    every output picks a response function of its observed parents, all of
+    them setting variables, so no two strategies share a table."""
     if not is_bell_type(h.base):
         raise ValueError("hypergraph base is not Bell-type")
-    inputs = bell_inputs(h.base)
-    outputs = bell_outputs(h.base)
-    choices = [_response_functions(h.base, v) for v in outputs]
-    combos = list(_iterproduct(*choices))
-    if jobs > 1 and len(combos) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = (len(combos) + jobs - 1) // jobs
-        chunks = [
-            (h.base, outputs, inputs, combos[i : i + step])
-            for i in range(0, len(combos), step)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_vertex_chunk, chunks))
-        return [v for part in parts for v in part]
-    return _vertex_chunk((h.base, outputs, inputs, combos))
+    return _deterministic_vertices(h.base)
 
 
-def enumerate_classical_vertices(g: CausalDag, jobs: int = 1) -> list[Vertex]:
-    """Vertices of the classical polytope of a single-latent graph.
-
-    Each hypergraph strategy is lifted to a joint with uniform inputs,
-    projected through the diagonal event and split back into a conditional
-    on the original graph's setting variables; exact duplicates collapse.
-    """
-    if jobs == 1:
-        return list(_classical_vertices_cached(g))
-    return _enumerate_classical_vertices(g, jobs)
-
-
-@lru_cache(maxsize=None)
-def _classical_vertices_cached(g: CausalDag) -> tuple[Vertex, ...]:
-    return tuple(_enumerate_classical_vertices(g, 1))
-
-
-def _enumerate_classical_vertices(g: CausalDag, jobs: int) -> list[Vertex]:
-    if len(g.latent()) > 1:
-        raise MultiLatentError("classical vertices require at most one latent vertex")
-    h = build_hypergraph(g)
-    g_inputs = bell_inputs(g)
-    g_outputs = bell_outputs(g)
-    h_inputs = bell_inputs(h.base)
-    seen = {}
-    for hv in enumerate_h_vertices(h, jobs=jobs):
-        joint = join_inputs(
-            hv.table, uniform_table(tuple((v, h.base.cardinality(v)) for v in h_inputs))
-        )
-        projected = project(joint, h.copies)
-        if g_inputs:
-            table, _ = split_joint(projected, g_inputs)
-        else:
-            table = projected
-        key = (table.outcome_vars, table.index_vars, table.entries)
-        if key not in seen:
-            seen[key] = Vertex(hv.responses, table)
-    return list(seen.values())
+def enumerate_classical_vertices(g: CausalDag) -> list[Vertex]:
+    """Vertices of the classical polytope of a single-latent graph: its
+    deterministic functional models, evaluated by direct substitution.  With
+    uniform copies this equals lifting each hypergraph strategy and
+    projecting it through the diagonal event."""
+    return _deterministic_vertices(g)
 
 
 @dataclass(frozen=True)
@@ -190,8 +142,7 @@ def _as_conditional(p: Kernel, template: Kernel) -> Kernel:
         return p
     index_names = [n for n, _ in template.index_vars]
     if p.is_prob_table and index_names:
-        kernel, _ = split_joint(p, index_names)
-        p = kernel
+        p = conditional(p, index_names)
     if set(p.var_names()) != set(template.var_names()):
         raise ValueError("distribution variables do not match the graph's vertices")
     # reorder variables to the template layout

@@ -34,6 +34,7 @@ __all__ = [
     "marginalize",
     "condition",
     "conditional",
+    "ci_violation",
     "ci_holds",
     "project",
     "join_inputs",
@@ -322,16 +323,17 @@ def conditional(kernel: Kernel, given: Iterable[str]) -> Kernel:
     return Kernel.from_mapping(kept, new_index, table)
 
 
-def ci_holds(
+def ci_violation(
     table: Kernel, a: Iterable[str], b: Iterable[str], z: Iterable[str]
-) -> bool:
+) -> dict[str, int] | None:
     """Exact conditional-independence test A independent of B given Z.
 
-    True iff p(a,b,z) * p(z) == p(a,z) * p(b,z) for every assignment.
+    Returns the first assignment of A, B, Z (in table order) where
+    p(a,b,z) * p(z) != p(a,z) * p(b,z), or None if there is none.
     Rows with p(z) == 0 are vacuously independent.
     """
     if not table.is_prob_table:
-        raise ValueError("ci_holds expects a probability table without index variables")
+        raise ValueError("CI test expects a probability table without index variables")
     a, b, z = set(a), set(b), set(z)
     if (a & b) or (a & z) or (b & z):
         raise ValueError("a, b, z must be disjoint")
@@ -346,15 +348,21 @@ def ci_holds(
     p_bz = marginalize(p_abz, a)
     p_z = marginalize(p_az, a)
     for assign, v_abz in p_abz.cells():
-        za = {k: assign[k] for k in z}
-        v_z = p_z.value(za) if z else Fraction(1)
+        v_z = p_z.value({k: assign[k] for k in z}) if z else Fraction(1)
         if v_z == 0:
             continue
         v_az = p_az.value({k: assign[k] for k in a | z})
         v_bz = p_bz.value({k: assign[k] for k in b | z})
         if v_abz * v_z != v_az * v_bz:
-            return False
-    return True
+            return assign
+    return None
+
+
+def ci_holds(
+    table: Kernel, a: Iterable[str], b: Iterable[str], z: Iterable[str]
+) -> bool:
+    """True iff A is independent of B given Z exactly; see :func:`ci_violation`."""
+    return ci_violation(table, a, b, z) is None
 
 
 def project(table: Kernel, copies: Mapping[str, str]) -> Kernel:

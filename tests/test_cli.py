@@ -100,13 +100,12 @@ def test_score_and_optimize(files, capsys):
     assert "3/4" in capsys.readouterr().out
 
 
-def test_vertices_and_jobs(files, capsys):
+def test_vertices(files, capsys):
     emit, _ = files
     gpath = emit("instrumental-graph", "ig.json")
     assert dispatch(["vertices", "--graph", gpath, "--format", "machine"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 12
-    assert dispatch(["vertices", "--graph", gpath, "--jobs", "2"]) == 0
 
 
 def test_decompose_ns(files, capsys):
@@ -130,6 +129,11 @@ def test_usage_errors_exit_one(files, capsys):
     emit, _ = files
     assert dispatch(["member", "--model", "C", "--dist", "nowhere.json"]) == 1
     assert dispatch(["graph", "check", "--graph", "missing.json"]) == 1
+    # argparse errors on valid inputs are usage errors too, not the rejection code 2
+    chsh, pr = emit("chsh-graph", "chsh.json"), emit("pr-box", "pr.json")
+    assert dispatch(["vertices", "--graph", chsh, "--jobs", "2"]) == 1
+    assert dispatch(["member", "--model", "Q", "--graph", chsh, "--dist", pr]) == 1
+    assert dispatch(["--help"]) == 0
     gpath = emit("swapping-graph", "swap.json")
     dpath = emit("swapping-box", "swapbox.json")
     # PS on a multi-latent graph without a certificate is an input error

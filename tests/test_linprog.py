@@ -82,3 +82,15 @@ def test_undeclared_variable_rejected():
     system = LinearSystem(("x",))
     with pytest.raises(ValueError):
         system.add_equality({"q": Fraction(1)}, Fraction(0))
+
+
+def test_unbounded_phase_one_raises(monkeypatch):
+    """Phase 1 is bounded by construction; a solver that says otherwise is a
+    bug, reported even when assertions are stripped."""
+    from causalbox import linprog
+
+    monkeypatch.setattr(linprog, "_run_simplex", lambda *args: "unbounded")
+    system = LinearSystem(("x",))
+    system.add_equality({"x": Fraction(1)}, Fraction(1))
+    with pytest.raises(RuntimeError, match="phase 1"):
+        lp_solve(system)

@@ -8,9 +8,13 @@ import pytest
 from causalbox import (
     CausalDag,
     Kernel,
+    LATENT,
     MultiLatentError,
     NotNoSignallingError,
     OBSERVED,
+    Vertex,
+    bell_inputs,
+    bell_outputs,
     build_hypergraph,
     check_nested,
     chsh_graph,
@@ -25,9 +29,12 @@ from causalbox import (
     join_inputs,
     local_box,
     maximize_functional,
+    mediation_graph,
     ns_box_vertices,
     pr_box,
+    project,
     ps_member,
+    split_joint,
     tripartite_bell_graph,
     uniform_table,
 )
@@ -78,21 +85,104 @@ def test_instrumental_classical_vertices_dedupe():
     assert len(tables) == 12
 
 
-def test_jobs_parallel_enumeration_matches_serial():
-    g = gyni_graph()
-    serial = enumerate_h_vertices(build_hypergraph(g))
-    parallel = enumerate_h_vertices(build_hypergraph(g), jobs=2)
-    assert [v.table.entries for v in serial] == [v.table.entries for v in parallel]
+def _ternary_instrumental():
+    return CausalDag(
+        [("X", OBSERVED, 3), ("A", OBSERVED, 2), ("B", OBSERVED, 3), ("L", LATENT)],
+        [("X", "A"), ("A", "B"), ("L", "A"), ("L", "B")],
+    )
+
+
+def _copy_order_graph():
+    # the copy Z_C sorts after C's other parent Z0, its source Z before it
+    return CausalDag(
+        [("W", OBSERVED, 2), ("Z", OBSERVED, 2), ("Z0", OBSERVED, 2),
+         ("C", OBSERVED, 2), ("L", LATENT)],
+        [("W", "Z"), ("Z", "C"), ("Z0", "C"), ("L", "Z"), ("L", "C")],
+    )
+
+
+def _lift_strategies(h):
+    """Hypergraph strategies built cell by cell: each output of the lift
+    picks a response function of its sorted observed parents."""
+    base = h.base
+    observed = set(base.observed())
+    outputs, inputs = bell_outputs(base), bell_inputs(base)
+    parents = {v: sorted(p for p in base.parents(v) if p in observed) for v in outputs}
+    choices = []
+    for v in outputs:
+        domain = 1
+        for p in parents[v]:
+            domain *= base.cardinality(p)
+        choices.append(list(product(range(base.cardinality(v)), repeat=domain)))
+
+    def cell(responses, a):
+        for v in outputs:
+            pos = 0
+            for p in parents[v]:
+                pos = pos * base.cardinality(p) + a[p]
+            if a[v] != responses[v][pos]:
+                return Fraction(0)
+        return Fraction(1)
+
+    for combo in product(*choices):
+        responses = dict(zip(outputs, combo))
+        table = Kernel.from_function(
+            [(v, base.cardinality(v)) for v in outputs],
+            [(v, base.cardinality(v)) for v in inputs],
+            lambda a: cell(responses, a),
+        )
+        yield Vertex(responses, table)
+
+
+def _lift_reference(g):
+    """Classical vertices the long way: every hypergraph strategy joined
+    with uniform inputs, projected through the diagonal event and split on
+    the graph's settings; the first strategy of each table is kept."""
+    h = build_hypergraph(g)
+    h_inputs = [(v, h.base.cardinality(v)) for v in bell_inputs(h.base)]
+    settings = bell_inputs(g)
+    seen = {}
+    for hv in _lift_strategies(h):
+        projected = project(join_inputs(hv.table, uniform_table(h_inputs)), h.copies)
+        table = split_joint(projected, settings)[0] if settings else projected
+        seen.setdefault(table, Vertex(hv.responses, table))
+    return list(seen.values())
+
+
+def _as_compared(vertices):
+    return [
+        (v.table.outcome_vars, v.table.index_vars, v.table.entries, dict(v.responses))
+        for v in vertices
+    ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        chsh_graph,
+        instrumental_graph,
+        mediation_graph,
+        gyni_graph,
+        tripartite_bell_graph,
+        _ternary_instrumental,
+        _copy_order_graph,
+    ],
+    ids=lambda make: make.__name__.strip("_"),
+)
+def test_direct_enumeration_matches_lift_reference(make):
+    """Direct substitution gives the lift-and-project vertices exactly:
+    same order, same tables, same response functions."""
+    g = make()
+    assert _as_compared(enumerate_classical_vertices(g)) == _as_compared(
+        _lift_reference(g)
+    )
+    h = build_hypergraph(g)
+    assert _as_compared(enumerate_h_vertices(h)) == _as_compared(_lift_strategies(h))
 
 
 def test_ternary_instrumental_vertices_and_membership():
     """Mixed cardinalities flow through vertex enumeration and both LPs."""
-    from causalbox import LATENT, OBSERVED, ps_member
-
-    inst = CausalDag(
-        [("X", OBSERVED, 3), ("A", OBSERVED, 2), ("B", OBSERVED, 3), ("L", LATENT)],
-        [("X", "A"), ("A", "B"), ("L", "A"), ("L", "B")],
-    )
+    inst = _ternary_instrumental()
     vertices = enumerate_classical_vertices(inst)
     # 8 response functions a = f(x); b = g(a) is only read on the range of f,
     # so the 2 constant f give 3 tables each and the 6 others 9 each
