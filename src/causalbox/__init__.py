@@ -52,7 +52,9 @@ from .tables import (
     marginalize,
     condition,
     conditional,
+    ci_violation,
     ci_holds,
+    reorder,
     project,
     join_inputs,
     split_joint,

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import (
+    _GRAPH_CACHE_SIZE,
     CausalDag,
     CiConstraint,
     MDag,
@@ -303,7 +304,7 @@ def enumerate_constraints(dag: CausalDag) -> list[ConstraintRecord]:
     return list(_enumerate_constraints_cached(dag))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _enumerate_constraints_cached(dag: CausalDag) -> tuple[ConstraintRecord, ...]:
     order = _observed_order(dag)
     verma: dict[tuple, VermaConstraint] = {}
@@ -387,11 +388,21 @@ def _verma_violation(
     return None, saw_none
 
 
+def _check_joint(table: Kernel, dag: CausalDag, caller: str) -> None:
+    """Reject anything but a joint table over exactly the observed vertices."""
+    if not table.is_prob_table:
+        raise ValueError(f"{caller} expects a joint probability table")
+    expected = sorted(dag.observed())
+    if sorted(table.var_names()) != expected:
+        raise ValueError(
+            f"table variables {sorted(table.var_names())} do not match observed vertices {expected}"
+        )
+
+
 def i_member(table: Kernel, dag: CausalDag) -> NestedVerdict:
     """Membership in the independence model: every d-separation statement
     of the graph holds exactly on the table."""
-    if not table.is_prob_table:
-        raise ValueError("i_member expects a joint probability table")
+    _check_joint(table, dag, "i_member")
     violations = []
     for record in ci_constraints(dag):
         witness = ci_violation(table, {record.a}, {record.b}, record.given)
@@ -408,13 +419,7 @@ def check_nested(table: Kernel, dag: CausalDag) -> NestedVerdict:
     indeterminate and treated as satisfied (equality on a measure-zero
     context is vacuous).
     """
-    if not table.is_prob_table:
-        raise ValueError("check_nested expects a joint probability table")
-    expected = sorted(dag.observed())
-    if sorted(table.var_names()) != expected:
-        raise ValueError(
-            f"table variables {sorted(table.var_names())} do not match observed vertices {expected}"
-        )
+    _check_joint(table, dag, "check_nested")
     records = enumerate_constraints(dag)
     violations: list[Violation] = []
     indeterminate: list[ConstraintRecord] = []

@@ -87,9 +87,7 @@ def _format_rational(value: Fraction) -> str:
 
 def kernel_to_dict(kernel: Kernel) -> dict:
     table = {}
-    names = kernel.var_names()
-    for values in assignments(kernel.variables):
-        v = kernel.value(dict(zip(names, values)))
+    for values, v in zip(assignments(kernel.variables), kernel.entries):
         if v:
             table[",".join(map(str, values))] = _format_rational(v)
     return {

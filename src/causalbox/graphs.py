@@ -49,6 +49,9 @@ __all__ = [
 OBSERVED = "observed"
 LATENT = "latent"
 
+# Graphs whose CI and constraint records stay cached in one process.
+_GRAPH_CACHE_SIZE = 64
+
 
 class CycleError(ValueError):
     """The graph contains a directed cycle."""
@@ -459,7 +462,7 @@ def ci_constraints(dag: CausalDag) -> list[CiConstraint]:
     return list(_ci_constraints_cached(dag))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _ci_constraints_cached(dag: CausalDag) -> tuple[CiConstraint, ...]:
     observed = sorted(dag.observed())
     found = []

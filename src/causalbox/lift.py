@@ -30,7 +30,7 @@ from .graphs import (
     is_bell_type,
 )
 from .linprog import LinearSystem, lp_solve
-from .tables import Kernel, assignments, ci_holds, project
+from .tables import Kernel, assignments, ci_holds, marginalize, project, reorder
 
 __all__ = [
     "NsEquality",
@@ -108,17 +108,6 @@ def ns_constraints(h: HyperDag) -> list[NsEquality]:
     return equalities
 
 
-def _marginal_at(box: Kernel, kept: dict, inputs: dict) -> Fraction:
-    total = Fraction(0)
-    rest = [(n, c) for n, c in box.outcome_vars if n not in kept]
-    for values in assignments(rest):
-        env = dict(kept)
-        env.update(inputs)
-        env.update(zip([n for n, _ in rest], values))
-        total += box.value(env)
-    return total
-
-
 def ns_member(box: Kernel, h: HyperDag) -> bool:
     """Exact evaluation of every no-signalling equality on a conditional box."""
     _check_bell(h)
@@ -130,10 +119,11 @@ def ns_member(box: Kernel, h: HyperDag) -> bool:
         raise ValueError("box variables do not match the hypergraph's parties")
     for eq in ns_constraints(h):
         kept = dict(eq.kept_outputs)
-        base = dict(eq.other_inputs)
+        margin = marginalize(box, [n for n, _ in box.outcome_vars if n not in kept])
+        base = dict(eq.other_inputs, **kept)
         lo = dict(base, **{eq.input_vertex: eq.value_low})
         hi = dict(base, **{eq.input_vertex: eq.value_high})
-        if _marginal_at(box, kept, lo) != _marginal_at(box, kept, hi):
+        if margin.value(lo) != margin.value(hi):
             return False
     return True
 
@@ -269,12 +259,9 @@ def _certificate_check(p: Kernel, h: HyperDag, certificate: Kernel) -> PsVerdict
             return PsVerdict("not_member", reason=f"certificate violates {record}")
     projected = project(certificate, h.copies)
 
-    def same(a: Kernel, b: Kernel) -> bool:
-        if set(a.var_names()) != set(b.var_names()):
-            return False
-        return all(b.value(env) == v for env, v in a.cells())
-
-    if not same(projected, p):
+    if sorted(projected.variables) != sorted(p.variables) or reorder(
+        p, projected.outcome_vars, projected.index_vars
+    ).entries != projected.entries:
         return PsVerdict("not_member", reason="certificate does not project to the target")
     return PsVerdict("member", certificate=certificate, scale=None)
 
@@ -333,11 +320,10 @@ def ps_member(
     dag = h.base
     in_vars = tuple((i, dag.cardinality(i)) for i in inputs)
     out_vars = tuple((o, dag.cardinality(o)) for o in outputs)
-
-    def qval(env):
-        ov = ",".join(str(env[o]) for o in outputs)
-        iv = ",".join(str(env[i]) for i in inputs)
-        return result.assignment[f"q[{ov}|{iv}]"]
-
-    box = Kernel.from_function(out_vars, in_vars, qval)
+    entries = tuple(
+        result.assignment["q[" + ",".join(map(str, ov)) + "|" + ",".join(map(str, iv)) + "]"]
+        for ov in assignments(out_vars)
+        for iv in assignments(in_vars)
+    )
+    box = Kernel(out_vars, in_vars, entries)
     return PsVerdict("member", certificate=box, scale=result.value)

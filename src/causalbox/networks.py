@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .graphs import OBSERVED, CausalDag, HyperDag, topological_order
-from .tables import Kernel, assignments
+from .tables import Kernel, assignments, reorder
 
 __all__ = ["ClassicalNetwork", "random_network", "lift_network"]
 
@@ -127,15 +127,7 @@ def lift_network(net: ClassicalNetwork, hyper: HyperDag) -> ClassicalNetwork:
         if not swap:
             cpts[v] = old
             continue
-        new_index = tuple(
-            sorted(((swap.get(n, n), c) for n, c in old.index_vars))
-        )
-        back = {swap.get(n, n): n for n, _ in old.index_vars}
-
-        def fn(a, old=old, back=back, v=v):
-            lookup = {back[n]: val for n, val in a.items() if n != v}
-            lookup[v] = a[v]
-            return old.value(lookup)
-
-        cpts[v] = Kernel.from_function(old.outcome_vars, new_index, fn)
+        index = tuple((swap.get(n, n), c) for n, c in old.index_vars)
+        renamed_cpt = Kernel(old.outcome_vars, index, old.entries)
+        cpts[v] = reorder(renamed_cpt, old.outcome_vars, sorted(index))
     return ClassicalNetwork(hyper.base, cpts)

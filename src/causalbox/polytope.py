@@ -31,7 +31,7 @@ from .graphs import (
     topological_order,
 )
 from .linprog import LinearSystem, lp_solve
-from .tables import Kernel, assignments, conditional
+from .tables import Kernel, assignments, conditional, marginalize, reorder
 
 __all__ = [
     "Vertex",
@@ -138,18 +138,12 @@ class MemberVerdict:
 
 def _as_conditional(p: Kernel, template: Kernel) -> Kernel:
     """Bring ``p`` to the conditional shape of the vertex tables."""
-    if p.index_vars == template.index_vars and p.outcome_vars == template.outcome_vars:
-        return p
     index_names = [n for n, _ in template.index_vars]
     if p.is_prob_table and index_names:
         p = conditional(p, index_names)
     if set(p.var_names()) != set(template.var_names()):
         raise ValueError("distribution variables do not match the graph's vertices")
-    # reorder variables to the template layout
-    def fn(a):
-        return p.value(a)
-
-    return Kernel.from_function(template.outcome_vars, template.index_vars, fn)
+    return reorder(p, template.outcome_vars, template.index_vars)
 
 
 def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
@@ -158,25 +152,25 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     Solves the feasibility LP p = sum_i w_i vertex_i with w >= 0 summing to
     one, row-wise over the setting variables; returns the weights on
     success.  Joint tables are split on the graph's setting variables first.
+
+    The verdict is exact only when the latent parents every output vertex.
+    The strategies let the latent drive every output, so on a graph such as
+    ``mediation_graph`` a joint that breaks a conditional independence of
+    the graph can be accepted.
     """
     vertices = enumerate_classical_vertices(g)
     return _convex_member(p, [v.table for v in vertices])
 
 
 def _convex_member(p: Kernel, tables: list[Kernel]) -> MemberVerdict:
+    """Convex weights of ``tables``, which share one layout, that give ``p``."""
     target = _as_conditional(p, tables[0])
     names = [f"w{i}" for i in range(len(tables))]
     system = LinearSystem(tuple(names))
     system.add_equality({n: Fraction(1) for n in names}, Fraction(1))
-    layout = list(assignments(target.variables))
-    for values in layout:
-        env = dict(zip(target.var_names(), values))
-        coeffs = {}
-        for name, table in zip(names, tables):
-            c = table.value(env)
-            if c:
-                coeffs[name] = c
-        system.add_equality(coeffs, target.value(env))
+    for i, value in enumerate(target.entries):
+        coeffs = {n: t.entries[i] for n, t in zip(names, tables) if t.entries[i]}
+        system.add_equality(coeffs, value)
     result = lp_solve(system)
     if not result.is_optimal:
         return MemberVerdict(False)
@@ -223,30 +217,14 @@ def _is_ns_bipartite(q: Kernel) -> bool:
     if len(q.outcome_vars) != 2 or len(q.index_vars) != 2:
         return False
     (a_n, a_c), (b_n, b_c) = q.outcome_vars
-    (x_n, x_c), (y_n, y_c) = q.index_vars
+    (_, x_c), (_, y_c) = q.index_vars
     if (a_c, b_c, x_c, y_c) != (2, 2, 2, 2):
         return False
-    for a in range(2):
-        for x in range(2):
-            vals = {
-                sum(
-                    q.value({a_n: a, b_n: b, x_n: x, y_n: y}) for b in range(2)
-                )
-                for y in range(2)
-            }
-            if len(vals) > 1:
-                return False
-    for b in range(2):
-        for y in range(2):
-            vals = {
-                sum(
-                    q.value({a_n: a, b_n: b, x_n: x, y_n: y}) for a in range(2)
-                )
-                for x in range(2)
-            }
-            if len(vals) > 1:
-                return False
-    return True
+    # p(a | x, y), laid out (a, x, y), must not vary with y; p(b | x, y),
+    # laid out (b, x, y), must not vary with x.
+    alice = marginalize(q, [b_n]).entries
+    bob = marginalize(q, [a_n]).entries
+    return alice[0::2] == alice[1::2] and bob[0:2] + bob[4:6] == bob[2:4] + bob[6:8]
 
 
 def decompose_ns_box(q: Kernel):

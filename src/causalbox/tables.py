@@ -6,6 +6,14 @@ variables.  For every assignment of the index variables the entries over the
 outcome variables sum to exactly one.  A probability table is the special
 case with no index variables.
 
+Entries are stored flat in mixed-radix order over ``outcome_vars +
+index_vars``, last variable fastest, so the row of the j-th index
+assignment is the slice ``entries[j::width]``.  Every op works on that
+layout by position: ``_index_map(variables, onto)`` lists the flat position
+in ``onto``'s layout of each cell of ``variables``, and sums, selections,
+diagonals and products over the table are read through such maps.
+:func:`reorder` lays a kernel out over a permutation of its variables.
+
 All arithmetic uses :class:`fractions.Fraction`, so equality constraints on
 tables are decidable: two kernels are equal iff every entry is equal.
 """
@@ -15,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _product
+from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Var = tuple[str, int]
@@ -36,6 +45,7 @@ __all__ = [
     "conditional",
     "ci_violation",
     "ci_holds",
+    "reorder",
     "project",
     "join_inputs",
     "split_joint",
@@ -101,21 +111,20 @@ class Kernel:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        names = [n for n, _ in self.outcome_vars + self.index_vars]
+        names = self.var_names()
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
-        for _, card in self.outcome_vars + self.index_vars:
+        for _, card in self.variables:
             if card < 1:
                 raise CardinalityMismatchError("cardinalities must be positive")
-        size = 1
-        for _, card in self.outcome_vars + self.index_vars:
-            size *= card
+        size = prod(c for _, c in self.variables)
         if len(self.entries) != size:
             raise ValueError(f"expected {size} entries, got {len(self.entries)}")
         if any(e < 0 for e in self.entries):
             raise ValueError("negative entry in kernel")
-        for idx in assignments(self.index_vars):
-            row = sum(self._entry(out, idx) for out in assignments(self.outcome_vars))
+        width = prod(c for _, c in self.index_vars)
+        for j, idx in enumerate(assignments(self.index_vars)):
+            row = sum(self.entries[j::width])
             if row != 1:
                 raise ValueError(
                     f"row for index assignment {idx} sums to {row}, expected 1"
@@ -177,28 +186,21 @@ class Kernel:
                 return card
         raise UnknownVariableError(name)
 
-    def _entry(self, outcomes: tuple[int, ...], index: tuple[int, ...]) -> Fraction:
-        pos = 0
-        for (_, card), v in zip(self.variables, outcomes + index):
-            pos = pos * card + v
-        return self.entries[pos]
-
     def value(self, assignment: Assignment) -> Fraction:
         """Entry at a full assignment of all variables, given by name."""
         missing = [n for n, _ in self.variables if n not in assignment]
         if missing:
             raise UnknownVariableError(f"assignment missing {missing}")
-        out = tuple(assignment[n] for n, _ in self.outcome_vars)
-        idx = tuple(assignment[n] for n, _ in self.index_vars)
-        return self._entry(out, idx)
+        pos = 0
+        for name, card in self.variables:
+            pos = pos * card + assignment[name]
+        return self.entries[pos]
 
     def cells(self) -> Iterator[tuple[dict[str, int], Fraction]]:
         """Iterate ``(assignment_dict, entry)`` over all cells."""
-        names = [n for n, _ in self.variables]
-        for values in assignments(self.variables):
-            yield dict(zip(names, values)), self._entry(
-                values[: len(self.outcome_vars)], values[len(self.outcome_vars) :]
-            )
+        names = self.var_names()
+        for values, entry in zip(assignments(self.variables), self.entries):
+            yield dict(zip(names, values)), entry
 
     def support(self) -> list[dict[str, int]]:
         return [a for a, v in self.cells() if v > 0]
@@ -216,17 +218,12 @@ def prob_table(variables: Sequence[Var], source) -> Kernel:
 
 
 def uniform_table(variables: Sequence[Var]) -> Kernel:
-    total = 1
-    for _, card in variables:
-        total *= card
+    total = prod(c for _, c in variables)
     return Kernel.from_function(variables, (), lambda a: Fraction(1, total))
 
 
 def point_mass(variables: Sequence[Var], point: Assignment) -> Kernel:
-    def fn(a):
-        return Fraction(1) if all(a[n] == point[n] for n, _ in variables) else Fraction(0)
-
-    return Kernel.from_function(variables, (), fn)
+    return Kernel.from_mapping(variables, (), {tuple(point[n] for n, _ in variables): 1})
 
 
 def _partition_vars(
@@ -242,24 +239,50 @@ def _partition_vars(
     return inside, outside
 
 
+def _index_map(variables: Sequence[Var], onto: Sequence[Var]) -> list[int]:
+    """Flat position in ``onto``'s layout of every cell of ``variables``.
+
+    Cells come in table order, last variable fastest.  Variables missing
+    from ``onto`` are ignored and variables of ``onto`` missing from
+    ``variables`` stay at zero, so the sum of two maps over complementary
+    variables reaches every cell.  A name listed twice in ``onto`` takes
+    its one value at both places, which selects a diagonal.
+    """
+    strides: dict[str, int] = {}
+    step = 1
+    for name, card in reversed(onto):
+        strides[name] = strides.get(name, 0) + step
+        step *= card
+    positions = [0]
+    for name, card in variables:
+        stride = strides.get(name, 0)
+        positions = [p + v * stride for p in positions for v in range(card)]
+    return positions
+
+
+def _sums(entries: Sequence[Fraction], variables: Sequence[Var], kept: Sequence[Var]):
+    """Sums of ``entries``, laid out over ``variables``, for each cell of ``kept``."""
+    rest = _index_map(tuple(dict.fromkeys(v for v in variables if v not in kept)), variables)
+    return [sum(entries[p + r] for r in rest) for p in _index_map(kept, variables)]
+
+
+def reorder(kernel: Kernel, outcome_vars: Sequence[Var], index_vars: Sequence[Var]) -> Kernel:
+    """The same kernel laid out over ``outcome_vars`` indexed by ``index_vars``,
+    which together must be a permutation of the kernel's variables."""
+    layout = tuple(outcome_vars) + tuple(index_vars)
+    if sorted(layout) != sorted(kernel.variables):
+        raise ValueError(f"cannot lay out {kernel.variables} as {layout}")
+    entries = tuple(kernel.entries[p] for p in _index_map(layout, kernel.variables))
+    return Kernel(tuple(outcome_vars), tuple(index_vars), entries)
+
+
 def marginalize(kernel: Kernel, drop: Iterable[str]) -> Kernel:
     """Sum out ``drop`` (a subset of the outcome variables)."""
     dropped, kept = _partition_vars(kernel.outcome_vars, drop)
     if not dropped:
         return kernel
-    kept_names = [n for n, _ in kept]
-    index_names = [n for n, _ in kernel.index_vars]
-    result: dict[tuple[int, ...], Fraction] = {}
-    for idx in assignments(kernel.index_vars):
-        for keep_values in assignments(kept):
-            a = dict(zip(kept_names, keep_values))
-            a.update(zip(index_names, idx))
-            total = Fraction(0)
-            for drop_values in assignments(dropped):
-                a.update(zip([n for n, _ in dropped], drop_values))
-                total += kernel.value(a)
-            result[keep_values + idx] = total
-    return Kernel.from_mapping(kept, kernel.index_vars, result)
+    entries = _sums(kernel.entries, kernel.variables, kept + kernel.index_vars)
+    return Kernel(kept, kernel.index_vars, tuple(entries))
 
 
 def condition(kernel: Kernel, event: Assignment) -> Kernel:
@@ -276,23 +299,19 @@ def condition(kernel: Kernel, event: Assignment) -> Kernel:
     for name, card in pinned:
         if not 0 <= event[name] < card:
             raise CardinalityMismatchError(f"value {event[name]} out of range for {name}")
-    index_names = [n for n, _ in kernel.index_vars]
-    table = {}
-    for idx in assignments(kernel.index_vars):
-        a = dict(zip(index_names, idx))
-        a.update(event)
-        norm = Fraction(0)
-        row = {}
-        for keep_values in assignments(kept):
-            a.update(zip([n for n, _ in kept], keep_values))
-            v = kernel.value(a)
-            row[keep_values + idx] = v
-            norm += v
+    offset = 0
+    for name, card in kernel.variables:
+        offset = offset * card + event.get(name, 0)
+    index = kernel.index_vars
+    cells = [
+        kernel.entries[offset + p] for p in _index_map(kept + index, kernel.variables)
+    ]
+    width = prod(c for _, c in index)
+    norms = [sum(cells[j::width]) for j in range(width)]
+    for idx, norm in zip(assignments(index), norms):
         if norm == 0:
-            raise ZeroProbabilityEventError(dict(zip(index_names, idx)))
-        for key in row:
-            table[key] = row[key] / norm
-    return Kernel.from_mapping(kept, kernel.index_vars, table)
+            raise ZeroProbabilityEventError(dict(zip([n for n, _ in index], idx)))
+    return Kernel(kept, index, tuple(v / norms[i % width] for i, v in enumerate(cells)))
 
 
 def conditional(kernel: Kernel, given: Iterable[str]) -> Kernel:
@@ -305,22 +324,15 @@ def conditional(kernel: Kernel, given: Iterable[str]) -> Kernel:
     moved, kept = _partition_vars(kernel.outcome_vars, given)
     if not moved:
         return kernel
-    margin = marginalize(kernel, [n for n, _ in kept])
     new_index = moved + kernel.index_vars
-    table = {}
-    for idx in assignments(new_index):
-        a = dict(zip([n for n, _ in new_index], idx))
-        denom = margin.value(a)
-        for keep_values in assignments(kept):
-            a2 = dict(a)
-            a2.update(zip([n for n, _ in kept], keep_values))
-            num = kernel.value(a2)
-            if denom == 0:
-                if num != 0:
-                    raise AssertionError("marginal smaller than joint entry")
-                raise ZeroConditioningError(dict(a))
-            table[keep_values + idx] = num / denom
-    return Kernel.from_mapping(kept, new_index, table)
+    denoms = _sums(kernel.entries, kernel.variables, new_index)
+    for idx, denom in zip(assignments(new_index), denoms):
+        if denom == 0:
+            raise ZeroConditioningError(dict(zip([n for n, _ in new_index], idx)))
+    width = len(denoms)
+    positions = _index_map(kept + new_index, kernel.variables)
+    entries = tuple(kernel.entries[p] / denoms[i % width] for i, p in enumerate(positions))
+    return Kernel(kept, new_index, entries)
 
 
 def ci_violation(
@@ -337,24 +349,19 @@ def ci_violation(
     a, b, z = set(a), set(b), set(z)
     if (a & b) or (a & z) or (b & z):
         raise ValueError("a, b, z must be disjoint")
-    names = set(table.var_names())
-    for group in (a, b, z):
-        unknown = group - names
-        if unknown:
-            raise UnknownVariableError(f"unknown variables {sorted(unknown)}")
-    other = names - a - b - z
-    p_abz = marginalize(table, other)
+    for group in (a, b, z):  # raises UnknownVariableError, group by group
+        _partition_vars(table.variables, group)
+    p_abz = marginalize(table, set(table.var_names()) - a - b - z)
     p_az = marginalize(p_abz, b)
     p_bz = marginalize(p_abz, a)
     p_z = marginalize(p_az, a)
-    for assign, v_abz in p_abz.cells():
-        v_z = p_z.value({k: assign[k] for k in z}) if z else Fraction(1)
-        if v_z == 0:
-            continue
-        v_az = p_az.value({k: assign[k] for k in a | z})
-        v_bz = p_bz.value({k: assign[k] for k in b | z})
-        if v_abz * v_z != v_az * v_bz:
-            return assign
+    abz = p_abz.variables
+    at_az, at_bz, at_z = (_index_map(abz, m.variables) for m in (p_az, p_bz, p_z))
+    for i, values in enumerate(assignments(abz)):
+        v_z = p_z.entries[at_z[i]]
+        v_az, v_bz = p_az.entries[at_az[i]], p_bz.entries[at_bz[i]]
+        if v_z != 0 and p_abz.entries[i] * v_z != v_az * v_bz:
+            return dict(zip([n for n, _ in abz], values))
     return None
 
 
@@ -386,17 +393,18 @@ def project(table: Kernel, copies: Mapping[str, str]) -> Kernel:
                 f"copy {copy} and source {source} differ in cardinality"
             )
     kept = tuple(v for v in table.outcome_vars if v[0] not in copies)
-    kept_names = [n for n, _ in kept]
-    selected = {}
-    norm = Fraction(0)
-    for assign, value in table.cells():
-        if all(assign[c] == assign[s] for c, s in copies.items()):
-            key = tuple(assign[n] for n in kept_names)
-            selected[key] = selected.get(key, Fraction(0)) + value
-            norm += value
+    # Rename each copy after the root of its chain: the diagonal is the layout
+    # with repeated names, and a cycle of copies is summed over.
+    root = {n: n for n in names}
+    for copy, source in copies.items():
+        new = root[source]
+        root = {n: new if r == copy else r for n, r in root.items()}
+    diagonal = tuple((root[n], c) for n, c in table.variables)
+    selected = _sums(table.entries, diagonal, kept)
+    norm = sum(selected)
     if norm == 0:
         raise ZeroSelectionProbabilityError("diagonal event has probability zero")
-    return Kernel.from_mapping(kept, (), {k: v / norm for k, v in selected.items()})
+    return Kernel(kept, (), tuple(v / norm for v in selected))
 
 
 def join_inputs(kernel: Kernel, inputs: Kernel) -> Kernel:
@@ -407,12 +415,9 @@ def join_inputs(kernel: Kernel, inputs: Kernel) -> Kernel:
     """
     if set(inputs.var_names()) != {n for n, _ in kernel.index_vars}:
         raise CardinalityMismatchError("input table must cover exactly the index variables")
-    joint_vars = kernel.outcome_vars + kernel.index_vars
-
-    def fn(a):
-        return kernel.value(a) * inputs.value({n: a[n] for n, _ in inputs.variables})
-
-    return Kernel.from_function(joint_vars, (), fn)
+    at = _index_map(kernel.variables, inputs.variables)
+    entries = tuple(q * inputs.entries[p] for q, p in zip(kernel.entries, at))
+    return Kernel(kernel.variables, (), entries)
 
 
 def split_joint(table: Kernel, input_names: Iterable[str]) -> tuple[Kernel, Kernel]:

@@ -160,6 +160,10 @@ def test_semantic_mismatch_exits_one(files, tmp_path, capsys):
     assert dispatch(["member", "--model", "NS", "--graph", gpath, "--dist", dpath]) == 1
     assert "error:" in capsys.readouterr().err
     assert dispatch(["score", "--functional", "instrumental", "--dist", dpath]) == 1
+    # the six-variable GYNI box against the four observed vertices of gyni
+    gyni = emit("gyni-graph", "gyni.json")
+    for model in ("C", "PS", "N", "I", "NS"):
+        assert dispatch(["member", "--model", model, "--graph", gyni, "--dist", dpath]) == 1
 
 
 def test_project_subcommand(files, tmp_path, capsys):

@@ -274,6 +274,14 @@ def test_i_member_matches_ci_records(rng):
     assert not i_member(shifted, mediation_graph()).member
 
 
+@pytest.mark.parametrize("member", [i_member, check_nested])
+def test_membership_rejects_tables_over_other_variables(member, rng):
+    # the six-variable joint of a tripartite box against gyni's four vertices
+    table = random_rational_table(rng, [(n, 2) for n in "ABCXYZ"])
+    with pytest.raises(ValueError, match="do not match observed vertices"):
+        member(table, gyni_graph())
+
+
 def test_membership_matches_handrolled_oracle(rng):
     """On the mediation graph the model is cut out by exactly two known
     equalities; an independent implementation of both must agree with the

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from causalbox import (
     ZeroSelectionProbabilityError,
     build_hypergraph,
     ci_holds,
+    ci_violation,
     condition,
     conditional,
     gyni_box,
@@ -25,12 +27,14 @@ from causalbox import (
     pr_box,
     project,
     prob_table,
+    reorder,
     split_joint,
     swapping_box,
     uniform_table,
 )
 from causalbox.networks import random_network
 
+import table_reference as ref
 from conftest import random_rational_table
 
 
@@ -39,6 +43,10 @@ def test_kernel_validates_rows():
         Kernel((("A", 2),), (), (Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(ValueError):
         Kernel((("A", 2),), (), (Fraction(3, 2), Fraction(-1, 2)))
+    # rows are the slices entries[j::2]: the row of X=1 sums to 3/4
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    with pytest.raises(ValueError, match=r"index assignment \(1,\) sums to 3/4"):
+        Kernel((("A", 2),), (("X", 2),), (half, half, half, quarter))
 
 
 def test_marginalize_pr_box_is_uniform():
@@ -250,3 +258,137 @@ def test_marginalize_then_condition_commutes(kernel):
     except ZeroProbabilityEventError:
         return
     assert left == right
+
+
+# -- differential tests: positional ops against the name-keyed reference ------
+
+
+@st.composite
+def shuffled_kernels(draw, min_outcomes=1, max_outcomes=3, max_index=2):
+    """Kernels over shuffled names with cardinalities 1-3 and zero entries."""
+    names = draw(st.permutations("ABCUVW"))
+    n_out = draw(st.integers(min_value=min_outcomes, max_value=max_outcomes))
+    n_idx = draw(st.integers(min_value=0, max_value=max_index))
+    cards = draw(st.lists(st.integers(1, 3), min_size=n_out + n_idx, max_size=n_out + n_idx))
+    variables = tuple(zip(names, cards))
+    outcome, index = variables[:n_out], variables[n_out:]
+    cells = prod(c for _, c in outcome)
+    width = prod(c for _, c in index)
+    entries = [Fraction(0)] * (cells * width)
+    for j in range(width):
+        weights = draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells))
+        if not any(weights):
+            weights[draw(st.integers(0, cells - 1))] = 1
+        for i, w in enumerate(weights):
+            entries[i * width + j] = Fraction(w, sum(weights))
+    return Kernel(outcome, index, tuple(entries))
+
+
+def _outcome(fn, *args):
+    """A result, or the type, message and payload of the error raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        payload = (getattr(exc, "index_assignment", None), getattr(exc, "assignment", None))
+        return type(exc), str(exc), payload
+    return list(result.items()) if isinstance(result, dict) else result
+
+
+def _names(draw, kernel):
+    """Some of the kernel's outcome names, now and then with an unknown one."""
+    names = draw(st.permutations([n for n, _ in kernel.outcome_vars]))
+    names = names[: draw(st.integers(1, len(names)))]
+    return names + ["Q"] if _rarely(draw) else names
+
+
+def _rarely(draw):
+    return draw(st.integers(0, 9)) == 5
+
+
+@given(shuffled_kernels(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_marginalize_matches_reference(kernel, data):
+    drop = _names(data.draw, kernel)
+    assert _outcome(marginalize, kernel, drop) == _outcome(ref.marginalize, kernel, drop)
+
+
+@given(shuffled_kernels(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_condition_matches_reference(kernel, data):
+    cards = dict(kernel.outcome_vars)
+    names = _names(data.draw, kernel)
+    event = {n: data.draw(st.integers(0, cards.get(n, 1) - 1)) for n in names}
+    if event and _rarely(data.draw):  # a value out of range
+        name = next(iter(event))
+        event[name] = cards.get(name, 1)
+    assert _outcome(condition, kernel, event) == _outcome(ref.condition, kernel, event)
+
+
+@given(shuffled_kernels(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_conditional_matches_reference(kernel, data):
+    given_ = _names(data.draw, kernel)
+    assert _outcome(conditional, kernel, given_) == _outcome(ref.conditional, kernel, given_)
+
+
+@given(shuffled_kernels(min_outcomes=2, max_outcomes=4, max_index=0), st.data())
+@settings(max_examples=200, deadline=None)
+def test_ci_violation_matches_reference(table, data):
+    groups = ([], [], [], [])
+    for name in table.var_names():
+        groups[data.draw(st.integers(0, 3))].append(name)
+    # now and then an unknown name, or a name in two groups
+    extra = data.draw(st.one_of(st.none(), st.sampled_from(table.var_names() + ["Q"])))
+    if extra is not None:
+        groups[data.draw(st.integers(0, 2))].append(extra)
+    a, b, z, _ = groups
+    expected = _outcome(ref.ci_violation, table, a, b, z)
+    assert _outcome(ci_violation, table, a, b, z) == expected
+
+
+@given(shuffled_kernels(min_outcomes=2, max_outcomes=4, max_index=0), st.data())
+@settings(max_examples=200, deadline=None)
+def test_project_matches_reference(table, data):
+    # sources may be copies themselves, so chains and cycles of copies occur;
+    # now and then a source is unknown or differs in cardinality
+    copies = {}
+    for name in _names(data.draw, table):
+        card = dict(table.variables).get(name)
+        pool = [n for n, c in table.variables if c == card and n != name]
+        if not pool or _rarely(data.draw):
+            pool = [n for n in table.var_names() if n != name] + ["Q"]
+        copies[name] = data.draw(st.sampled_from(pool))
+    assert _outcome(project, table, copies) == _outcome(ref.project, table, copies)
+
+
+@pytest.mark.parametrize(
+    "copies",
+    [{"C2": "A", "C1": "C2"}, {"C1": "C2", "C2": "A"}, {"C1": "C2", "C2": "C1"}],
+    ids=["chain-source-first", "chain-copy-first", "cycle"],
+)
+def test_project_copy_chains_match_reference(copies, rng):
+    table = random_rational_table(rng, (("C1", 2), ("A", 2), ("B", 3), ("C2", 2)))
+    assert project(table, copies) == ref.project(table, copies)
+
+
+@given(shuffled_kernels(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_join_inputs_matches_reference(kernel, data):
+    layout = data.draw(st.permutations(kernel.index_vars))
+    weights = [data.draw(st.integers(0, 3)) for _ in range(prod(c for _, c in layout))]
+    weights[0] += 0 if any(weights) else 1
+    inputs = Kernel(tuple(layout), (), tuple(Fraction(w, sum(weights)) for w in weights))
+    assert _outcome(join_inputs, kernel, inputs) == _outcome(ref.join_inputs, kernel, inputs)
+
+
+@given(shuffled_kernels(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_reorder_round_trip(kernel, data):
+    outcome = data.draw(st.permutations(kernel.outcome_vars))
+    index = data.draw(st.permutations(kernel.index_vars))
+    moved = reorder(kernel, outcome, index)
+    assert (moved.outcome_vars, moved.index_vars) == (tuple(outcome), tuple(index))
+    assert all(moved.value(a) == v for a, v in kernel.cells())
+    assert reorder(moved, kernel.outcome_vars, kernel.index_vars) == kernel
+    with pytest.raises(ValueError):
+        reorder(kernel, outcome + [("Q", 2)], index)
