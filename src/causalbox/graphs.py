@@ -136,12 +136,6 @@ class CausalDag:
             raise ValueError(f"latent vertex {name} carries no cardinality")
         return spec.cardinality
 
-    def observed_vars(self) -> list[tuple[str, int]]:
-        """(name, cardinality) pairs for observed vertices, in vertex order."""
-        return [
-            (v.name, v.cardinality) for v in self.vertices if v.kind == OBSERVED
-        ]
-
     def parents(self, name: str) -> set[str]:
         return {a for a, b in self.edges if b == name}
 

@@ -172,6 +172,11 @@ def _diagonal_input_values(h: HyperDag, env: dict) -> dict:
     return values
 
 
+def _qname(out_values, in_values) -> str:
+    """Name of the PS unknown q(out_values | in_values)."""
+    return "q[" + ",".join(map(str, out_values)) + "|" + ",".join(map(str, in_values)) + "]"
+
+
 def ps_system(
     p: Kernel, g: CausalDag, input_priors=None
 ) -> tuple[LinearSystem, HyperDag, list, list]:
@@ -200,18 +205,15 @@ def ps_system(
     in_vars = [(i, dag.cardinality(i)) for i in inputs]
     out_vars = [(o, dag.cardinality(o)) for o in outputs]
 
-    def qname(out_values, in_values):
-        return "q[" + ",".join(map(str, out_values)) + "|" + ",".join(map(str, in_values)) + "]"
-
     names = [
-        qname(ov, iv)
+        _qname(ov, iv)
         for iv in assignments(in_vars)
         for ov in assignments(out_vars)
     ]
     system = LinearSystem(tuple(names + ["t"]), objective={"t": Fraction(1)})
     for iv in assignments(in_vars):
         system.add_equality(
-            {qname(ov, iv): Fraction(1) for ov in assignments(out_vars)}, Fraction(1)
+            {_qname(ov, iv): Fraction(1) for ov in assignments(out_vars)}, Fraction(1)
         )
     for eq in ns_constraints(h):
         kept = dict(eq.kept_outputs)
@@ -225,7 +227,7 @@ def ps_system(
                 env = dict(kept)
                 env.update(zip([n for n, _ in rest], values))
                 ov = tuple(env[o] for o in outputs)
-                name = qname(ov, iv)
+                name = _qname(ov, iv)
                 coeffs[name] = coeffs.get(name, Fraction(0)) + sign
         coeffs = {k: v for k, v in coeffs.items() if v}
         system.add_equality(coeffs, Fraction(0))
@@ -243,7 +245,7 @@ def ps_system(
         if weight <= 0:
             raise ValueError("input priors must have full support")
         system.add_equality(
-            {qname(ov, iv): weight, "t": -p.value(env)}, Fraction(0)
+            {_qname(ov, iv): weight, "t": -p.value(env)}, Fraction(0)
         )
     return system, h, inputs, outputs
 
@@ -321,7 +323,7 @@ def ps_member(
     in_vars = tuple((i, dag.cardinality(i)) for i in inputs)
     out_vars = tuple((o, dag.cardinality(o)) for o in outputs)
     entries = tuple(
-        result.assignment["q[" + ",".join(map(str, ov)) + "|" + ",".join(map(str, iv)) + "]"]
+        result.assignment[_qname(ov, iv)]
         for ov in assignments(out_vars)
         for iv in assignments(in_vars)
     )

@@ -1,14 +1,11 @@
 """Exact rational linear programming.
 
-A :class:`LinearSystem` holds named non-negative unknowns, a list of linear
-equalities and an optional linear objective to maximize.  :func:`lp_solve`
-runs a two-phase dense simplex with Bland's anti-cycling pivot rule; every
-pivot is exact, so feasibility and optimality verdicts are proofs rather
-than approximations.
-
-Internally the tableau uses gmpy2 rationals when available (a drop-in,
-roughly ten times faster replacement for :class:`fractions.Fraction`); all
-public values are plain Fractions.
+A :class:`LinearSystem` holds named non-negative unknowns, linear equalities
+and an optional linear objective to maximize.  :func:`lp_solve` runs a
+two-phase simplex with Bland's anti-cycling rule on exact
+:class:`fractions.Fraction` rows ``[A | b]``, so its verdicts are proofs.
+A pivot touches only the nonzero columns of the pivot row, and phase 1's
+artificial variables have no columns: they are tracked by basis id alone.
 """
 
 from __future__ import annotations
@@ -17,15 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-try:  # pragma: no cover - exercised implicitly
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover
-    _RAT = Fraction
-
 __all__ = ["LinearSystem", "LpResult", "lp_solve"]
-
-_ZERO = _RAT(0)
-_ONE = _RAT(1)
 
 
 @dataclass
@@ -40,6 +29,9 @@ class LinearSystem:
         self.variables = tuple(self.variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
+        unknown = set(self.objective or ()) - set(self.variables)
+        if unknown:
+            raise ValueError(f"objective references undeclared variables {sorted(unknown)}")
 
     def add_equality(self, coeffs: Mapping[str, Fraction], rhs) -> None:
         known = set(self.variables)
@@ -60,123 +52,91 @@ class LpResult:
         return self.status == "optimal"
 
 
-def _pivot(rows, ztail, basis, r, c):
-    piv = rows[r][c]
-    if piv != _ONE:
-        inv = _ONE / piv
-        rows[r] = [v * inv for v in rows[r]]
+def _pivot(rows, z, basis, r, c):
+    """Make column c basic in row r; z is updated as one more row."""
     prow = rows[r]
-    for i, row in enumerate(rows):
-        if i == r:
-            continue
+    nonzero = [j for j, v in enumerate(prow) if v]
+    piv = prow[c]
+    for j in nonzero:
+        prow[j] /= piv
+    for row in (*rows, z):
         f = row[c]
-        if f != _ZERO:
-            rows[i] = [v - f * p for v, p in zip(row, prow)]
-    f = ztail[c]
-    if f != _ZERO:
-        ztail[:] = [v - f * p for v, p in zip(ztail, prow)]
+        if f and row is not prow:
+            for j in nonzero:
+                row[j] -= f * prow[j]
     basis[r] = c
 
 
-def _zrow(rows, basis, costs, width):
-    """Reduced-cost row z_j - c_j plus the objective value in the last slot."""
-    z = [-costs[j] for j in range(width)] + [_ZERO]
-    for i, bi in enumerate(basis):
+def _zrow(rows, basis, costs, n):
+    """Reduced-cost row z_j - c_j over the n columns, objective value last."""
+    z = [-costs[j] for j in range(n)] + [Fraction(0)]
+    for row, bi in zip(rows, basis):
         cb = costs[bi]
-        if cb != _ZERO:
-            row = rows[i]
-            for j in range(width + 1):
-                if row[j] != _ZERO:
-                    z[j] += cb * row[j]
+        if cb:
+            for j, v in enumerate(row):
+                if v:
+                    z[j] += cb * v
     return z
 
 
-def _run_simplex(rows, ztail, basis, ncols):
-    """Bland's rule pivots until optimal or unbounded."""
+def _run_simplex(rows, z, basis):
+    """Bland's rule pivots until optimal or unbounded.  Basic columns have
+    reduced cost exactly 0, so the entering column is never basic."""
     while True:
-        enter = -1
-        for j in range(ncols):
-            if j in basis:
-                continue
-            if ztail[j] < _ZERO:
-                enter = j
-                break
-        if enter < 0:
+        enter = next((j for j, v in enumerate(z[:-1]) if v < 0), None)
+        if enter is None:
             return "optimal"
         leave, best, best_var = -1, None, None
         for i, row in enumerate(rows):
             a = row[enter]
-            if a > _ZERO:
+            if a > 0:
                 ratio = row[-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < best_var):
                     leave, best, best_var = i, ratio, basis[i]
         if leave < 0:
             return "unbounded"
-        _pivot(rows, ztail, basis, leave, enter)
+        _pivot(rows, z, basis, leave, enter)
 
 
 def lp_solve(system: LinearSystem) -> LpResult:
     """Two-phase exact simplex over the rationals.
 
-    Phase 1 finds a basic feasible point (artificial variables, redundant
-    equality rows are detected and dropped); phase 2 maximizes the objective.
-    Bland's pivot rule guarantees termination on degenerate systems.
+    Phase 1 finds a basic feasible point and drops redundant equality rows;
+    phase 2 maximizes the objective.  Bland's pivot rule guarantees
+    termination on degenerate systems.
     """
     names = system.variables
-    n = len(names)
+    n, m = len(names), len(system.equalities)
     pos = {v: j for j, v in enumerate(names)}
-    m = len(system.equalities)
-
     rows = []
     for coeffs, rhs in system.equalities:
-        row = [_ZERO] * (n + m) + [_RAT(rhs)]
+        row = [Fraction(0)] * n + [Fraction(rhs)]
         for v, c in coeffs.items():
-            row[pos[v]] = _RAT(c)
-        rows.append(row)
-    # flip rows to make the right-hand side non-negative
-    for i, row in enumerate(rows):
-        if row[-1] < _ZERO:
-            rows[i] = [-v for v in row]
-    for i in range(m):
-        rows[i][n + i] = _ONE
+            row[pos[v]] = Fraction(c)
+        rows.append(row if row[-1] >= 0 else [-v for v in row])
+
+    # phase 1 maximizes minus the sum of the artificials: z is minus the column sums
     basis = [n + i for i in range(m)]
-
-    # phase 1: maximize minus the sum of artificials
-    costs1 = [_ZERO] * n + [-_ONE] * m
-    ztail = _zrow(rows, basis, costs1, n + m)
-    status = _run_simplex(rows, ztail, basis, n + m)
-    if status != "optimal":
-        raise RuntimeError(f"phase 1 is bounded by construction but ended {status}")
-    if ztail[-1] != _ZERO:
+    z = _zrow(rows, basis, [0] * n + [-1] * m, n)
+    if _run_simplex(rows, z, basis) != "optimal":
+        raise RuntimeError("phase 1 is bounded by construction but ended unbounded")
+    if z[-1] != 0:
         return LpResult("infeasible")
-
-    # drive leftover zero-level artificials out of the basis
-    drop = []
+    # drive zero-level artificials out; a row left on one is a redundant equality
     for i in range(m):
         if basis[i] >= n:
-            entering = next((j for j in range(n) if rows[i][j] != _ZERO), None)
-            if entering is None:
-                drop.append(i)  # redundant equality
-            else:
-                _pivot(rows, ztail, basis, i, entering)
-    for i in sorted(drop, reverse=True):
-        del rows[i]
-        del basis[i]
+            entering = next((j for j in range(n) if rows[i][j]), None)
+            if entering is not None:
+                _pivot(rows, z, basis, i, entering)
+    rows, basis = [r for r, b in zip(rows, basis) if b < n], [b for b in basis if b < n]
 
-    # phase 2 on the original columns
-    rows = [row[:n] + [row[-1]] for row in rows]
-    objective = system.objective or {}
-    costs2 = [_ZERO] * n
-    for v, c in objective.items():
-        costs2[pos[v]] = _RAT(c)
-    ztail = _zrow(rows, basis, costs2, n)
-    status = _run_simplex(rows, ztail, basis, n)
-    if status == "unbounded":
+    # phase 2 on the same rows
+    costs = [Fraction(0)] * n
+    for v, c in (system.objective or {}).items():
+        costs[pos[v]] = Fraction(c)
+    z = _zrow(rows, basis, costs, n)
+    if _run_simplex(rows, z, basis) == "unbounded":
         return LpResult("unbounded")
-
-    assignment = {v: Fraction(0) for v in names}
-    for i, bi in enumerate(basis):
-        num = rows[i][-1]
-        assignment[names[bi]] = Fraction(num.numerator, num.denominator)
-    value = ztail[-1]
-    return LpResult("optimal", Fraction(value.numerator, value.denominator), assignment)
+    assignment = dict.fromkeys(names, Fraction(0))
+    assignment.update((names[bi], row[-1]) for row, bi in zip(rows, basis))
+    return LpResult("optimal", z[-1], assignment)

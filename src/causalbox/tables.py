@@ -411,9 +411,9 @@ def join_inputs(kernel: Kernel, inputs: Kernel) -> Kernel:
     """Joint table p(outcomes, inputs) = q(outcomes | inputs) * p(inputs).
 
     ``inputs`` must be a probability table over exactly the kernel's index
-    variables.
+    variables, with the same cardinalities.
     """
-    if set(inputs.var_names()) != {n for n, _ in kernel.index_vars}:
+    if set(inputs.variables) != set(kernel.index_vars):
         raise CardinalityMismatchError("input table must cover exactly the index variables")
     at = _index_map(kernel.variables, inputs.variables)
     entries = tuple(q * inputs.entries[p] for q, p in zip(kernel.entries, at))

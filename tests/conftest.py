@@ -93,3 +93,15 @@ def random_rational_table(rng, variables, weight_range=9):
     total = sum(weights)
     table = {cell: Fraction(w, total) for cell, w in zip(cells, weights)}
     return Kernel.from_mapping(tuple(variables), (), table)
+
+
+def score2_table():
+    """p(a, b | x) = [a = 0][b = x], joint with uniform x: signalling, with
+    instrumental score 2."""
+    from causalbox import Kernel
+
+    return Kernel.from_function(
+        (("A", 2), ("B", 2), ("X", 2)),
+        (),
+        lambda v: Fraction(1, 2) if v["A"] == 0 and v["B"] == v["X"] else Fraction(0),
+    )

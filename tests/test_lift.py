@@ -41,14 +41,7 @@ from causalbox import (
 )
 from causalbox.networks import random_network
 
-
-def _score2_table():
-    """p(a, b | x) = [a = 0][b = x], joint with uniform x."""
-    return Kernel.from_function(
-        (("A", 2), ("B", 2), ("X", 2)),
-        (),
-        lambda v: Fraction(1, 2) if v["A"] == 0 and v["B"] == v["X"] else Fraction(0),
-    )
+from conftest import score2_table
 
 
 # -- no-signalling equalities ----------------------------------------------------
@@ -123,7 +116,7 @@ def test_instrumental_score_examples():
         (("A", 2), ("B", 2)), (("X", 2),), lambda v: Fraction(1, 4)
     )
     assert instrumental_score(uniform) == Fraction(1, 2)
-    bad, _ = split_joint(_score2_table(), ["X"])
+    bad, _ = split_joint(score2_table(), ["X"])
     assert instrumental_score(bad) == 2
 
 
@@ -143,7 +136,7 @@ def test_deterministic_strategies_respect_instrumental_bound():
 
 
 def test_score2_table_separates_ps_from_nested():
-    joint = _score2_table()
+    joint = score2_table()
     g = instrumental_graph()
     assert check_nested(joint, g).member
     verdict = ps_member(joint, g)
@@ -209,7 +202,7 @@ def test_uniform_copy_prior_is_normative(rng):
         result = lp_solve(ps_system(joint, g)[0])
         assert result.is_optimal and result.value > 0
     for priors in (None, skew):
-        result = lp_solve(ps_system(_score2_table(), g, input_priors=priors)[0])
+        result = lp_solve(ps_system(score2_table(), g, input_priors=priors)[0])
         assert not result.is_optimal or result.value == 0
     # the recorded counterexample: an equal mixture of the strategies
     # (a = 0, b = 0) and (a = x, b = 0) is classical, hence accepted under

@@ -3,8 +3,27 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from causalbox import LinearSystem, lp_solve
+from causalbox import (
+    LinearSystem,
+    chsh_graph,
+    decompose_ns_box,
+    gyni_graph,
+    gyni_projected,
+    instrumental_graph,
+    join_inputs,
+    lp_solve,
+    ns_box_vertices,
+    pr_box,
+    ps_system,
+    uniform_table,
+)
+from causalbox import polytope
+
+import lp_reference
+from conftest import score2_table
 
 
 def test_bounded_maximum():
@@ -84,6 +103,11 @@ def test_undeclared_variable_rejected():
         system.add_equality({"q": Fraction(1)}, Fraction(0))
 
 
+def test_undeclared_objective_variable_rejected():
+    with pytest.raises(ValueError, match="objective"):
+        LinearSystem(("x",), objective={"q": Fraction(1)})
+
+
 def test_unbounded_phase_one_raises(monkeypatch):
     """Phase 1 is bounded by construction; a solver that says otherwise is a
     bug, reported even when assertions are stripped."""
@@ -94,3 +118,87 @@ def test_unbounded_phase_one_raises(monkeypatch):
     system.add_equality({"x": Fraction(1)}, Fraction(1))
     with pytest.raises(RuntimeError, match="phase 1"):
         lp_solve(system)
+
+
+# -- differential tests: sparse simplex against the dense reference -----------
+
+
+def _assert_matches_reference(system):
+    got, want = lp_solve(system), lp_reference.lp_solve(system)
+    assert got == want
+    assert type(got.value) is type(want.value)
+    if want.assignment is not None:
+        assert list(got.assignment) == list(want.assignment)
+        assert all(type(v) is Fraction for v in got.assignment.values())
+
+
+_small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _rows(draw, names, rhs):
+    """1-6 rows over ``names``, some of them scaled copies of earlier rows."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.booleans()):
+            coeffs, b = draw(st.sampled_from(rows))
+            k = draw(_small.filter(bool))
+            rows.append(({v: k * c for v, c in coeffs.items()}, k * b))
+        else:
+            coeffs = draw(st.dictionaries(st.sampled_from(names), _small))
+            rows.append((coeffs, rhs(coeffs)))
+    return rows
+
+
+@st.composite
+def random_systems(draw):
+    names = tuple(f"x{j}" for j in range(draw(st.integers(1, 6))))
+    rows = _rows(draw, names, lambda coeffs: draw(st.integers(-4, 4)))
+    objective = draw(st.none() | st.dictionaries(st.sampled_from(names), _small))
+    return LinearSystem(names, rows, objective)
+
+
+@st.composite
+def degenerate_feasible_systems(draw):
+    """Systems with a known non-negative solution, mostly at zero."""
+    names = tuple(f"x{j}" for j in range(draw(st.integers(1, 6))))
+    point = {v: draw(st.sampled_from([0, 0, 0, 1, 2])) for v in names}
+    rows = _rows(draw, names, lambda coeffs: sum(c * point[v] for v, c in coeffs.items()))
+    objective = draw(st.dictionaries(st.sampled_from(names), _small))
+    return LinearSystem(names, rows, objective)
+
+
+@given(random_systems() | degenerate_feasible_systems())
+@settings(max_examples=600, deadline=None)
+def test_lp_solve_matches_reference(system):
+    _assert_matches_reference(system)
+
+
+def _decompose_ns_systems():
+    """Every LP that ``decompose_ns_box`` builds on the 24 NS vertices."""
+    systems = []
+
+    def record(system):
+        systems.append(system)
+        return lp_solve(system)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polytope, "lp_solve", record)
+        for box in ns_box_vertices():
+            decompose_ns_box(box)
+    return systems
+
+
+@pytest.mark.parametrize("fixture", ["gyni", "instrumental", "chsh", "ns-decompose"])
+def test_fixture_lps_match_reference(fixture):
+    if fixture == "gyni":
+        joint = join_inputs(gyni_projected(), uniform_table((("X", 2),)))
+        systems = [ps_system(joint, gyni_graph())[0]]
+    elif fixture == "instrumental":
+        systems = [ps_system(score2_table(), instrumental_graph())[0]]
+    elif fixture == "chsh":
+        joint = join_inputs(pr_box(), uniform_table((("X", 2), ("Y", 2))))
+        systems = [ps_system(joint, chsh_graph())[0]]
+    else:
+        systems = _decompose_ns_systems()
+    for system in systems:
+        _assert_matches_reference(system)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalbox import (
+    CardinalityMismatchError,
     Kernel,
     ZeroConditioningError,
     ZeroProbabilityEventError,
@@ -379,6 +380,14 @@ def test_join_inputs_matches_reference(kernel, data):
     weights[0] += 0 if any(weights) else 1
     inputs = Kernel(tuple(layout), (), tuple(Fraction(w, sum(weights)) for w in weights))
     assert _outcome(join_inputs, kernel, inputs) == _outcome(ref.join_inputs, kernel, inputs)
+
+
+def test_join_inputs_rejects_other_cardinalities():
+    # pr_box() is indexed by binary X and Y
+    for card in (1, 3):
+        inputs = uniform_table((("X", card), ("Y", 2)))
+        with pytest.raises(CardinalityMismatchError):
+            join_inputs(pr_box(), inputs)
 
 
 @given(shuffled_kernels(), st.data())
