@@ -102,8 +102,6 @@ from .polytope import (
     MemberVerdict,
 )
 from .lift import (
-    NsEquality,
-    ns_constraints,
     ns_member,
     instrumental_score,
     PsVerdict,

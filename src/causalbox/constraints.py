@@ -392,10 +392,10 @@ def _check_joint(table: Kernel, dag: CausalDag, caller: str) -> None:
     """Reject anything but a joint table over exactly the observed vertices."""
     if not table.is_prob_table:
         raise ValueError(f"{caller} expects a joint probability table")
-    expected = sorted(dag.observed())
-    if sorted(table.var_names()) != expected:
+    expected = sorted((v, dag.cardinality(v)) for v in dag.observed())
+    if sorted(table.variables) != expected:
         raise ValueError(
-            f"table variables {sorted(table.var_names())} do not match observed vertices {expected}"
+            f"table variables {sorted(table.variables)} do not match observed vertices {expected}"
         )
 
 

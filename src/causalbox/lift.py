@@ -9,6 +9,12 @@ the target distribution, with the proportionality scalar maximized.  A
 strictly positive optimum certifies membership and the optimizer is the
 lift certificate; infeasibility or a zero optimum refutes it.
 
+The no-signalling equalities are written once, by ``_ns_rows``: each
+equality is two lists of flat positions in a given variable layout, read
+through the stride maps of :mod:`causalbox.tables`.  ``ns_member`` sums a
+box's entries at those positions; ``ps_system`` takes the same positions
+in the layout of its unknowns as coefficients.
+
 Hypergraphs outside that scope (several latent vertices, or outcome
 vertices untouched by the latent) carry nonlinear independence constraints;
 for those the function verifies caller-supplied lift certificates instead.
@@ -18,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
+from .constraints import _check_joint, i_member
 from .graphs import (
     CausalDag,
     HyperDag,
@@ -26,15 +34,12 @@ from .graphs import (
     bell_inputs,
     bell_outputs,
     build_hypergraph,
-    ci_constraints,
     is_bell_type,
 )
 from .linprog import LinearSystem, lp_solve
-from .tables import Kernel, assignments, ci_holds, marginalize, project, reorder
+from .tables import Kernel, _index_map, assignments, project, reorder
 
 __all__ = [
-    "NsEquality",
-    "ns_constraints",
     "ns_member",
     "instrumental_score",
     "PsVerdict",
@@ -43,89 +48,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NsEquality:
-    """One no-signalling equality: the marginal over the outputs not fed by
-    ``input_vertex`` is the same at the two stated input values, for a fixed
-    assignment of the remaining outputs and inputs."""
+def _ns_rows(h: HyperDag, layout) -> list[tuple[list[int], list[int]]]:
+    """The no-signalling equalities of a Bell-type single-latent hypergraph,
+    each as the flat positions in ``layout`` of its two sides.
 
-    input_vertex: str
-    kept_outputs: tuple[tuple[str, int], ...]
-    other_inputs: tuple[tuple[str, int], ...]
-    value_low: int
-    value_high: int
-
-    def __str__(self):
-        kept = ",".join(f"{n}={v}" for n, v in self.kept_outputs)
-        rest = ",".join(f"{n}={v}" for n, v in self.other_inputs)
-        return (
-            f"NS[{self.input_vertex}]: p({kept}|{rest},{self.input_vertex}="
-            f"{self.value_low}) = p({kept}|{rest},{self.input_vertex}={self.value_high})"
-        )
-
-
-def _check_bell(h: HyperDag) -> None:
-    if not is_bell_type(h.base):
-        raise ValueError("hypergraph base is not Bell-type")
-    if len(h.base.latent()) > 1:
-        raise MultiLatentError(
-            "no-signalling constraints require at most one latent vertex"
-        )
-
-
-def ns_constraints(h: HyperDag) -> list[NsEquality]:
-    """No-signalling equalities of a Bell-type single-latent hypergraph.
-
-    For every setting vertex, the marginal over the outputs it does not feed
-    must not vary with its value.  Together with normalization these linear
-    equalities characterize the graph's independence model at the level of
-    conditional boxes when all outputs measure the shared latent state.
+    For every setting vertex i, the marginal over the outputs i does not
+    feed may not vary with i's value: a row sums the outputs i feeds at one
+    assignment of the other outputs and settings, with i at v on the left
+    and at v + 1 on the right.  Rows run over the settings in order, then
+    the kept outputs' assignments, then the other settings', then v.
+    Together with normalization these equalities characterize the graph's
+    independence model at the level of conditional boxes when every output
+    measures the shared latent state.
     """
-    _check_bell(h)
     dag = h.base
-    inputs = bell_inputs(dag)
-    outputs = bell_outputs(dag)
-    equalities = []
+    if not is_bell_type(dag):
+        raise ValueError("hypergraph base is not Bell-type")
+    if len(dag.latent()) > 1:
+        raise MultiLatentError("no-signalling constraints require at most one latent vertex")
+    inputs, outputs = bell_inputs(dag), bell_outputs(dag)
+
+    def at(names):
+        return _index_map([(n, dag.cardinality(n)) for n in names], layout)
+
+    rows = []
     for i in inputs:
-        fed = sorted(dag.children(i))
+        fed = dag.children(i)
         kept = [o for o in outputs if o not in fed]
         if not kept:
             continue  # implied by normalization
-        kept_vars = [(o, dag.cardinality(o)) for o in kept]
-        other_vars = [(j, dag.cardinality(j)) for j in inputs if j != i]
-        for kept_values in assignments(kept_vars):
-            for other_values in assignments(other_vars):
-                for v in range(dag.cardinality(i) - 1):
-                    equalities.append(
-                        NsEquality(
-                            i,
-                            tuple(zip(kept, kept_values)),
-                            tuple(zip([j for j, _ in other_vars], other_values)),
-                            v,
-                            v + 1,
-                        )
-                    )
-    return equalities
+        summed = at(o for o in outputs if o in fed)
+        steps = at([i])
+        for base in at(kept + [j for j in inputs if j != i]):
+            for lo, hi in zip(steps, steps[1:]):
+                rows.append(([base + lo + s for s in summed], [base + hi + s for s in summed]))
+    return rows
+
+
+def _parties(dag: CausalDag, names) -> list:
+    return sorted((n, dag.cardinality(n)) for n in names)
 
 
 def ns_member(box: Kernel, h: HyperDag) -> bool:
     """Exact evaluation of every no-signalling equality on a conditional box."""
-    _check_bell(h)
-    inputs = set(bell_inputs(h.base))
-    outputs = set(bell_outputs(h.base))
-    if {n for n, _ in box.outcome_vars} != outputs or {
-        n for n, _ in box.index_vars
-    } != inputs:
+    rows = _ns_rows(h, box.variables)  # rejects unsupported hypergraphs first
+    dag = h.base
+    if sorted(box.outcome_vars) != _parties(dag, bell_outputs(dag)) or sorted(
+        box.index_vars
+    ) != _parties(dag, bell_inputs(dag)):
         raise ValueError("box variables do not match the hypergraph's parties")
-    for eq in ns_constraints(h):
-        kept = dict(eq.kept_outputs)
-        margin = marginalize(box, [n for n, _ in box.outcome_vars if n not in kept])
-        base = dict(eq.other_inputs, **kept)
-        lo = dict(base, **{eq.input_vertex: eq.value_low})
-        hi = dict(base, **{eq.input_vertex: eq.value_high})
-        if margin.value(lo) != margin.value(hi):
-            return False
-    return True
+    e = box.entries
+    return all(sum(e[k] for k in lo) == sum(e[k] for k in hi) for lo, hi in rows)
 
 
 def instrumental_score(k: Kernel) -> Fraction:
@@ -162,16 +135,6 @@ class PsVerdict:
         return self.status == "member"
 
 
-def _diagonal_input_values(h: HyperDag, env: dict) -> dict:
-    values = {}
-    for i in bell_inputs(h.base):
-        if i in h.copies:
-            values[i] = env[h.copies[i]]
-        else:
-            values[i] = env[i]
-    return values
-
-
 def _qname(out_values, in_values) -> str:
     """Name of the PS unknown q(out_values | in_values)."""
     return "q[" + ",".join(map(str, out_values)) + "|" + ",".join(map(str, in_values)) + "]"
@@ -198,6 +161,7 @@ def ps_system(
     its network lift.  Verdicts genuinely depend on the designated priors,
     so they are part of the membership question, not a tuning knob.
     """
+    _check_joint(p, g, "ps_system")
     h = build_hypergraph(g)
     dag = h.base
     inputs = bell_inputs(dag)
@@ -205,60 +169,48 @@ def ps_system(
     in_vars = [(i, dag.cardinality(i)) for i in inputs]
     out_vars = [(o, dag.cardinality(o)) for o in outputs]
 
+    # unknown k is the cell k of the layout in_vars + out_vars
     names = [
         _qname(ov, iv)
         for iv in assignments(in_vars)
         for ov in assignments(out_vars)
     ]
+    width = prod(c for _, c in out_vars)
     system = LinearSystem(tuple(names + ["t"]), objective={"t": Fraction(1)})
-    for iv in assignments(in_vars):
-        system.add_equality(
-            {_qname(ov, iv): Fraction(1) for ov in assignments(out_vars)}, Fraction(1)
-        )
-    for eq in ns_constraints(h):
-        kept = dict(eq.kept_outputs)
-        coeffs: dict[str, Fraction] = {}
-        for sign, value in ((Fraction(1), eq.value_low), (Fraction(-1), eq.value_high)):
-            in_env = dict(eq.other_inputs)
-            in_env[eq.input_vertex] = value
-            iv = tuple(in_env[i] for i in inputs)
-            rest = [(n, c) for n, c in out_vars if n not in kept]
-            for values in assignments(rest):
-                env = dict(kept)
-                env.update(zip([n for n, _ in rest], values))
-                ov = tuple(env[o] for o in outputs)
-                name = _qname(ov, iv)
-                coeffs[name] = coeffs.get(name, Fraction(0)) + sign
-        coeffs = {k: v for k, v in coeffs.items() if v}
+    for j in range(0, len(names), width):
+        system.add_equality(dict.fromkeys(names[j : j + width], Fraction(1)), Fraction(1))
+    for lo, hi in _ns_rows(h, in_vars + out_vars):
+        coeffs = dict.fromkeys((names[k] for k in lo), Fraction(1))
+        coeffs.update(dict.fromkeys((names[k] for k in hi), Fraction(-1)))
         system.add_equality(coeffs, Fraction(0))
-    for values in assignments(p.variables):
-        env = dict(zip(p.var_names(), values))
-        in_env = _diagonal_input_values(h, env)
-        iv = tuple(in_env[i] for i in inputs)
-        ov = tuple(env[o] for o in outputs)
-        weight = Fraction(1)
-        if input_priors:
-            for i in inputs:
-                prior = input_priors.get(i)
-                if prior is not None:
-                    weight *= Fraction(prior[in_env[i]])
-        if weight <= 0:
-            raise ValueError("input priors must have full support")
-        system.add_equality(
-            {_qname(ov, iv): weight, "t": -p.value(env)}, Fraction(0)
+    priors = input_priors or {}
+    weights = [
+        prod(
+            (Fraction(priors[i][v]) for i, v in zip(inputs, iv) if priors.get(i) is not None),
+            start=Fraction(1),
         )
+        for iv in assignments(in_vars)
+    ]
+    if min(weights) <= 0:
+        raise ValueError("input priors must have full support")
+    # each copy input reads its source's value: the repeated-name diagonal
+    diagonal = [(h.copies.get(n, n), c) for n, c in in_vars + out_vars]
+    for k, value in zip(_index_map(p.variables, diagonal), p.entries):
+        system.add_equality({names[k]: weights[k // width], "t": -value}, Fraction(0))
     return system, h, inputs, outputs
 
 
 def _certificate_check(p: Kernel, h: HyperDag, certificate: Kernel) -> PsVerdict:
-    expected = sorted(h.base.observed())
-    if sorted(certificate.var_names()) != expected or not certificate.is_prob_table:
+    expected = _parties(h.base, h.base.observed())
+    if sorted(certificate.variables) != expected or not certificate.is_prob_table:
         return PsVerdict(
             "not_member", reason="certificate must be a joint table over the lifted vertices"
         )
-    for record in ci_constraints(h.base):
-        if not ci_holds(certificate, {record.a}, {record.b}, record.given):
-            return PsVerdict("not_member", reason=f"certificate violates {record}")
+    verdict = i_member(certificate, h.base)
+    if not verdict.member:
+        return PsVerdict(
+            "not_member", reason=f"certificate violates {verdict.violations[0].record}"
+        )
     projected = project(certificate, h.copies)
 
     if sorted(projected.variables) != sorted(p.variables) or reorder(
@@ -294,9 +246,10 @@ def ps_member(
     instead: it must satisfy every conditional-independence constraint of
     the hypergraph and project back to the target.
     """
-    if not p.is_prob_table or sorted(p.var_names()) != sorted(g.observed()):
-        raise ValueError("ps_member expects a joint table over the observed vertices")
+    _check_joint(p, g, "ps_member")
     h = build_hypergraph(g)
+    if certificate is not None:
+        return _certificate_check(p, h, certificate)
     latents = h.base.latent()
     supported = len(latents) <= 1
     if supported and latents:
@@ -306,15 +259,11 @@ def ps_member(
     elif supported:
         supported = len(bell_outputs(h.base)) <= 1
     if not supported:
-        if certificate is not None:
-            return _certificate_check(p, h, certificate)
         return PsVerdict(
             "unsupported",
             reason="hypergraph independence model is not a linear no-signalling"
             " polytope; supply a candidate lift to verify",
         )
-    if certificate is not None:
-        return _certificate_check(p, h, certificate)
     system, h, inputs, outputs = ps_system(p, g, input_priors=input_priors)
     result = lp_solve(system)
     if not result.is_optimal or result.value == 0:
@@ -322,10 +271,7 @@ def ps_member(
     dag = h.base
     in_vars = tuple((i, dag.cardinality(i)) for i in inputs)
     out_vars = tuple((o, dag.cardinality(o)) for o in outputs)
-    entries = tuple(
-        result.assignment[_qname(ov, iv)]
-        for ov in assignments(out_vars)
-        for iv in assignments(in_vars)
-    )
+    q = [result.assignment[n] for n in system.variables[:-1]]
+    entries = tuple(q[k] for k in _index_map(out_vars + in_vars, in_vars + out_vars))
     box = Kernel(out_vars, in_vars, entries)
     return PsVerdict("member", certificate=box, scale=result.value)

@@ -19,7 +19,7 @@ from itertools import product as _iterproduct
 from math import prod
 from typing import Callable, Mapping, Sequence
 
-from .boxes import ns_box_vertices, pr_box
+from .boxes import chsh_graph, ns_box_vertices, pr_box
 from .graphs import (
     CausalDag,
     HyperDag,
@@ -30,8 +30,9 @@ from .graphs import (
     is_bell_type,
     topological_order,
 )
+from .lift import ns_member
 from .linprog import LinearSystem, lp_solve
-from .tables import Kernel, assignments, conditional, marginalize, reorder
+from .tables import Kernel, assignments, conditional, reorder
 
 __all__ = [
     "Vertex",
@@ -213,20 +214,6 @@ def maximize_functional(
     return best, best_v
 
 
-def _is_ns_bipartite(q: Kernel) -> bool:
-    if len(q.outcome_vars) != 2 or len(q.index_vars) != 2:
-        return False
-    (a_n, a_c), (b_n, b_c) = q.outcome_vars
-    (_, x_c), (_, y_c) = q.index_vars
-    if (a_c, b_c, x_c, y_c) != (2, 2, 2, 2):
-        return False
-    # p(a | x, y), laid out (a, x, y), must not vary with y; p(b | x, y),
-    # laid out (b, x, y), must not vary with x.
-    alice = marginalize(q, [b_n]).entries
-    bob = marginalize(q, [a_n]).entries
-    return alice[0::2] == alice[1::2] and bob[0:2] + bob[4:6] == bob[2:4] + bob[6:8]
-
-
 def decompose_ns_box(q: Kernel):
     """Decompose a bipartite no-signalling box into at most one PR box plus
     local deterministic boxes.
@@ -235,8 +222,14 @@ def decompose_ns_box(q: Kernel):
     PR box in lexicographic order; the first feasible exact decomposition is
     returned as ``(pr_index_or_None, weights)`` where ``weights`` lists the
     PR weight (zero for locals-only) followed by the sixteen local weights.
+    The box must be binary over A, B | X, Y, in any layout: its variables
+    are matched by name to the parties of the CHSH lift.
     """
-    if not _is_ns_bipartite(q):
+    try:
+        ns = ns_member(q, build_hypergraph(chsh_graph()))
+    except ValueError:
+        ns = False
+    if not ns:
         raise NotNoSignallingError("box is not a bipartite no-signalling kernel")
     locals_ = ns_box_vertices()[:16]
     verdict = _convex_member(q, locals_)

@@ -13,6 +13,8 @@ layout by position: ``_index_map(variables, onto)`` lists the flat position
 in ``onto``'s layout of each cell of ``variables``, and sums, selections,
 diagonals and products over the table are read through such maps.
 :func:`reorder` lays a kernel out over a permutation of its variables.
+``_index_map`` is also the stride map of the lift's no-signalling rows in
+:mod:`causalbox.lift`.
 
 All arithmetic uses :class:`fractions.Fraction`, so equality constraints on
 tables are decidable: two kernels are equal iff every entry is equal.

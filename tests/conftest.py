@@ -105,3 +105,15 @@ def score2_table():
         (),
         lambda v: Fraction(1, 2) if v["A"] == 0 and v["B"] == v["X"] else Fraction(0),
     )
+
+
+def ternary_x_chsh_box():
+    """q(a, b | x, y) over a ternary X: uniform for x < 2, a = b = 0 at
+    x = 2, so B's marginal moves only at the value a binary X lacks."""
+    from causalbox import Kernel
+
+    return Kernel.from_function(
+        (("A", 2), ("B", 2)),
+        (("X", 3), ("Y", 2)),
+        lambda v: Fraction(1, 4) if v["X"] < 2 else Fraction(int(v["A"] == v["B"] == 0)),
+    )

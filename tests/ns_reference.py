@@ -1,0 +1,197 @@
+"""The no-signalling code that ``causalbox.lift`` used before its stride
+maps, kept verbatim as the reference for the differential tests in
+``test_lift.py``: ``NsEquality`` records, ``ns_constraints`` enumerating
+them, ``ns_member`` evaluating each through ``marginalize``, and
+``ps_system`` expanding each into LP coefficients by name.  The tables,
+graphs and LP types are the package's own, so results compare with ``==``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from causalbox.graphs import (
+    CausalDag,
+    HyperDag,
+    MultiLatentError,
+    bell_inputs,
+    bell_outputs,
+    build_hypergraph,
+    is_bell_type,
+)
+from causalbox.linprog import LinearSystem
+from causalbox.tables import Kernel, assignments, marginalize
+
+
+@dataclass(frozen=True)
+class NsEquality:
+    """One no-signalling equality: the marginal over the outputs not fed by
+    ``input_vertex`` is the same at the two stated input values, for a fixed
+    assignment of the remaining outputs and inputs."""
+
+    input_vertex: str
+    kept_outputs: tuple[tuple[str, int], ...]
+    other_inputs: tuple[tuple[str, int], ...]
+    value_low: int
+    value_high: int
+
+    def __str__(self):
+        kept = ",".join(f"{n}={v}" for n, v in self.kept_outputs)
+        rest = ",".join(f"{n}={v}" for n, v in self.other_inputs)
+        return (
+            f"NS[{self.input_vertex}]: p({kept}|{rest},{self.input_vertex}="
+            f"{self.value_low}) = p({kept}|{rest},{self.input_vertex}={self.value_high})"
+        )
+
+
+def _check_bell(h: HyperDag) -> None:
+    if not is_bell_type(h.base):
+        raise ValueError("hypergraph base is not Bell-type")
+    if len(h.base.latent()) > 1:
+        raise MultiLatentError(
+            "no-signalling constraints require at most one latent vertex"
+        )
+
+
+def ns_constraints(h: HyperDag) -> list[NsEquality]:
+    """No-signalling equalities of a Bell-type single-latent hypergraph.
+
+    For every setting vertex, the marginal over the outputs it does not feed
+    must not vary with its value.  Together with normalization these linear
+    equalities characterize the graph's independence model at the level of
+    conditional boxes when all outputs measure the shared latent state.
+    """
+    _check_bell(h)
+    dag = h.base
+    inputs = bell_inputs(dag)
+    outputs = bell_outputs(dag)
+    equalities = []
+    for i in inputs:
+        fed = sorted(dag.children(i))
+        kept = [o for o in outputs if o not in fed]
+        if not kept:
+            continue  # implied by normalization
+        kept_vars = [(o, dag.cardinality(o)) for o in kept]
+        other_vars = [(j, dag.cardinality(j)) for j in inputs if j != i]
+        for kept_values in assignments(kept_vars):
+            for other_values in assignments(other_vars):
+                for v in range(dag.cardinality(i) - 1):
+                    equalities.append(
+                        NsEquality(
+                            i,
+                            tuple(zip(kept, kept_values)),
+                            tuple(zip([j for j, _ in other_vars], other_values)),
+                            v,
+                            v + 1,
+                        )
+                    )
+    return equalities
+
+
+def ns_member(box: Kernel, h: HyperDag) -> bool:
+    """Exact evaluation of every no-signalling equality on a conditional box."""
+    _check_bell(h)
+    inputs = set(bell_inputs(h.base))
+    outputs = set(bell_outputs(h.base))
+    if {n for n, _ in box.outcome_vars} != outputs or {
+        n for n, _ in box.index_vars
+    } != inputs:
+        raise ValueError("box variables do not match the hypergraph's parties")
+    for eq in ns_constraints(h):
+        kept = dict(eq.kept_outputs)
+        margin = marginalize(box, [n for n, _ in box.outcome_vars if n not in kept])
+        base = dict(eq.other_inputs, **kept)
+        lo = dict(base, **{eq.input_vertex: eq.value_low})
+        hi = dict(base, **{eq.input_vertex: eq.value_high})
+        if margin.value(lo) != margin.value(hi):
+            return False
+    return True
+
+
+def _diagonal_input_values(h: HyperDag, env: dict) -> dict:
+    values = {}
+    for i in bell_inputs(h.base):
+        if i in h.copies:
+            values[i] = env[h.copies[i]]
+        else:
+            values[i] = env[i]
+    return values
+
+
+def _qname(out_values, in_values) -> str:
+    """Name of the PS unknown q(out_values | in_values)."""
+    return "q[" + ",".join(map(str, out_values)) + "|" + ",".join(map(str, in_values)) + "]"
+
+
+def ps_system(
+    p: Kernel, g: CausalDag, input_priors=None
+) -> tuple[LinearSystem, HyperDag, list, list]:
+    """The post-selection membership LP for a supported graph.
+
+    Unknowns are the box entries q(outputs | inputs) of the hypergraph plus
+    a scalar t; constraints are normalization, the no-signalling equalities
+    and the diagonal pinning prior(x) * q(diagonal of x) = t * p(x) for
+    every joint assignment x of the observed vertices; the objective
+    maximizes t.
+
+    ``input_priors`` optionally designates a full-support marginal (a map
+    from value to weight) for any setting vertex of the lift, original
+    roots and added copies alike; unspecified settings are uniform.  The
+    uniform copy default is a normative part of the model: it makes the
+    conditioning projection coincide with direct diagonal substitution into
+    the conditional box, which is the projection the whole construction
+    uses, and it realizes every classically generated distribution through
+    its network lift.  Verdicts genuinely depend on the designated priors,
+    so they are part of the membership question, not a tuning knob.
+    """
+    h = build_hypergraph(g)
+    dag = h.base
+    inputs = bell_inputs(dag)
+    outputs = bell_outputs(dag)
+    in_vars = [(i, dag.cardinality(i)) for i in inputs]
+    out_vars = [(o, dag.cardinality(o)) for o in outputs]
+
+    names = [
+        _qname(ov, iv)
+        for iv in assignments(in_vars)
+        for ov in assignments(out_vars)
+    ]
+    system = LinearSystem(tuple(names + ["t"]), objective={"t": Fraction(1)})
+    for iv in assignments(in_vars):
+        system.add_equality(
+            {_qname(ov, iv): Fraction(1) for ov in assignments(out_vars)}, Fraction(1)
+        )
+    for eq in ns_constraints(h):
+        kept = dict(eq.kept_outputs)
+        coeffs: dict[str, Fraction] = {}
+        for sign, value in ((Fraction(1), eq.value_low), (Fraction(-1), eq.value_high)):
+            in_env = dict(eq.other_inputs)
+            in_env[eq.input_vertex] = value
+            iv = tuple(in_env[i] for i in inputs)
+            rest = [(n, c) for n, c in out_vars if n not in kept]
+            for values in assignments(rest):
+                env = dict(kept)
+                env.update(zip([n for n, _ in rest], values))
+                ov = tuple(env[o] for o in outputs)
+                name = _qname(ov, iv)
+                coeffs[name] = coeffs.get(name, Fraction(0)) + sign
+        coeffs = {k: v for k, v in coeffs.items() if v}
+        system.add_equality(coeffs, Fraction(0))
+    for values in assignments(p.variables):
+        env = dict(zip(p.var_names(), values))
+        in_env = _diagonal_input_values(h, env)
+        iv = tuple(in_env[i] for i in inputs)
+        ov = tuple(env[o] for o in outputs)
+        weight = Fraction(1)
+        if input_priors:
+            for i in inputs:
+                prior = input_priors.get(i)
+                if prior is not None:
+                    weight *= Fraction(prior[in_env[i]])
+        if weight <= 0:
+            raise ValueError("input priors must have full support")
+        system.add_equality(
+            {_qname(ov, iv): weight, "t": -p.value(env)}, Fraction(0)
+        )
+    return system, h, inputs, outputs

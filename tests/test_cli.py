@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +114,14 @@ def test_decompose_ns(files, capsys):
     dpath = emit("pr-box", "pr.json", "--alpha", "1", "--gamma", "1")
     assert dispatch(["decompose-ns", "--dist", dpath]) == 0
     assert "PR(1, 0, 1)" in capsys.readouterr().out
+    # a local box laid out (A, B | Y, X) decomposes as itself
+    from causalbox import local_box, reorder
+    from causalbox.fileio import dump_kernel
+
+    box = local_box(8)
+    dump_kernel(reorder(box, box.outcome_vars, box.index_vars[::-1]), dpath)
+    assert dispatch(["decompose-ns", "--dist", dpath]) == 0
+    assert "local 8 (id,const0): 1" in capsys.readouterr().out
 
 
 def test_machine_output_is_deterministic(files, capsys):
@@ -164,6 +173,22 @@ def test_semantic_mismatch_exits_one(files, tmp_path, capsys):
     gyni = emit("gyni-graph", "gyni.json")
     for model in ("C", "PS", "N", "I", "NS"):
         assert dispatch(["member", "--model", model, "--graph", gyni, "--dist", dpath]) == 1
+    # the CHSH names with a ternary X, or a unary Y, against the binary chsh graph
+    from causalbox import Kernel
+    from causalbox.fileio import dump_kernel
+
+    from conftest import ternary_x_chsh_box
+
+    unary_y = Kernel.from_function(
+        (("A", 2), ("B", 2)), (("X", 2), ("Y", 1)), lambda v: Fraction(1, 4)
+    )
+    capsys.readouterr()
+    for box, models in ((ternary_x_chsh_box(), ("C", "PS", "N", "I", "NS")), (unary_y, ("NS",))):
+        dump_kernel(box, tmp_path / "box.json")
+        for model in models:
+            argv = ["member", "--model", model, "--graph", gpath, "--dist", str(tmp_path / "box.json")]
+            assert dispatch(argv) == 1, model
+            assert "error:" in capsys.readouterr().err, model
 
 
 def test_project_subcommand(files, tmp_path, capsys):

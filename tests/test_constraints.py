@@ -280,6 +280,10 @@ def test_membership_rejects_tables_over_other_variables(member, rng):
     table = random_rational_table(rng, [(n, 2) for n in "ABCXYZ"])
     with pytest.raises(ValueError, match="do not match observed vertices"):
         member(table, gyni_graph())
+    # the right names, but a ternary X
+    table = random_rational_table(rng, [("A", 2), ("B", 2), ("X", 3), ("Y", 2)])
+    with pytest.raises(ValueError, match="do not match observed vertices"):
+        member(table, chsh_graph())
 
 
 def test_membership_matches_handrolled_oracle(rng):

@@ -1,9 +1,14 @@
 """No-signalling constraints and post-selection membership."""
 
+import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalbox import (
     CausalDag,
@@ -16,8 +21,10 @@ from causalbox import (
     chsh_graph,
     ci_constraints,
     ci_holds,
+    bell_inputs,
     classical_member,
     enumerate_classical_vertices,
+    enumerate_h_vertices,
     gyni_box,
     gyni_graph,
     gyni_projected,
@@ -26,8 +33,9 @@ from causalbox import (
     join_inputs,
     lift_network,
     lp_solve,
+    reorder,
     mediation_graph,
-    ns_constraints,
+    ns_box_vertices,
     ns_member,
     pr_box,
     project,
@@ -41,38 +49,44 @@ from causalbox import (
 )
 from causalbox.networks import random_network
 
-from conftest import score2_table
+import ns_reference
+from conftest import score2_table, ternary_x_chsh_box
 
 
 # -- no-signalling equalities ----------------------------------------------------
 
 
+def _ns_row_count(g, p):
+    """Rows of ``ps_system`` that are neither normalization nor pinning."""
+    system, _, inputs, _ = ps_system(p, g)
+    dag = build_hypergraph(g).base
+    input_rows = prod(dag.cardinality(i) for i in inputs)
+    return len(system.equalities) - input_rows - len(p.entries)
+
+
 def test_chsh_ns_equalities():
-    h = build_hypergraph(chsh_graph())
-    equalities = ns_constraints(h)
     # two inputs, each with 2 kept-output assignments x 2 other-input values
-    assert len(equalities) == 8
-    per_input = {}
-    for eq in equalities:
-        per_input.setdefault(eq.input_vertex, 0)
-        per_input[eq.input_vertex] += 1
-    assert per_input == {"X": 4, "Y": 4}
+    joint = join_inputs(pr_box(), uniform_table((("X", 2), ("Y", 2))))
+    assert _ns_row_count(chsh_graph(), joint) == 8
 
 
 def test_tripartite_ns_counts_and_gyni_box():
-    h = build_hypergraph(tripartite_bell_graph())
-    equalities = ns_constraints(h)
     # per input: 4 kept-output assignments x 4 other-input assignments
-    assert len(equalities) == 48
-    assert ns_member(gyni_box(), h)
+    joint = join_inputs(gyni_box(), uniform_table(gyni_box().index_vars))
+    assert _ns_row_count(tripartite_bell_graph(), joint) == 48
+    assert ns_member(gyni_box(), build_hypergraph(tripartite_bell_graph()))
 
 
-def test_single_party_graph_has_no_ns_equalities():
-    dag = CausalDag(
+def _single_party_graph():
+    return CausalDag(
         [("X", OBSERVED, 2), ("A", OBSERVED, 2), ("L", LATENT)],
         [("X", "A"), ("L", "A")],
     )
-    assert ns_constraints(build_hypergraph(dag)) == []
+
+
+def test_single_party_graph_has_no_ns_equalities():
+    joint = uniform_table((("A", 2), ("X", 2)))
+    assert _ns_row_count(_single_party_graph(), joint) == 0
 
 
 def test_signalling_box_detected():
@@ -87,8 +101,148 @@ def test_signalling_box_detected():
 
 
 def test_multi_latent_ns_rejected():
-    with pytest.raises(MultiLatentError):
-        ns_constraints(build_hypergraph(swapping_graph()))
+    g = swapping_graph()
+    box = swapping_box()
+    joint = join_inputs(box, uniform_table((("X", 2), ("Z", 2))))
+    for ns, ps in ((ns_member, ps_system), (ns_reference.ns_member, ns_reference.ps_system)):
+        with pytest.raises(MultiLatentError):
+            ns(box, build_hypergraph(g))
+        with pytest.raises(MultiLatentError):
+            ps(joint, g)
+
+
+def test_ns_member_rejects_boxes_over_other_cardinalities():
+    h = build_hypergraph(chsh_graph())
+    unary_y = Kernel.from_function(
+        (("A", 2), ("B", 2)), (("X", 2), ("Y", 1)), lambda v: Fraction(1, 4)
+    )
+    for box in (ternary_x_chsh_box(), unary_y):
+        with pytest.raises(ValueError, match="parties"):
+            ns_member(box, h)
+
+
+def _ternary_chsh():
+    return CausalDag(
+        [("A", OBSERVED, 3), ("B", OBSERVED, 2), ("X", OBSERVED, 3), ("Y", OBSERVED, 2),
+         ("L", LATENT)],
+        [("X", "A"), ("Y", "B"), ("L", "A"), ("L", "B")],
+    )
+
+
+def _ternary_instrumental():
+    return CausalDag(
+        [("A", OBSERVED, 3), ("B", OBSERVED, 2), ("X", OBSERVED, 3), ("L", LATENT)],
+        [("X", "A"), ("A", "B"), ("L", "A"), ("L", "B")],
+    )
+
+
+LIFTS = {
+    "chsh": build_hypergraph(chsh_graph()),
+    "tripartite": build_hypergraph(tripartite_bell_graph()),
+    "gyni-lift": build_hypergraph(gyni_graph()),
+    "instrumental-lift": build_hypergraph(instrumental_graph()),
+    "ternary-chsh": build_hypergraph(_ternary_chsh()),
+    "single-party": build_hypergraph(_single_party_graph()),
+}
+
+
+@cache
+def _ns_vertices(name):
+    """No-signalling boxes of a lift: its deterministic strategies, and the
+    PR boxes on chsh."""
+    tables = [v.table for v in enumerate_h_vertices(LIFTS[name])]
+    return tables + (ns_box_vertices()[16:] if name == "chsh" else [])
+
+
+def _random_rows(draw, template, width):
+    height = len(template.entries) // width
+    rows = []
+    for _ in range(width):
+        w = draw(st.lists(st.integers(0, 3), min_size=height, max_size=height).filter(any))
+        rows.append([Fraction(x, sum(w)) for x in w])
+    return [rows[k % width][k // width] for k in range(len(template.entries))]
+
+
+@st.composite
+def lift_boxes(draw):
+    """A lift and a box over its parties, in a shuffled layout: an NS
+    mixture, random rows, or an NS mixture with one row replaced."""
+    name = draw(st.sampled_from(sorted(LIFTS)))
+    vertices = _ns_vertices(name)
+    template = vertices[0]
+    width = prod(c for _, c in template.index_vars)
+    picks = draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(picks), max_size=len(picks)))
+    entries = [
+        sum(Fraction(w, sum(weights)) * t.entries[k] for w, t in zip(weights, picks))
+        for k in range(len(template.entries))
+    ]
+    kind = draw(st.sampled_from(["mixture", "rows", "one-row"]))
+    if kind != "mixture":
+        rows = _random_rows(draw, template, width)
+        j = draw(st.integers(0, width - 1)) if kind == "one-row" else None
+        entries = [
+            r if j is None or k % width == j else e
+            for k, (e, r) in enumerate(zip(entries, rows))
+        ]
+    box = Kernel(template.outcome_vars, template.index_vars, tuple(entries))
+    outcome = draw(st.permutations(template.outcome_vars))
+    index = draw(st.permutations(template.index_vars))
+    return name, reorder(box, outcome, index)
+
+
+@given(lift_boxes())
+@settings(max_examples=200, deadline=None)
+def test_ns_member_matches_reference(case):
+    name, box = case
+    h = LIFTS[name]
+    assert ns_member(box, h) == ns_reference.ns_member(box, h)
+
+
+def _priors(g):
+    """A full-support, non-uniform prior on every setting of the lift."""
+    dag = build_hypergraph(g).base
+    priors = {}
+    for i in bell_inputs(dag):
+        card = dag.cardinality(i)
+        total = card * (card + 1) // 2
+        priors[i] = {v: Fraction(v + 1, total) for v in range(card)}
+    return priors
+
+
+def _network_case(make, seed):
+    """A seeded network joint on ``make()``, its outcomes shuffled."""
+    rng = random.Random(seed)
+    g = make()
+    p = random_network(g, rng, latent_cardinality=2).joint_observed()
+    return reorder(p, rng.sample(p.outcome_vars, len(p.outcome_vars)), ()), g
+
+
+PS_CASES = {
+    "gyni": lambda: (join_inputs(gyni_projected(), uniform_table((("X", 2),))), gyni_graph()),
+    "instrumental": lambda: (score2_table(), instrumental_graph()),
+    "chsh": lambda: (join_inputs(pr_box(), uniform_table((("X", 2), ("Y", 2)))), chsh_graph()),
+    "tripartite": lambda: (
+        join_inputs(gyni_box(), uniform_table(gyni_box().index_vars)),
+        tripartite_bell_graph(),
+    ),
+    "ternary-chsh-1": lambda: _network_case(_ternary_chsh, 1),
+    "ternary-chsh-2": lambda: _network_case(_ternary_chsh, 2),
+    "ternary-instrumental-1": lambda: _network_case(_ternary_instrumental, 1),
+    "ternary-instrumental-2": lambda: _network_case(_ternary_instrumental, 2),
+}
+
+
+@pytest.mark.parametrize("with_priors", [False, True], ids=["uniform", "priors"])
+@pytest.mark.parametrize("name", sorted(PS_CASES))
+def test_ps_system_matches_reference(name, with_priors):
+    p, g = PS_CASES[name]()
+    priors = _priors(g) if with_priors else None
+    system, _, inputs, outputs = ps_system(p, g, input_priors=priors)
+    want, _, want_inputs, want_outputs = ns_reference.ps_system(p, g, input_priors=priors)
+    assert (inputs, outputs) == (want_inputs, want_outputs)
+    assert system == want
+    assert [list(c) for c, _ in system.equalities] == [list(c) for c, _ in want.equalities]
 
 
 def test_ns_equalities_follow_from_lifted_independences(rng):
@@ -158,6 +312,24 @@ def test_classical_vertices_accepted_with_reprojecting_certificates():
             projected = project(lifted, h.copies)
             for env, value in joint.cells():
                 assert projected.value(env) == value
+
+
+def test_ps_certificate_projects_back_on_a_ternary_lift():
+    """The certificate is read off 9 input x 6 output unknowns; a transposed
+    read would not project back."""
+    g = _ternary_instrumental()
+    h = build_hypergraph(g)
+    vertices = [v.table for v in enumerate_classical_vertices(g)]
+    first, second = vertices[5], vertices[-3]
+    box = Kernel(first.outcome_vars, first.index_vars,
+                 tuple((a + b) / 2 for a, b in zip(first.entries, second.entries)))
+    joint = join_inputs(box, uniform_table(box.index_vars))
+    verdict = ps_member(joint, g)
+    assert verdict.member
+    assert ns_member(verdict.certificate, h)
+    lifted = join_inputs(verdict.certificate, uniform_table(verdict.certificate.index_vars))
+    projected = project(lifted, h.copies)
+    assert reorder(joint, projected.outcome_vars, ()) == projected
 
 
 def test_gyni_projected_is_ps_member_with_exact_certificate():

@@ -34,6 +34,7 @@ from causalbox import (
     pr_box,
     project,
     ps_member,
+    reorder,
     split_joint,
     tripartite_bell_graph,
     uniform_table,
@@ -370,8 +371,15 @@ def test_local_box_decomposes_without_pr():
 
 
 def test_every_ns_vertex_decomposes_as_itself():
+    # in every layout: parties are matched by name, not by position
     for i, box in enumerate(ns_box_vertices()):
-        index, weights = decompose_ns_box(box)
+        results = {
+            decompose_ns_box(reorder(box, [(n, 2) for n in outs], [(n, 2) for n in ins]))
+            for outs in ("AB", "BA")
+            for ins in ("XY", "YX")
+        }
+        assert len(results) == 1
+        [(index, weights)] = results
         nonzero = [w for w in weights if w]
         assert nonzero == [Fraction(1)]
         if i < 16:
