@@ -2,9 +2,9 @@
 
 Every binary bipartite no-signalling box is a convex combination of one
 PR-family box and the sixteen local deterministic boxes.  The decomposition
-is found by trying the locals first and then each PR box in lexicographic
-order, each attempt an exact feasibility LP, and the reconstruction is
-entry-exact.
+is one exact feasibility LP: over the PR box whose CHSH variant the box
+scores above 3 on, plus the locals, or over the locals alone when no
+variant exceeds 3.  The reconstruction is entry-exact.
 """
 
 import random

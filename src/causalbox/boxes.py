@@ -15,6 +15,7 @@ triangle).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .graphs import LATENT, OBSERVED, CausalDag
 from .tables import Kernel, uniform_table
@@ -90,12 +91,20 @@ def local_box(i: int) -> Kernel:
 
 def ns_box_vertices() -> list[Kernel]:
     """The 24 vertices of the bipartite no-signalling polytope:
-    16 local boxes followed by the 8 PR boxes in lexicographic order."""
+    16 local boxes followed by the 8 PR boxes in lexicographic order, so
+    PR(alpha, beta, gamma) sits at 16 + 4 alpha + 2 beta + gamma.
+
+    The kernels are built once, on the first call, and shared (kernels are
+    immutable); every call returns a fresh list of them.
+    """
+    return list(_ns_box_vertices_cached())
+
+
+@lru_cache(maxsize=1)
+def _ns_box_vertices_cached() -> tuple[Kernel, ...]:
     boxes = [local_box(i) for i in range(16)]
-    boxes += [
-        pr_box(a, b, g) for a in _BIT for b in _BIT for g in _BIT
-    ]
-    return boxes
+    boxes += [pr_box(a, b, g) for a in _BIT for b in _BIT for g in _BIT]
+    return tuple(boxes)
 
 
 def _gyni_indicator(a, b, c, x, y, z) -> int:

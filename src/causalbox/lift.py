@@ -104,23 +104,21 @@ def ns_member(box: Kernel, h: HyperDag) -> bool:
 def instrumental_score(k: Kernel) -> Fraction:
     """max over a of sum over b of max over x of p(a, b | x).
 
-    At most one for post-selection members of the instrumental structure;
-    deterministic signalling tables exceed it.
+    The kernel must be p(A, B | X), with its variables matched by name in
+    any layout.  At most one for post-selection members of the instrumental
+    structure; deterministic signalling tables exceed it.
     """
-    if len(k.outcome_vars) != 2 or len(k.index_vars) != 1:
-        raise ValueError("instrumental score expects a kernel p(a, b | x)")
-    (a_n, a_c), (b_n, b_c) = k.outcome_vars
-    x_n, x_c = k.index_vars[0]
-    best = None
-    for a in range(a_c):
-        total = Fraction(0)
-        for b in range(b_c):
-            total += max(
-                k.value({a_n: a, b_n: b, x_n: x}) for x in range(x_c)
-            )
-        if best is None or total > best:
-            best = total
-    return best
+    outcomes = sorted(n for n, _ in k.outcome_vars)
+    if outcomes != ["A", "B"] or [n for n, _ in k.index_vars] != ["X"]:
+        raise ValueError("instrumental score expects a kernel p(A, B | X)")
+    card = dict(k.variables)
+    return max(
+        sum(
+            max(k.value({"A": a, "B": b, "X": x}) for x in range(card["X"]))
+            for b in range(card["B"])
+        )
+        for a in range(card["A"])
+    )
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ outcomes follow by direct substitution in topological order.  This is the
 Bell-type hypergraph strategy seen through the diagonal post-selection.
 Membership of a conditional table is then an exact linear-programming
 feasibility question over convex weights of those vertices.
+
+A bipartite no-signalling box is decomposed with one such LP: its scores on
+the eight CHSH variants name the one PR box it can need, or none.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from itertools import product as _iterproduct
 from math import prod
 from typing import Callable, Mapping, Sequence
 
-from .boxes import chsh_graph, ns_box_vertices, pr_box
+from .boxes import chsh_graph, ns_box_vertices
 from .graphs import (
     CausalDag,
     HyperDag,
@@ -32,7 +35,7 @@ from .graphs import (
 )
 from .lift import ns_member
 from .linprog import LinearSystem, lp_solve
-from .tables import Kernel, assignments, conditional, reorder
+from .tables import Kernel, _index_map, assignments, conditional, reorder
 
 __all__ = [
     "Vertex",
@@ -214,16 +217,48 @@ def maximize_functional(
     return best, best_v
 
 
+def _violated_chsh_variant(q: Kernel) -> tuple[int, int, int] | None:
+    """The (alpha, beta, gamma) CHSH variant on which the binary box
+    q(A, B | X, Y), matched by name, scores above 3, if any.
+
+    The (alpha, beta, gamma) variant scores
+    S = sum over x, y of q(a + b = xy + alpha x + beta y + gamma | x, y),
+    with sums mod 2.  Local boxes score at most 3 on every variant.
+    """
+    e = q.entries
+    at = _index_map((("A", 2), ("B", 2), ("X", 2), ("Y", 2)), q.variables)
+    # agree[x, y] = q(a = b | x, y); cell (a, b, x, y) sits at 8a + 4b + 2x + y
+    agree = [e[at[xy]] + e[at[12 + xy]] for xy in range(4)]
+    for alpha, beta, gamma in _iterproduct((0, 1), repeat=3):
+        score = Fraction(0)
+        for xy, (x, y) in enumerate(_iterproduct((0, 1), repeat=2)):
+            parity = (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
+            score += 1 - agree[xy] if parity else agree[xy]
+        if score > 3:
+            return alpha, beta, gamma
+    return None
+
+
 def decompose_ns_box(q: Kernel):
     """Decompose a bipartite no-signalling box into at most one PR box plus
-    local deterministic boxes.
+    local deterministic boxes, with one exact LP.
 
-    Tries a locals-only decomposition first, then each (alpha, beta, gamma)
-    PR box in lexicographic order; the first feasible exact decomposition is
-    returned as ``(pr_index_or_None, weights)`` where ``weights`` lists the
-    PR weight (zero for locals-only) followed by the sixteen local weights.
-    The box must be binary over A, B | X, Y, in any layout: its variables
-    are matched by name to the parties of the CHSH lift.
+    The result is ``(pr_index_or_None, weights)`` where ``weights`` lists
+    the PR weight (zero for locals-only) followed by the sixteen local
+    weights.  The box must be binary over A, B | X, Y, in any layout: its
+    variables are matched by name to the parties of the CHSH lift.
+
+    The LP is picked by the box's scores on the eight CHSH variants.  If it
+    scores above 3 on the (alpha, beta, gamma) variant, the LP is over
+    PR(alpha, beta, gamma) plus the locals; otherwise it is over the locals
+    alone.  This gives the first feasible decomposition of the order
+    "locals only, then each PR box in lexicographic order":
+    - PR boxes score 4 on their own variant and at most 2 on every other,
+      and locals at most 3, so a mixture with PR weight w scores at most
+      3 + w on its PR box's variant and at most 3 - w on the others.  A box
+      above 3 on one variant therefore needs exactly that PR box.
+    - A box at most 3 on every variant is local (Fine), and every NS box
+      mixes at most one PR box with locals (Barrett et al.).
     """
     try:
         ns = ns_member(q, build_hypergraph(chsh_graph()))
@@ -231,17 +266,19 @@ def decompose_ns_box(q: Kernel):
         ns = False
     if not ns:
         raise NotNoSignallingError("box is not a bipartite no-signalling kernel")
-    locals_ = ns_box_vertices()[:16]
-    verdict = _convex_member(q, locals_)
-    if verdict.member:
-        return None, (Fraction(0),) + verdict.weights
-    for alpha in (0, 1):
-        for beta in (0, 1):
-            for gamma in (0, 1):
-                candidates = [pr_box(alpha, beta, gamma)] + locals_
-                verdict = _convex_member(q, candidates)
-                if verdict.member:
-                    return (alpha, beta, gamma), verdict.weights
+    vertices = ns_box_vertices()
+    locals_ = vertices[:16]
+    index = _violated_chsh_variant(q)
+    if index is None:
+        verdict = _convex_member(q, locals_)
+        if verdict.member:
+            return None, (Fraction(0),) + verdict.weights
+    else:
+        alpha, beta, gamma = index
+        pr = vertices[16 + 4 * alpha + 2 * beta + gamma]
+        verdict = _convex_member(q, [pr] + locals_)
+        if verdict.member:
+            return index, verdict.weights
     raise DecompositionNotFoundError(
         "no-signalling box admits no PR-plus-local decomposition"
     )

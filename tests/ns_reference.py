@@ -4,6 +4,12 @@ maps, kept verbatim as the reference for the differential tests in
 them, ``ns_member`` evaluating each through ``marginalize``, and
 ``ps_system`` expanding each into LP coefficients by name.  The tables,
 graphs and LP types are the package's own, so results compare with ``==``.
+
+Also ``decompose_ns_box`` as it was before it picked its one LP from the
+CHSH variant a box violates: a locals-only LP, then one LP per PR box in
+lexicographic order.  It is verbatim except that it calls the package's
+``lift.ns_member``, which this module's older ``ns_member`` shadows; it is
+the reference for the differential tests in ``test_polytope.py``.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from causalbox import lift
+from causalbox.boxes import chsh_graph, ns_box_vertices, pr_box
 from causalbox.graphs import (
     CausalDag,
     HyperDag,
@@ -21,6 +29,11 @@ from causalbox.graphs import (
     is_bell_type,
 )
 from causalbox.linprog import LinearSystem
+from causalbox.polytope import (
+    DecompositionNotFoundError,
+    NotNoSignallingError,
+    _convex_member,
+)
 from causalbox.tables import Kernel, assignments, marginalize
 
 
@@ -195,3 +208,36 @@ def ps_system(
             {_qname(ov, iv): weight, "t": -p.value(env)}, Fraction(0)
         )
     return system, h, inputs, outputs
+
+
+def decompose_ns_box(q: Kernel):
+    """Decompose a bipartite no-signalling box into at most one PR box plus
+    local deterministic boxes.
+
+    Tries a locals-only decomposition first, then each (alpha, beta, gamma)
+    PR box in lexicographic order; the first feasible exact decomposition is
+    returned as ``(pr_index_or_None, weights)`` where ``weights`` lists the
+    PR weight (zero for locals-only) followed by the sixteen local weights.
+    The box must be binary over A, B | X, Y, in any layout: its variables
+    are matched by name to the parties of the CHSH lift.
+    """
+    try:
+        ns = lift.ns_member(q, build_hypergraph(chsh_graph()))
+    except ValueError:
+        ns = False
+    if not ns:
+        raise NotNoSignallingError("box is not a bipartite no-signalling kernel")
+    locals_ = ns_box_vertices()[:16]
+    verdict = _convex_member(q, locals_)
+    if verdict.member:
+        return None, (Fraction(0),) + verdict.weights
+    for alpha in (0, 1):
+        for beta in (0, 1):
+            for gamma in (0, 1):
+                candidates = [pr_box(alpha, beta, gamma)] + locals_
+                verdict = _convex_member(q, candidates)
+                if verdict.member:
+                    return (alpha, beta, gamma), verdict.weights
+    raise DecompositionNotFoundError(
+        "no-signalling box admits no PR-plus-local decomposition"
+    )

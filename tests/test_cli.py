@@ -124,6 +124,19 @@ def test_decompose_ns(files, capsys):
     assert "local 8 (id,const0): 1" in capsys.readouterr().out
 
 
+def test_instrumental_score_reads_variables_by_name(tmp_path, capsys):
+    from causalbox import reorder, split_joint
+    from causalbox.fileio import dump_kernel
+
+    from conftest import score2_table
+
+    kernel, _ = split_joint(score2_table(), ["X"])
+    dpath = str(tmp_path / "score2-ba.json")
+    dump_kernel(reorder(kernel, kernel.outcome_vars[::-1], kernel.index_vars), dpath)
+    assert dispatch(["score", "--functional", "instrumental", "--dist", dpath]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+
+
 def test_machine_output_is_deterministic(files, capsys):
     emit, _ = files
     gpath = emit("mediation-graph", "med.json")

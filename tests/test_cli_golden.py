@@ -13,7 +13,17 @@ import random
 import sys
 from pathlib import Path
 
-from causalbox import join_inputs, local_box, mediation_graph, uniform_table
+from fractions import Fraction
+
+from causalbox import (
+    Kernel,
+    join_inputs,
+    local_box,
+    mediation_graph,
+    pr_box,
+    reorder,
+    uniform_table,
+)
 from causalbox.cli import dispatch
 from causalbox.fileio import dump_kernel
 from causalbox.networks import random_network
@@ -36,8 +46,18 @@ COMMANDS = [
 ] + [
     "decompose-ns --dist pr-box.json --format machine",
     "decompose-ns --dist local-box.json --format machine",
+    "decompose-ns --dist pr110-mix-ba-yx.json --format machine",
+    "decompose-ns --dist chsh-tight-mix.json --format machine",
     "constraints enumerate --graph mediation-graph.json --format machine",
 ]
+
+
+def _mix(parts) -> Kernel:
+    """The box sum of w * box over ``(w, box)`` pairs."""
+    box = parts[0][1]
+    return Kernel.from_function(
+        box.outcome_vars, box.index_vars, lambda v: sum(w * b.value(v) for w, b in parts)
+    )
 
 
 def write_fixtures(directory: Path) -> None:
@@ -48,6 +68,15 @@ def write_fixtures(directory: Path) -> None:
     net = random_network(mediation_graph(), random.Random(7), latent_cardinality=3)
     dump_kernel(net.joint_observed(), directory / "mediation-joint.json")
     dump_kernel(local_box(9), directory / "local-box.json")
+    # PR(1, 1, 0) dominant, laid out (B, A | Y, X)
+    pr_mix = _mix([(Fraction(7, 10), pr_box(1, 1, 0)), (Fraction(1, 5), local_box(9)),
+                   (Fraction(1, 10), local_box(3))])
+    dump_kernel(reorder(pr_mix, pr_mix.outcome_vars[::-1], pr_mix.index_vars[::-1]),
+                directory / "pr110-mix-ba-yx.json")
+    # locals that each score 3 on the standard CHSH variant: a box on its facet
+    tight = _mix([(Fraction(1, 2), local_box(2)), (Fraction(1, 3), local_box(8)),
+                  (Fraction(1, 6), local_box(13))])
+    dump_kernel(tight, directory / "chsh-tight-mix.json")
 
 
 def run_commands(directory: Path) -> dict:

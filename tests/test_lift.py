@@ -274,6 +274,22 @@ def test_instrumental_score_examples():
     assert instrumental_score(bad) == 2
 
 
+def test_instrumental_score_reads_variables_by_name():
+    kernel, _ = split_joint(score2_table(), ["X"])
+    assert instrumental_score(reorder(kernel, kernel.outcome_vars[::-1], kernel.index_vars)) == 2
+    joint = Kernel.from_function(
+        (("A", 2), ("C", 2), ("X", 2)), (), lambda v: Fraction(int(v["C"] == v["X"]), 4)
+    )
+    renamed, _ = split_joint(joint, ["X"])
+    with pytest.raises(ValueError):
+        instrumental_score(renamed)
+    with pytest.raises(ValueError):
+        # B moved to the index side: p(A | X, B)
+        instrumental_score(
+            reorder(kernel, kernel.outcome_vars[:1], kernel.index_vars + kernel.outcome_vars[1:])
+        )
+
+
 def test_deterministic_strategies_respect_instrumental_bound():
     responses = [(0, 0), (1, 1), (0, 1), (1, 0)]
     for fa in responses:

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from causalbox import (
     CausalDag,
@@ -40,6 +42,8 @@ from causalbox import (
     uniform_table,
 )
 
+import causalbox.polytope
+import ns_reference
 from conftest import rng  # noqa: F401
 
 
@@ -418,3 +422,154 @@ def test_signalling_box_rejected():
     )
     with pytest.raises(NotNoSignallingError):
         decompose_ns_box(signalling)
+
+
+# -- one LP per decomposition, against the eight-LP reference -------------------------
+
+_VERTICES = ns_box_vertices()
+_VARIANTS = list(product((0, 1), repeat=3))
+_LAYOUTS = [(outs, ins) for outs in ("AB", "BA") for ins in ("XY", "YX")]
+_CELLS = list(product((0, 1), repeat=4))
+
+
+def _mix(parts):
+    """The box sum of w * box over ``(w, box)`` pairs in the vertex layout."""
+    template = _VERTICES[0]
+    entries = tuple(
+        sum((w * box.entries[i] for w, box in parts), Fraction(0))
+        for i in range(len(template.entries))
+    )
+    return Kernel(template.outcome_vars, template.index_vars, entries)
+
+
+def _laid_out(box, layout):
+    outs, ins = layout
+    return reorder(box, [(n, 2) for n in outs], [(n, 2) for n in ins])
+
+
+def _variant_scores(box):
+    """S(alpha, beta, gamma) = sum over x, y of q(a + b = xy + alpha x +
+    beta y + gamma | x, y), read by name."""
+    return {
+        (al, be, ga): sum(
+            box.value({"A": a, "B": b, "X": x, "Y": y})
+            for a, b, x, y in _CELLS
+            if a ^ b == (x & y) ^ (al & x) ^ (be & y) ^ ga
+        )
+        for al, be, ga in _VARIANTS
+    }
+
+
+def _signalling(f_a, f_b):
+    return Kernel.from_function(
+        (("A", 2), ("B", 2)),
+        (("X", 2), ("Y", 2)),
+        lambda v: Fraction(int(v["A"] == f_a(v["X"], v["Y"]) and v["B"] == f_b(v["X"], v["Y"]))),
+    )
+
+
+_SIGNALLING = [
+    _signalling(lambda x, y: y, lambda x, y: 0),
+    _signalling(lambda x, y: x, lambda x, y: x),
+    _signalling(lambda x, y: x & y, lambda x, y: y),
+]
+
+
+@st.composite
+def sparse_mixtures(draw):
+    """A few vertices, PR boxes among them, with small integer weights."""
+    picks = draw(
+        st.lists(st.tuples(st.integers(0, 23), st.integers(1, 6)), min_size=1, max_size=5)
+    )
+    total = sum(w for _, w in picks)
+    return _mix([(Fraction(w, total), _VERTICES[i]) for i, w in picks])
+
+
+@st.composite
+def pr_dominant(draw):
+    """PR weight above 2/3: a score above 3 on that PR box's variant."""
+    k = draw(st.integers(16, 23))
+    w = Fraction(draw(st.integers(15, 20)), 20)
+    return _mix([(w, _VERTICES[k]), (1 - w, draw(sparse_mixtures()))])
+
+
+@st.composite
+def chsh_tight(draw):
+    """A mixture moved onto the facet S(variant) = 3 of one CHSH variant,
+    with no variant above 3: it is local and sits on the boundary."""
+    box = draw(sparse_mixtures())
+    variant = draw(st.sampled_from(_VARIANTS))
+    s = _variant_scores(box)[variant]
+    if s > 3:
+        # deterministic locals score 1 or 3 on every variant
+        lows = [v for v in _VERTICES[:16] if _variant_scores(v)[variant] == 1]
+        other, t = draw(st.sampled_from(lows)), 2 / (s - 1)
+    else:
+        other, t = _VERTICES[16 + 4 * variant[0] + 2 * variant[1] + variant[2]], 1 / (4 - s)
+    tight = _mix([(t, box), (1 - t, other)])
+    assume(max(_variant_scores(tight).values()) == 3)
+    return tight
+
+
+@st.composite
+def signalling_boxes(draw):
+    t = Fraction(draw(st.integers(1, 4)), 4)
+    return _mix([(t, draw(st.sampled_from(_SIGNALLING))), (1 - t, draw(sparse_mixtures()))])
+
+
+def _outcome(decompose, box):
+    try:
+        return decompose(box)
+    except (NotNoSignallingError, causalbox.polytope.DecompositionNotFoundError) as exc:
+        return type(exc)
+
+
+@given(
+    st.one_of(sparse_mixtures(), pr_dominant(), chsh_tight(), signalling_boxes()),
+    st.sampled_from(_LAYOUTS),
+)
+# half of two PR boxes whose variants differ in alpha scores 3 on both: local
+@example(_mix([(Fraction(1, 2), _VERTICES[16]), (Fraction(1, 2), _VERTICES[20])]), ("BA", "YX"))
+@settings(max_examples=200, deadline=None)
+def test_decompose_matches_reference(box, layout):
+    box = _laid_out(box, layout)
+    assert _outcome(decompose_ns_box, box) == _outcome(ns_reference.decompose_ns_box, box)
+
+
+def _lp_calls(box):
+    """The number of LPs ``decompose_ns_box`` solves for ``box``."""
+    calls = []
+    solve = causalbox.polytope.lp_solve
+
+    def counting(system):
+        calls.append(system)
+        return solve(system)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(causalbox.polytope, "lp_solve", counting)
+        decompose_ns_box(box)
+    return len(calls)
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS, ids="".join)
+def test_one_lp_per_vertex(layout):
+    assert [_lp_calls(_laid_out(v, layout)) for v in _VERTICES] == [1] * 24
+
+
+@given(
+    st.one_of(sparse_mixtures(), pr_dominant(), chsh_tight()),
+    st.sampled_from(_LAYOUTS),
+)
+@settings(max_examples=100, deadline=None)
+def test_one_lp_per_mixture(box, layout):
+    assert _lp_calls(_laid_out(box, layout)) == 1
+
+
+def test_ns_box_vertices_returns_a_fresh_list():
+    first = ns_box_vertices()
+    expected = decompose_ns_box(pr_box(0, 1, 1))
+    first[16:] = first[:8]
+    first.reverse()
+    assert ns_box_vertices() == _VERTICES
+    assert ns_box_vertices() is not ns_box_vertices()
+    assert decompose_ns_box(pr_box(0, 1, 1)) == expected
