@@ -51,7 +51,7 @@ from .polytope import (
     maximize_functional,
 )
 from .recipes import render
-from .tables import Kernel, project, uniform_table
+from .tables import Kernel, join_inputs, project, uniform_table
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -73,19 +73,11 @@ _FIXTURES = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "machine":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
-
-
-def _frac(value: Fraction) -> str:
-    return str(value)
 
 
 def _parse_fixed(raw: str | None) -> set[str]:
@@ -95,41 +87,29 @@ def _parse_fixed(raw: str | None) -> set[str]:
     return {token.split("=")[0].strip() for token in raw.split(",") if token.strip()}
 
 
-def _load_graph(args):
-    if not args.graph:
-        raise _UsageError("missing --graph PATH")
-    try:
-        return load_graph(args.graph)
-    except FileNotFoundError:
-        raise _UsageError(f"graph file not found: {args.graph}")
-    except (FileFormatError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"bad graph file {args.graph}: {exc}")
-
-
-def _load_dist(args, attr="dist"):
-    path = getattr(args, attr.replace("-", "_"), None)
+def _load(path: str | None, flag: str, what: str, loader):
+    """``loader(path)``, with a missing flag, a missing file and a malformed
+    document all raised as ``ValueError``s that name the flag or the file."""
     if not path:
-        raise _UsageError(f"missing --{attr} PATH")
+        raise ValueError(f"missing --{flag} PATH")
     try:
-        return load_kernel(path)
+        return loader(path)
     except FileNotFoundError:
-        raise _UsageError(f"distribution file not found: {path}")
+        raise ValueError(f"{what} file not found: {path}")
     except (FileFormatError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"bad distribution file {path}: {exc}")
+        raise ValueError(f"bad {what} file {path}: {exc}")
 
 
-def _as_joint(dist: Kernel, dag) -> Kernel:
+def _as_joint(dist: Kernel) -> Kernel:
     """Accept either a joint table over the observed vertices or a
     conditional on the graph's setting variables with uniform settings."""
     if dist.is_prob_table:
         return dist
-    from .tables import join_inputs
-
     return join_inputs(dist, uniform_table(dist.index_vars))
 
 
 def _cmd_graph(args) -> int:
-    dag = _load_graph(args)
+    dag = _load(args.graph, "graph", "graph", load_graph)
     if args.graph_cmd == "check":
         report = validate(dag)
         _emit(args, {"valid": not report, "violations": report},
@@ -156,24 +136,15 @@ def _cmd_graph(args) -> int:
         payload = {"districts": [sorted(d) for d in parts]}
         _emit(args, payload, "\n".join(",".join(sorted(d)) for d in parts))
         return EXIT_OK
-    if args.graph_cmd == "dsep":
-        if not args.a or not args.b:
-            raise _UsageError("dsep requires --a and --b vertex names")
-        try:
-            separated = d_separated(
-                dag, {args.a}, {args.b}, _parse_fixed(args.fixed)
-            )
-        except (KeyError, ValueError) as exc:
-            raise _UsageError(str(exc))
-        _emit(args, {"d_separated": separated},
-              "d-separated" if separated else "d-connected")
-        return EXIT_OK if separated else EXIT_REJECTED
-    raise _UsageError("unknown graph subcommand")
+    if not args.a or not args.b:
+        raise ValueError("dsep requires --a and --b vertex names")
+    separated = d_separated(dag, {args.a}, {args.b}, _parse_fixed(args.fixed))
+    _emit(args, {"d_separated": separated}, "d-separated" if separated else "d-connected")
+    return EXIT_OK if separated else EXIT_REJECTED
 
 
 def _cmd_constraints(args) -> int:
-    dag = _load_graph(args)
-    records = enumerate_constraints(dag)
+    records = enumerate_constraints(_load(args.graph, "graph", "graph", load_graph))
     lines = [str(r) for r in records]
     payload = {"constraints": []}
     for r in records:
@@ -194,8 +165,7 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_hyper(args) -> int:
-    dag = _load_graph(args)
-    h = build_hypergraph(dag)
+    h = build_hypergraph(_load(args.graph, "graph", "graph", load_graph))
     payload = {
         "graph": graph_to_dict(h.base),
         "copy_map": {u: list(pair) for u, pair in sorted(h.copy_map.items())},
@@ -203,10 +173,7 @@ def _cmd_hyper(args) -> int:
     text_lines = [f"copies: {', '.join(sorted(h.copy_map)) or '(none; graph is Bell-type)'}"]
     for u, (src, child) in sorted(h.copy_map.items()):
         text_lines.append(f"  {u}: copy of {src} feeding {child}")
-    if args.format == "machine":
-        _emit(args, payload, "")
-    else:
-        print("\n".join(text_lines))
+    _emit(args, payload, "\n".join(text_lines))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload["graph"], fh, indent=2, sort_keys=True)
@@ -215,79 +182,60 @@ def _cmd_hyper(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    dag = _load_graph(args)
-    dist = _load_dist(args)
+    dag = _load(args.graph, "graph", "graph", load_graph)
+    dist = _load(args.dist, "dist", "distribution", load_kernel)
     h = build_hypergraph(dag)
     if sorted(dist.var_names()) != sorted(h.base.observed()) or not dist.is_prob_table:
-        raise _UsageError(
+        raise ValueError(
             "project expects a joint table over the lifted graph's observed vertices"
         )
-    try:
-        projected = project(dist, h.copies)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    payload = kernel_to_dict(projected)
+    payload = kernel_to_dict(project(dist, h.copies))
     _emit(args, payload, json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_member(args) -> int:
-    dag = _load_graph(args)
-    dist = _load_dist(args)
+    dag = _load(args.graph, "graph", "graph", load_graph)
+    dist = _load(args.dist, "dist", "distribution", load_kernel)
     model = args.model
-    if model in ("I", "N", "PS"):
-        joint = _as_joint(dist, dag)
-        if model == "I":
-            verdict = i_member(joint, dag)
-        elif model == "N":
-            verdict = check_nested(joint, dag)
-        else:
-            certificate = None
-            if args.certificate:
-                certificate = load_kernel(args.certificate)
-            ps = ps_member(joint, dag, certificate=certificate)
-            if ps.status == "unsupported":
-                print(f"unsupported: {ps.reason}", file=sys.stderr)
-                return EXIT_ERROR
-            payload = {"member": ps.member}
-            if ps.member and ps.certificate is not None:
-                payload["certificate"] = kernel_to_dict(ps.certificate)
-                if ps.scale is not None:
-                    payload["scale"] = _frac(ps.scale)
-            _emit(
-                args,
-                payload,
-                "member of PS(G)" if ps.member else "not in PS(G): LP infeasible",
-            )
-            return EXIT_OK if ps.member else EXIT_REJECTED
-        payload = {"member": verdict.member}
-        if not verdict.member:
-            payload["violations"] = [str(v) for v in verdict.violations]
-        name = "I(G)" if model == "I" else "N(G)"
-        text = f"member of {name}" if verdict.member else "\n".join(
-            [f"not in {name}:"] + [f"  {v}" for v in verdict.violations]
-        )
-        _emit(args, payload, text)
-        return EXIT_OK if verdict.member else EXIT_REJECTED
+    payload = {}
     if model == "NS":
         h = build_hypergraph(dag)
         if not dist.index_vars:
-            raise _UsageError("NS membership expects a conditional box")
-        ok = ns_member(dist, h)
-        _emit(args, {"member": ok}, "no-signalling" if ok else "signalling")
-        return EXIT_OK if ok else EXIT_REJECTED
-    if model == "C":
+            raise ValueError("NS membership expects a conditional box")
+        member = ns_member(dist, h)
+        text = "no-signalling" if member else "signalling"
+    elif model == "C":
         verdict = classical_member(dist, dag)
-        payload = {"member": verdict.member}
-        if verdict.member:
-            payload["weights"] = [_frac(w) for w in verdict.weights]
-        _emit(
-            args,
-            payload,
-            "member of C(G)" if verdict.member else "not in C(G): LP infeasible",
-        )
-        return EXIT_OK if verdict.member else EXIT_REJECTED
-    raise _UsageError(f"unknown model {model}")
+        member = verdict.member
+        if member:
+            payload["weights"] = [str(w) for w in verdict.weights]
+        text = "member of C(G)" if member else "not in C(G): LP infeasible"
+    elif model == "PS":
+        joint = _as_joint(dist)
+        certificate = None
+        if args.certificate:
+            certificate = _load(args.certificate, "certificate", "certificate", load_kernel)
+        ps = ps_member(joint, dag, certificate=certificate)
+        if ps.status == "unsupported":
+            print(f"unsupported: {ps.reason}", file=sys.stderr)
+            return EXIT_ERROR
+        member = ps.member
+        if member and ps.certificate is not None:
+            payload["certificate"] = kernel_to_dict(ps.certificate)
+            if ps.scale is not None:
+                payload["scale"] = str(ps.scale)
+        text = "member of PS(G)" if member else "not in PS(G): LP infeasible"
+    else:
+        verdict = (i_member if model == "I" else check_nested)(_as_joint(dist), dag)
+        member = verdict.member
+        text = f"member of {model}(G)"
+        if not member:
+            payload["violations"] = [str(v) for v in verdict.violations]
+            text = "\n".join([f"not in {model}(G):"] + [f"  {v}" for v in verdict.violations])
+    payload["member"] = member
+    _emit(args, payload, text)
+    return EXIT_OK if member else EXIT_REJECTED
 
 
 def _functional_for(name: str, template: Kernel):
@@ -297,27 +245,25 @@ def _functional_for(name: str, template: Kernel):
             template,
             lambda v: weight if (v["A"] ^ v["B"]) == (v["X"] & v["Y"]) else 0,
         )
-    if name == "gyni":
-        weight = Fraction(1, 8)
-        return functional_from_indicator(
-            template,
-            lambda v: weight
-            if v["A"] == v["Y"] and v["B"] == v["Z"] and v["C"] == v["X"]
-            else 0,
-        )
-    raise _UsageError(f"no vertex functional named {name}")
+    weight = Fraction(1, 8)
+    return functional_from_indicator(
+        template,
+        lambda v: weight
+        if v["A"] == v["Y"] and v["B"] == v["Z"] and v["C"] == v["X"]
+        else 0,
+    )
 
 
 def _cmd_score(args) -> int:
-    dist = _load_dist(args)
+    dist = _load(args.dist, "dist", "distribution", load_kernel)
     if args.functional == "chsh":
         value = boxes.chsh_score(dist)
     elif args.functional == "instrumental":
         value = instrumental_score(dist)
-    elif args.functional == "gyni":
+    else:
         names = set(dist.var_names())
         if not {"A", "B", "C", "X", "Y", "Z"} <= names:
-            raise _UsageError("gyni score expects variables A,B,C,X,Y,Z")
+            raise ValueError("gyni score expects variables A,B,C,X,Y,Z")
         value = Fraction(0)
         for x in range(2):
             for y in range(2):
@@ -325,29 +271,30 @@ def _cmd_score(args) -> int:
                     value += Fraction(1, 8) * dist.value(
                         {"A": y, "B": z, "C": x, "X": x, "Y": y, "Z": z}
                     )
-    else:
-        raise _UsageError(f"unknown functional {args.functional}")
-    _emit(args, {"score": _frac(value)}, f"{value}")
+    _emit(args, {"score": str(value)}, f"{value}")
     return EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    dag = _load_graph(args)
+def _vertices(args):
+    dag = _load(args.graph, "graph", "graph", load_graph)
     if args.lift:
-        vertices = enumerate_h_vertices(build_hypergraph(dag))
-    else:
-        vertices = enumerate_classical_vertices(dag)
+        return enumerate_h_vertices(build_hypergraph(dag))
+    return enumerate_classical_vertices(dag)
+
+
+def _cmd_optimize(args) -> int:
+    vertices = _vertices(args)
     try:
         functional = _functional_for(args.functional, vertices[0].table)
     except KeyError as exc:
-        raise _UsageError(
+        raise ValueError(
             f"functional {args.functional} needs a vertex named {exc}; "
             "use a graph with the standard variable names (A,B|X,Y for chsh, "
             "A,B,C|X,Y,Z for gyni)"
         )
     value, best = maximize_functional(functional, vertices)
     payload = {
-        "value": _frac(value),
+        "value": str(value),
         "argmax": kernel_to_dict(best.table),
     }
     _emit(args, payload, f"maximum {value}")
@@ -355,11 +302,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
-    dag = _load_graph(args)
-    if args.lift:
-        vertices = enumerate_h_vertices(build_hypergraph(dag))
-    else:
-        vertices = enumerate_classical_vertices(dag)
+    vertices = _vertices(args)
     payload = {
         "count": len(vertices),
         "vertices": [kernel_to_dict(v.table) for v in vertices],
@@ -369,17 +312,11 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    dist = _load_dist(args)
-    from .polytope import NotNoSignallingError
-
-    try:
-        pr_index, weights = decompose_ns_box(dist)
-    except NotNoSignallingError as exc:
-        raise _UsageError(str(exc))
+    pr_index, weights = decompose_ns_box(_load(args.dist, "dist", "distribution", load_kernel))
     payload = {
         "pr_box": list(pr_index) if pr_index else None,
-        "pr_weight": _frac(weights[0]),
-        "local_weights": [_frac(w) for w in weights[1:]],
+        "pr_weight": str(weights[0]),
+        "local_weights": [str(w) for w in weights[1:]],
     }
     lines = []
     if pr_index:
@@ -397,7 +334,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_fixtures(args) -> int:
     name = args.name
     if name not in _FIXTURES:
-        raise _UsageError(
+        raise ValueError(
             f"unknown fixture {name}; available: {', '.join(sorted(_FIXTURES))}"
         )
     obj = _FIXTURES[name](args)
@@ -499,16 +436,25 @@ def build_parser() -> argparse.ArgumentParser:
         "swapping-, triangle-graph.",
     )
     p.add_argument("name")
-    p.add_argument("--alpha", type=int, default=0)
-    p.add_argument("--beta", type=int, default=0)
-    p.add_argument("--gamma", type=int, default=0)
+    # the metavars keep the choice lists out of the usage line
+    for bit in ("alpha", "beta", "gamma"):
+        p.add_argument(f"--{bit}", type=int, default=0, choices=(0, 1), metavar=bit.upper())
     p.add_argument(
-        "--index", type=int, default=0,
+        "--index", type=int, default=0, choices=range(16), metavar="INDEX",
         help="local box number, i = 4*f_a + f_b over (const0, const1, id, not)",
     )
     p.add_argument("--out", help="write to a file instead of stdout")
     return parser
 
+
+# the usage line for a command given without its subcommand, which argparse
+# stores under "<command>_cmd"
+_SUBCOMMAND_USAGE = {
+    "graph": "graph {check,mdag,districts,dsep} ...",
+    "constraints": "constraints enumerate ...",
+    "hyper": "hyper build ...",
+    "fixtures": "fixtures emit NAME ...",
+}
 
 _DISPATCH = {
     "graph": _cmd_graph,
@@ -534,29 +480,15 @@ def dispatch(argv) -> int:
     if not args.cmd:
         parser.print_help()
         return EXIT_ERROR
-    if args.cmd == "graph" and not getattr(args, "graph_cmd", None):
-        print("usage: causalbox graph {check,mdag,districts,dsep} ...", file=sys.stderr)
-        return EXIT_ERROR
-    if args.cmd == "constraints" and not getattr(args, "constraints_cmd", None):
-        print("usage: causalbox constraints enumerate ...", file=sys.stderr)
-        return EXIT_ERROR
-    if args.cmd == "hyper" and not getattr(args, "hyper_cmd", None):
-        print("usage: causalbox hyper build ...", file=sys.stderr)
-        return EXIT_ERROR
-    if args.cmd == "fixtures" and not getattr(args, "fixtures_cmd", None):
-        print("usage: causalbox fixtures emit NAME ...", file=sys.stderr)
+    if args.cmd in _SUBCOMMAND_USAGE and not getattr(args, f"{args.cmd}_cmd"):
+        print(f"usage: causalbox {_SUBCOMMAND_USAGE[args.cmd]}", file=sys.stderr)
         return EXIT_ERROR
     try:
         return _DISPATCH[args.cmd](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (ValueError, KeyError) as exc:
-        # semantic mismatches between inputs (wrong variables, cardinalities,
-        # unsupported structure) are input errors, not crashes
+        # missing or malformed files, and semantic mismatches between inputs
+        # (wrong variables, cardinalities, unsupported structure), are input
+        # errors, not crashes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -263,19 +263,12 @@ class MDag:
             if a not in rset | fset or b not in rset:
                 raise ValueError(f"edge ({a}, {b}) leaves the vertex pool")
 
-    def parents(self, name: str) -> set[str]:
-        return {a for a, b in self.edges if b == name}
-
     def children(self, name: str) -> set[str]:
         return {b for a, b in self.edges if a == name}
 
     def parents_of(self, group: Iterable[str]) -> set[str]:
         group = set(group)
         return {a for a, b in self.edges if b in group} - group
-
-    def bidirected(self, u: str, v: str) -> bool:
-        pair = {u, v}
-        return any(pair <= f for f in self.faces)
 
     def canonical(self) -> tuple:
         """Hashable canonical form, used for memoization."""

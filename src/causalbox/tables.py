@@ -204,9 +204,6 @@ class Kernel:
         for values, entry in zip(assignments(self.variables), self.entries):
             yield dict(zip(names, values)), entry
 
-    def support(self) -> list[dict[str, int]]:
-        return [a for a, v in self.cells() if v > 0]
-
 
 def prob_table(variables: Sequence[Var], source) -> Kernel:
     """Probability table (kernel with no index variables).

@@ -226,3 +226,116 @@ def test_project_subcommand(files, tmp_path, capsys):
     assert dispatch(["project", "--graph", gpath, "--dist", str(lifted_path), "--format", "machine"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["table"]["0,0,0,0"] == "1/6"
+
+
+def test_hyper_build_text_and_out(files, tmp_path, capsys):
+    emit, _ = files
+    gpath = emit("mediation-graph", "med.json")
+    out = tmp_path / "lifted.json"
+    assert dispatch(["hyper", "build", "--graph", gpath, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "copies: A_B, B_C\n  A_B: copy of A feeding B\n  B_C: copy of B feeding C\n"
+    )
+    from causalbox import build_hypergraph, mediation_graph
+
+    assert load_graph(out).edges == build_hypergraph(mediation_graph()).base.edges
+    assert dispatch(["hyper", "build", "--graph", emit("chsh-graph", "chsh.json")]) == 0
+    assert capsys.readouterr().out == "copies: (none; graph is Bell-type)\n"
+
+
+def test_member_text_lists_violations(files, tmp_path, capsys):
+    emit, _ = files
+    gpath = emit("mediation-graph", "med.json")
+    from causalbox import Kernel, mediation_graph
+    from causalbox.fileio import dump_kernel
+    from causalbox.networks import random_network
+    import random
+
+    p1, p2 = (random_network(mediation_graph(), random.Random(seed), latent_cardinality=2)
+              .joint_observed() for seed in (11, 12))
+    mix = Kernel.from_function(p1.outcome_vars, (), lambda v: (p1.value(v) + p2.value(v)) / 2)
+    dpath = str(tmp_path / "mix.json")
+    dump_kernel(mix, dpath)
+    assert dispatch(["member", "--model", "N", "--graph", gpath, "--dist", dpath]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "not in N(G):"
+    assert lines[1].startswith("  CI: B _||_ X | A  violated at")
+    assert lines[2].startswith("  VERMA: sum_{A} p(A|X) p(C|A,B,X) _||_ X  violated at")
+    assert dispatch(["member", "--model", "I", "--graph", gpath, "--dist", dpath]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "not in I(G):" and len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "cmd,usage",
+    [
+        ("graph", "usage: causalbox graph {check,mdag,districts,dsep} ..."),
+        ("constraints", "usage: causalbox constraints enumerate ..."),
+        ("hyper", "usage: causalbox hyper build ..."),
+        ("fixtures", "usage: causalbox fixtures emit NAME ..."),
+    ],
+)
+def test_missing_subcommand_prints_usage(cmd, usage, capsys):
+    assert dispatch([cmd]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == usage + "\n"
+    assert captured.out == ""
+
+
+def test_bare_command_prints_help(capsys):
+    assert dispatch([]) == 1
+    assert capsys.readouterr().out.startswith("usage: causalbox")
+
+
+_BAD_FILES = ("nowhere", "broken", "list")
+_MALFORMED = [
+    *(["graph", "check", "--graph", "{%s}" % bad] for bad in _BAD_FILES),
+    *(["member", "--model", "N", "--graph", "{med}", "--dist", "{%s}" % bad]
+      for bad in _BAD_FILES),
+    *(["member", "--model", "PS", "--graph", "{swap}", "--dist", "{joint}",
+       "--certificate", "{%s}" % bad] for bad in _BAD_FILES),
+    ["fixtures", "emit", "pr-box", "--alpha", "2"],
+    ["fixtures", "emit", "pr-box", "--beta", "-1"],
+    ["fixtures", "emit", "pr-box", "--gamma", "x"],
+    ["fixtures", "emit", "local-box", "--index", "16"],
+    ["fixtures", "emit", "local-box", "--index", "-1"],
+    ["graph", "dsep", "--graph", "{med}", "--a", "Q", "--b", "X"],
+]
+
+
+@pytest.mark.parametrize("template", _MALFORMED, ids=" ".join)
+def test_malformed_input_exits_one(template, files, tmp_path, capsys):
+    """Missing, broken and non-object files, out-of-range fixture parameters
+    and unknown vertices are input errors: exit 1, never an exception."""
+    emit, _ = files
+    from causalbox import join_inputs, swapping_box, uniform_table
+    from causalbox.fileio import dump_kernel
+
+    (tmp_path / "broken.json").write_text('{"vertices": [')
+    (tmp_path / "list.json").write_text("[1, 2]\n")
+    joint = tmp_path / "joint.json"
+    dump_kernel(join_inputs(swapping_box(), uniform_table((("X", 2), ("Z", 2)))), joint)
+    paths = {
+        "med": emit("mediation-graph", "med.json"),
+        "swap": emit("swapping-graph", "swap.json"),
+        "joint": str(joint),
+        **{bad: str(tmp_path / f"{bad}.json") for bad in _BAD_FILES},
+    }
+    capsys.readouterr()
+    assert dispatch([arg.format(**paths) for arg in template]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "usage: ")), err
+
+
+def test_certificate_file_errors_name_the_file(files, tmp_path, capsys):
+    emit, _ = files
+    gpath = emit("swapping-graph", "swap.json")
+    dpath = emit("swapping-box", "box.json")
+    missing = str(tmp_path / "nowhere.json")
+    argv = ["member", "--model", "PS", "--graph", gpath, "--dist", dpath]
+    assert dispatch([*argv, "--certificate", missing]) == 1
+    assert capsys.readouterr().err == f"error: certificate file not found: {missing}\n"
+    broken = tmp_path / "broken.json"
+    broken.write_text("{oops")
+    assert dispatch([*argv, "--certificate", str(broken)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: bad certificate file {broken}: Expecting")

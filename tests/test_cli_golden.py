@@ -49,6 +49,11 @@ COMMANDS = [
     "decompose-ns --dist pr110-mix-ba-yx.json --format machine",
     "decompose-ns --dist chsh-tight-mix.json --format machine",
     "constraints enumerate --graph mediation-graph.json --format machine",
+    "hyper build --graph mediation-graph.json --format machine",
+    "member --model N --graph mediation-graph.json --dist mediation-mix.json --format machine",
+    "member --model I --graph mediation-graph.json --dist mediation-mix.json --format machine",
+    "score --functional gyni --dist gyni-box.json --format machine",
+    "optimize --functional gyni --graph tripartite-bell-graph.json --format machine",
 ]
 
 
@@ -61,12 +66,17 @@ def _mix(parts) -> Kernel:
 
 
 def write_fixtures(directory: Path) -> None:
-    for name in ("chsh-graph", "pr-box", "gyni-graph", "gyni-projected",
-                 "instrumental-graph", "mediation-graph"):
+    for name in ("chsh-graph", "pr-box", "gyni-graph", "gyni-projected", "gyni-box",
+                 "instrumental-graph", "mediation-graph", "tripartite-bell-graph"):
         assert dispatch(["fixtures", "emit", name, "--out", str(directory / f"{name}.json")]) == 0
     dump_kernel(score2_table(), directory / "score2.json")
     net = random_network(mediation_graph(), random.Random(7), latent_cardinality=3)
     dump_kernel(net.joint_observed(), directory / "mediation-joint.json")
+    # an even mixture of two network joints breaks B _||_ X | A and the Verma record
+    p1, p2 = (random_network(mediation_graph(), random.Random(seed), latent_cardinality=2)
+              .joint_observed() for seed in (11, 12))
+    dump_kernel(_mix([(Fraction(1, 2), p1), (Fraction(1, 2), p2)]),
+                directory / "mediation-mix.json")
     dump_kernel(local_box(9), directory / "local-box.json")
     # PR(1, 1, 0) dominant, laid out (B, A | Y, X)
     pr_mix = _mix([(Fraction(7, 10), pr_box(1, 1, 0)), (Fraction(1, 5), local_box(9)),

@@ -6,6 +6,9 @@ from itertools import permutations, product
 import pytest
 
 from causalbox import (
+    LATENT,
+    OBSERVED,
+    CausalDag,
     CiConstraint,
     VermaConstraint,
     build_hypergraph,
@@ -25,14 +28,23 @@ from causalbox import (
     to_mdag,
 )
 from causalbox.networks import random_network
-from causalbox.recipes import render
-from causalbox.tables import Kernel, assignments, marginalize
+from causalbox.recipes import Evaluator, QuotientExpr, free_vars, render
+from causalbox.tables import Kernel, assignments, conditional, marginalize
 
 from conftest import random_rational_table
 
 
 def _mediation_table(rng):
     return random_network(mediation_graph(), rng, latent_cardinality=4).joint_observed()
+
+
+def _quotient_graph():
+    """The smallest graph whose Verma record keeps a quotient: B -> C -> D,
+    L0 -> {A, D}, L1 -> {A, B}."""
+    return CausalDag(
+        [(v, OBSERVED, 2) for v in "ABCD"] + [("L0", LATENT), ("L1", LATENT)],
+        [("B", "C"), ("C", "D"), ("L0", "A"), ("L0", "D"), ("L1", "A"), ("L1", "B")],
+    )
 
 
 # -- district kernels ----------------------------------------------------------
@@ -210,6 +222,7 @@ def test_soundness_across_graphs(rng):
         mediation_graph(),
         gyni_graph(),
         swapping_graph(),
+        _quotient_graph(),
     ):
         for _ in range(100):
             p = random_network(graph, rng, latent_cardinality=4).joint_observed()
@@ -243,6 +256,15 @@ def test_soundness_across_graphs(rng):
                 "VERMA: sum_{B} p(B|A) p(D|A,B,C) _||_ A",
             ],
         ),
+        (
+            "quotient",
+            ["A", "B", "C", "D"],
+            [("B", "C"), ("C", "D"), ("L0", "A"), ("L0", "D"), ("L1", "A"), ("L1", "B")],
+            [
+                "VERMA: [sum_{A} p(D|A,B,C) p(A,B)] / [p(B)] _||_ B",
+                "VERMA: sum_{D} [sum_{A} p(D|A,B,C) p(A,B)] / [p(B)] _||_ B, C",
+            ],
+        ),
     ],
 )
 def test_deeper_verma_families(name, vertices, edges, expected, rng):
@@ -262,6 +284,28 @@ def test_deeper_verma_families(name, vertices, edges, expected, rng):
     for _ in range(10):
         p = random_network(dag, rng, latent_cardinality=3).joint_observed()
         assert check_nested(p, dag).member
+
+
+def test_evaluator_matches_direct_quotient(rng):
+    """sum_a p(d|a,b,c) p(a,b) / p(b), evaluated from the recipe and from
+    table operations, on a full-support random joint."""
+    (recipe,) = [
+        r.recipe
+        for r in enumerate_constraints(_quotient_graph())
+        if isinstance(r, VermaConstraint) and isinstance(r.recipe, QuotientExpr)
+    ]
+    assert free_vars(recipe) == {"B", "C", "D"}
+    p = random_rational_table(rng, [(v, 2) for v in "ABCD"])
+    d_given_abc = conditional(p, ["A", "B", "C"])
+    p_ab = marginalize(p, ["C", "D"])
+    p_b = marginalize(p, ["A", "C", "D"])
+    evaluator = Evaluator(p)
+    for b, c, d in product((0, 1), repeat=3):
+        direct = sum(
+            d_given_abc.value({"D": d, "A": a, "B": b, "C": c}) * p_ab.value({"A": a, "B": b})
+            for a in (0, 1)
+        ) / p_b.value({"B": b})
+        assert evaluator.evaluate(recipe, {"B": b, "C": c, "D": d}) == direct
 
 
 def test_i_member_matches_ci_records(rng):

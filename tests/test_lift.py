@@ -451,6 +451,19 @@ def test_certificate_rejected_when_it_violates_independences():
     assert verdict.status == "not_member"
 
 
+def test_latent_free_graphs_decided_by_lp_only_with_one_outcome(rng):
+    """With no latent, one outcome vertex is decided by the LP, whose
+    certificate is the kernel itself; two outcome vertices are unsupported."""
+    g = CausalDag([("X", OBSERVED, 2), ("A", OBSERVED, 2)], [("X", "A")])
+    kernel, _ = split_joint(random_network(g, rng).joint_observed(), ["X"])
+    verdict = ps_member(join_inputs(kernel, uniform_table((("X", 2),))), g)
+    assert verdict.member and verdict.certificate == kernel
+    g2 = CausalDag(
+        [(v, OBSERVED, 2) for v in ("X", "A", "Y", "B")], [("X", "A"), ("Y", "B")]
+    )
+    assert ps_member(random_network(g2, rng).joint_observed(), g2).status == "unsupported"
+
+
 def test_mediation_unsupported_but_lift_certificate_verifies(rng):
     """The mediation hypergraph has an outcome vertex untouched by the
     latent, so the LP route declines; the explicit network lift serves as a
