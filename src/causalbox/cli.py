@@ -88,14 +88,17 @@ def _parse_fixed(raw: str | None) -> set[str]:
 
 
 def _load(path: str | None, flag: str, what: str, loader):
-    """``loader(path)``, with a missing flag, a missing file and a malformed
-    document all raised as ``ValueError``s that name the flag or the file."""
+    """``loader(path)``, with a missing flag, an unreadable file and a
+    malformed document all raised as ``ValueError``s that name the flag or
+    the file."""
     if not path:
         raise ValueError(f"missing --{flag} PATH")
     try:
         return loader(path)
     except FileNotFoundError:
         raise ValueError(f"{what} file not found: {path}")
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} file {path}: {exc.strerror}")
     except (FileFormatError, json.JSONDecodeError) as exc:
         raise ValueError(f"bad {what} file {path}: {exc}")
 

@@ -2,7 +2,8 @@
 
 The recursion alternates two moves on marginal DAGs, mirroring the model's
 recursive definition: factorize the current kernel over districts, and
-marginalize childless random vertices.  Whenever a derived kernel still
+marginalize childless random vertices, all but the last (a kernel summed
+over every random vertex is 1).  Whenever a derived kernel still
 references a conditioning variable that the graph no longer licenses, and no
 chain of conditional-independence rewrites removes that reference, the
 kernel together with the offending variables is emitted as a Verma record.
@@ -10,15 +11,17 @@ Conditional-independence statements themselves are enumerated directly by
 d-separation and merged into the record list.
 
 A distribution lies in the nested Markov model of a graph iff it satisfies
-every record exactly; :func:`check_nested` evaluates that with exact
-arithmetic and returns concrete witnesses for violated records.
+every record exactly.  :func:`check_nested` takes the CI verdicts of
+:func:`i_member` and evaluates each Verma recipe once, as a table over its
+free variables (:meth:`Evaluator.table`); one block scan of such a table
+finds a Verma witness or builds a :func:`district_kernel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .graphs import (
     _GRAPH_CACHE_SIZE,
@@ -86,8 +89,10 @@ ConstraintRecord = CiConstraint | VermaConstraint
 # -- conditional-independence rewrites ---------------------------------------
 
 
-def _reduce_factor(f: FactorExpr, dag: CausalDag) -> Expr:
+def _reduce_factor(f: Expr, dag: CausalDag) -> Expr:
     """Drop d-separated conditioning variables from one conditional."""
+    if not isinstance(f, FactorExpr):
+        return f
     given = list(f.given)
     changed = True
     while changed:
@@ -152,38 +157,32 @@ def _harmonize_quotient(e: Expr, dag: CausalDag) -> Expr:
     """Align a quotient of single conditionals so it collapses to one
     conditional: p(N|G,H) / p(D|G) with D within N becomes p(N-D|G,H,D)
     when the denominator extends to p(D|G,H)."""
-    if isinstance(e, QuotientExpr):
-        num = _harmonize_quotient(e.num, dag)
-        den = _harmonize_quotient(e.den, dag)
-        if (
-            isinstance(num, FactorExpr)
-            and isinstance(den, FactorExpr)
-            and set(den.outcomes) < set(num.outcomes)
-            and set(den.given) <= set(num.given)
-        ):
-            extra = set(num.given) - set(den.given)
-            expanded = _expandable(den, extra, dag) if extra else den
-            if expanded is not None:
-                rest = tuple(o for o in num.outcomes if o not in den.outcomes)
-                return factor(rest, num.given + den.outcomes)
-        return quotient(num, den)
-    if isinstance(e, ProductExpr):
-        return product([_harmonize_quotient(p, dag) for p in e.factors])
-    if isinstance(e, SumExpr):
-        return SumExpr(e.var, _harmonize_quotient(e.body, dag))
+    if not isinstance(e, QuotientExpr):
+        return e
+    num, den = e.num, e.den
+    if (
+        isinstance(num, FactorExpr)
+        and isinstance(den, FactorExpr)
+        and set(den.outcomes) < set(num.outcomes)
+        and set(den.given) <= set(num.given)
+    ):
+        extra = set(num.given) - set(den.given)
+        expanded = _expandable(den, extra, dag) if extra else den
+        if expanded is not None:
+            rest = tuple(o for o in num.outcomes if o not in den.outcomes)
+            return factor(rest, num.given + den.outcomes)
     return e
 
 
-def _reduce_all_factors(e: Expr, dag: CausalDag) -> Expr:
-    if isinstance(e, FactorExpr):
-        return _reduce_factor(e, dag)
+def _rewrite(e: Expr, rule, dag: CausalDag) -> Expr:
+    """Apply ``rule`` bottom-up: to every node once its children are rewritten."""
     if isinstance(e, ProductExpr):
-        return product([_reduce_all_factors(p, dag) for p in e.factors])
-    if isinstance(e, SumExpr):
-        return SumExpr(e.var, _reduce_all_factors(e.body, dag))
-    return quotient(
-        _reduce_all_factors(e.num, dag), _reduce_all_factors(e.den, dag)
-    )
+        e = product([_rewrite(p, rule, dag) for p in e.factors])
+    elif isinstance(e, SumExpr):
+        e = SumExpr(e.var, _rewrite(e.body, rule, dag))
+    elif isinstance(e, QuotientExpr):
+        e = quotient(_rewrite(e.num, rule, dag), _rewrite(e.den, rule, dag))
+    return rule(e, dag)
 
 
 def reduce_expr(e: Expr, dag: CausalDag) -> Expr:
@@ -197,9 +196,9 @@ def reduce_expr(e: Expr, dag: CausalDag) -> Expr:
     e = simplify(e)
     seen = {canonical(e)}
     while True:
-        e2 = simplify(_reduce_all_factors(e, dag))
+        e2 = simplify(_rewrite(e, _reduce_factor, dag))
         e2 = simplify(_merge_in_products(e2, dag))
-        e2 = simplify(_harmonize_quotient(e2, dag))
+        e2 = simplify(_rewrite(e2, _harmonize_quotient, dag))
         key = canonical(e2)
         if key in seen:
             return e2
@@ -227,7 +226,7 @@ def _chain_expr(order: list[str]) -> Expr:
     return product(parts)
 
 
-def _kernel_conditional(k: Expr, v: str, order: list[str], present: list[str]) -> Expr:
+def _kernel_conditional(k: Expr, v: str, present: list[str]) -> Expr:
     """Conditional of the current kernel on its random predecessors."""
     pos = present.index(v)
     later = present[pos + 1 :]
@@ -246,10 +245,20 @@ def district_kernel_recipe(
     if district not in districts(m):
         raise NotADistrictError(f"{sorted(district)} is not a district")
     k = _chain_expr(order)
-    parts = [
-        _kernel_conditional(k, v, order, order) for v in order if v in district
-    ]
+    parts = [_kernel_conditional(k, v, order) for v in order if v in district]
     return reduce_expr(product(parts), dag)
+
+
+def _blocks(cells: list, width: int):
+    """Per block of ``width`` consecutive cells: the block, the offsets of its
+    first defined cell and of the first cell differing from that one (or
+    ``None``), and whether some cell is undefined."""
+    for start in range(0, len(cells), width):
+        block = cells[start : start + width]
+        defined = [i for i, v in enumerate(block) if v is not None]
+        first = defined[0] if defined else None
+        differs = next((i for i in defined if block[i] != block[first]), None)
+        yield block, first, differs, len(defined) < width
 
 
 def district_kernel(
@@ -267,27 +276,21 @@ def district_kernel(
     recipe = district_kernel_recipe(dag, district, order)
     outs = tuple((v, table.cardinality(v)) for v in sorted(district))
     index = tuple((v, table.cardinality(v)) for v in sorted(m.parents_of(district)))
-    extra = sorted(
-        free_vars(recipe) - {n for n, _ in outs} - {n for n, _ in index}
-    )
-    extra_vars = tuple((v, table.cardinality(v)) for v in extra)
-    ev = Evaluator(table)
-    entries = {}
-    for values in assignments(outs + index):
-        env = dict(zip([n for n, _ in outs + index], values))
-        results = []
-        for extra_values in assignments(extra_vars):
-            env.update(zip(extra, extra_values))
-            results.append(ev.evaluate(recipe, env))
-        defined = [r for r in results if r is not None]
-        if not defined:
-            raise ZeroConditioningError(env)
-        if any(r != defined[0] for r in defined):
-            raise ValueError(
-                f"district kernel not well-defined: recipe varies with {extra}"
-            )
-        entries[values] = defined[0]
-    return Kernel.from_mapping(outs, index, entries)
+    names = [n for n, _ in outs + index]
+    extra = sorted(free_vars(recipe) - set(names))
+    cells = Evaluator(table).table(recipe, names + extra)
+    width = prod(table.cardinality(v) for v in extra)
+    entries = []
+    for values, (block, first, differs, _) in zip(
+        assignments(outs + index), _blocks(cells, width)
+    ):
+        if first is None:
+            last = (table.cardinality(v) - 1 for v in extra)
+            raise ZeroConditioningError({**dict(zip(names, values)), **dict(zip(extra, last))})
+        if differs is not None:
+            raise ValueError(f"district kernel not well-defined: recipe varies with {extra}")
+        entries.append(block[first])
+    return Kernel(outs, index, tuple(entries))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -326,12 +329,10 @@ def _enumerate_constraints_cached(dag: CausalDag) -> tuple[ConstraintRecord, ...
         if len(parts) > 1:
             for d in parts:
                 sub = subgraph(m, d)
-                kd = product(
-                    [_kernel_conditional(k, v, order, present) for v in present if v in d]
-                )
+                kd = product([_kernel_conditional(k, v, present) for v in present if v in d])
                 stack.append((sub, kd))
-        for v in present:
-            if not m.children(v):
+        for v in present:  # the kernel summed over every random vertex is 1
+            if not m.children(v) and len(present) > 1:
                 stack.append((marginal_mdag(m, v), simplify(SumExpr(v, k))))
     records: list[ConstraintRecord] = list(ci_constraints(dag))
     records.extend(sorted(verma.values(), key=VermaConstraint.sort_key))
@@ -357,34 +358,24 @@ class NestedVerdict:
     indeterminate: tuple[ConstraintRecord, ...] = ()
 
 
-def _verma_violation(
-    ev: Evaluator, record: VermaConstraint
-) -> tuple[dict | None, bool]:
+def _verma_violation(ev: Evaluator, record: VermaConstraint) -> tuple[dict | None, bool]:
     """Returns (witness or None, saw_indeterminate)."""
-    names = sorted(free_vars(record.recipe))
     indep = sorted(record.independent_of)
-    others = [v for v in names if v not in record.independent_of]
-    other_vars = [(v, ev.cardinality(v)) for v in others]
-    indep_vars = [(v, ev.cardinality(v)) for v in indep]
+    others = sorted(free_vars(record.recipe) - record.independent_of)
+    cells = ev.table(record.recipe, others + indep)
+    inner = list(assignments([(v, ev.cardinality(v)) for v in indep]))
     saw_none = False
-    for base_values in assignments(other_vars):
-        env = dict(zip(others, base_values))
-        reference: tuple[dict, Fraction] | None = None
-        for indep_values in assignments(indep_vars):
-            env.update(zip(indep, indep_values))
-            value = ev.evaluate(record.recipe, env)
-            if value is None:
-                saw_none = True
-                continue
-            if reference is None:
-                reference = (dict(zip(indep, indep_values)), value)
-            elif value != reference[1]:
-                witness = {
-                    "context": dict(zip(others, base_values)),
-                    "assignments": [reference[0], dict(zip(indep, indep_values))],
-                    "values": [reference[1], value],
-                }
-                return witness, saw_none
+    for base_values, (block, first, differs, gaps) in zip(
+        assignments([(v, ev.cardinality(v)) for v in others]), _blocks(cells, len(inner))
+    ):
+        saw_none = saw_none or gaps
+        if differs is not None:
+            witness = {
+                "context": dict(zip(others, base_values)),
+                "assignments": [dict(zip(indep, inner[first])), dict(zip(indep, inner[differs]))],
+                "values": [block[first], block[differs]],
+            }
+            return witness, saw_none
     return None, saw_none
 
 
@@ -420,16 +411,11 @@ def check_nested(table: Kernel, dag: CausalDag) -> NestedVerdict:
     context is vacuous).
     """
     _check_joint(table, dag, "check_nested")
-    records = enumerate_constraints(dag)
-    violations: list[Violation] = []
+    violations = list(i_member(table, dag).violations)
     indeterminate: list[ConstraintRecord] = []
     ev = Evaluator(table)
-    for record in records:
-        if isinstance(record, CiConstraint):
-            witness = ci_violation(table, {record.a}, {record.b}, record.given)
-            if witness is not None:
-                violations.append(Violation(record, witness))
-        else:
+    for record in enumerate_constraints(dag):
+        if isinstance(record, VermaConstraint):
             witness, saw_none = _verma_violation(ev, record)
             if witness is not None:
                 violations.append(Violation(record, witness))

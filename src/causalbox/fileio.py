@@ -45,16 +45,38 @@ def graph_to_dict(dag: CausalDag) -> dict:
     return {"vertices": vertices, "edges": sorted([a, b] for a, b in dag.edges)}
 
 
-def graph_from_dict(doc: dict) -> CausalDag:
-    if not isinstance(doc, dict):
-        raise FileFormatError("graph document must be an object")
-    for field in ("vertices", "edges"):
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value``, if it is a ``kind``; otherwise an error naming ``where``."""
+    if not isinstance(value, kind):
+        raise FileFormatError(f"{where} must be {_KINDS[kind]}")
+    return value
+
+
+def _fields(doc, kinds: dict[str, type], what: str) -> list:
+    """The fields of a document, each checked for presence and type."""
+    _typed(doc, dict, f"{what} document")
+    for field in kinds:
         if field not in doc:
-            raise FileFormatError(f"graph document missing field '{field}'")
+            raise FileFormatError(f"{what} document missing field '{field}'")
+    return [_typed(doc[field], kind, f"field '{field}'") for field, kind in kinds.items()]
+
+
+def _entry(entry, where: str) -> dict:
+    """A ``{name, ...}`` object of a variable or vertex list."""
+    if "name" not in _typed(entry, dict, where):
+        raise FileFormatError(f"{where} missing field 'name'")
+    _typed(entry["name"], str, f"{where}.name")
+    return entry
+
+
+def graph_from_dict(doc: dict) -> CausalDag:
+    vertices, pairs = _fields(doc, {"vertices": list, "edges": list}, "graph")
     specs = []
-    for i, entry in enumerate(doc["vertices"]):
-        if "name" not in entry:
-            raise FileFormatError(f"vertices[{i}] missing field 'name'")
+    for i, entry in enumerate(vertices):
+        _entry(entry, f"vertices[{i}]")
         if "kind" not in entry:
             raise FileFormatError(f"vertices[{i}] missing field 'kind'")
         kind = entry["kind"]
@@ -72,9 +94,10 @@ def graph_from_dict(doc: dict) -> CausalDag:
             raise FileFormatError(f"vertices[{i}] is latent and carries a cardinality")
         specs.append(VertexSpec(entry["name"], kind, cardinality))
     edges = []
-    for i, pair in enumerate(doc["edges"]):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise FileFormatError(f"edges[{i}] must be a [from, to] pair")
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(v, str) for v in pair)):
+            raise FileFormatError(f"edges[{i}] must be a [from, to] pair of names")
         edges.append((pair[0], pair[1]))
     return CausalDag(specs, edges)
 
@@ -99,12 +122,10 @@ def kernel_to_dict(kernel: Kernel) -> dict:
     }
 
 
-def _parse_vars(entries, field: str) -> tuple[tuple[str, int], ...]:
+def _parse_vars(entries: list, field: str) -> tuple[tuple[str, int], ...]:
     out = []
     for i, entry in enumerate(entries):
-        if "name" not in entry:
-            raise FileFormatError(f"{field}[{i}] missing field 'name'")
-        card = entry.get("cardinality")
+        card = _entry(entry, f"{field}[{i}]").get("cardinality")
         if not isinstance(card, int) or card < 1:
             raise FileFormatError(f"{field}[{i}].cardinality must be a positive integer")
         out.append((entry["name"], card))
@@ -112,16 +133,14 @@ def _parse_vars(entries, field: str) -> tuple[tuple[str, int], ...]:
 
 
 def kernel_from_dict(doc: dict) -> Kernel:
-    if not isinstance(doc, dict):
-        raise FileFormatError("distribution document must be an object")
-    for field in ("variables", "index_variables", "table"):
-        if field not in doc:
-            raise FileFormatError(f"distribution document missing field '{field}'")
-    outcome_vars = _parse_vars(doc["variables"], "variables")
-    index_vars = _parse_vars(doc["index_variables"], "index_variables")
+    outcomes, index, cells = _fields(
+        doc, {"variables": list, "index_variables": list, "table": dict}, "distribution"
+    )
+    outcome_vars = _parse_vars(outcomes, "variables")
+    index_vars = _parse_vars(index, "index_variables")
     cards = [c for _, c in outcome_vars + index_vars]
     table = {}
-    for key, raw in doc["table"].items():
+    for key, raw in cells.items():
         parts = key.split(",")
         if len(parts) != len(cards):
             raise FileFormatError(f"table key '{key}' has wrong arity")

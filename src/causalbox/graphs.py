@@ -336,10 +336,7 @@ def subgraph(m: MDag, district: frozenset[str]) -> MDag:
     set and its parents become the fixed set; edges and faces are inherited."""
     if district not in districts(m):
         raise NotADistrictError(f"{sorted(district)} is not a district")
-    fixed = m.parents_of(district)
-    edges = {(a, b) for a, b in m.edges if b in district and (a in district or a in fixed)}
-    faces = {f & district for f in m.faces}
-    return MDag(district, fixed, edges, faces)
+    return _restrict(m, district)
 
 
 def marginal_mdag(m: MDag, drop: str) -> MDag:
@@ -352,11 +349,12 @@ def marginal_mdag(m: MDag, drop: str) -> MDag:
         raise UnknownVertexError(drop)
     if m.children(drop):
         raise ValueError(f"{drop} is not childless")
-    remaining = set(m.random_vertices) - {drop}
-    fixed = m.parents_of(remaining)
-    edges = {(a, b) for a, b in m.edges if b in remaining and (a in remaining or a in fixed)}
-    faces = {f & remaining for f in m.faces}
-    return MDag(remaining, fixed, edges, faces)
+    return _restrict(m, set(m.random_vertices) - {drop})
+
+
+def _restrict(m: MDag, keep: set[str]) -> MDag:
+    """``m`` over random vertices ``keep``, their outside parents fixed."""
+    return MDag(keep, m.parents_of(keep), {(a, b) for a, b in m.edges if b in keep}, m.faces)
 
 
 # -- d-separation ----------------------------------------------------------

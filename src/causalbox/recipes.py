@@ -17,18 +17,19 @@ factor, factors independent of the bound variables are pulled out of sums,
 common factors cancel in quotients, and quotients of nested conditionals
 collapse to a single conditional.
 
-Evaluation against a concrete table is exact; a conditional whose
-conditioning event has probability zero makes the enclosing expression
-indeterminate unless an exactly zero factor already annihilates the term.
+:class:`Evaluator` evaluates a recipe exactly and once over a layout of
+variables, as a flat table in the mixed-radix order of :mod:`causalbox.tables`;
+a cell is indeterminate where a conditioning event has probability zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import prod
+from typing import Iterable, Mapping, Sequence
 
-from .tables import Kernel, marginalize
+from .tables import Kernel, Var, _index_map, marginalize
 
 __all__ = [
     "Expr",
@@ -262,13 +263,18 @@ def render(e: Expr) -> str:
 
 # -- evaluation ---------------------------------------------------------------
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 class Evaluator:
     """Exact evaluation of recipes against a base probability table.
 
-    ``evaluate`` returns ``None`` for indeterminate expressions, i.e. when a
-    conditional's conditioning event has probability zero and no exactly
-    zero factor annihilates the term first.
+    :meth:`table` lays a recipe out as a flat list, last variable fastest.
+    A factor reads its cached margins through ``tables._index_map``;
+    products and quotients combine cell by cell; a sum adds consecutive
+    blocks of its body, laid out with the bound variable last.  A cell is
+    ``None`` where a conditional's conditioning event has probability zero
+    and no exactly zero factor annihilates the term first.
     """
 
     def __init__(self, table: Kernel):
@@ -277,58 +283,66 @@ class Evaluator:
         self._table = table
         self._names = set(table.var_names())
         self._margins: dict[frozenset[str], Kernel] = {}
+        self._tables: dict[Expr, list[Fraction | None]] = {}
 
     def cardinality(self, name: str) -> int:
         return self._table.cardinality(name)
 
-    def _margin(self, keep: frozenset[str]) -> Kernel:
+    def _margin(self, keep: Iterable[str], layout: tuple[Var, ...]) -> list[Fraction]:
+        """The (cached) margin over ``keep``, read out over ``layout``."""
+        keep = frozenset(keep)
         if keep not in self._margins:
             drop = [n for n in self._table.var_names() if n not in keep]
             self._margins[keep] = marginalize(self._table, drop)
-        return self._margins[keep]
+        m = self._margins[keep]
+        return [m.entries[p] for p in _index_map(layout, m.variables)]
 
-    def _factor_value(self, f: FactorExpr, env: Mapping[str, int]) -> Fraction | None:
-        keep = frozenset(f.outcomes) | frozenset(f.given)
-        unknown = keep - self._names
-        if unknown:
-            raise KeyError(f"recipe references unknown variables {sorted(unknown)}")
-        joint = self._margin(keep).value({v: env[v] for v in keep})
-        if not f.given:
-            return joint
-        denom = self._margin(frozenset(f.given)).value({v: env[v] for v in f.given})
-        if denom == 0:
-            return None
-        return joint / denom
+    def table(self, e: Expr, names: Sequence[str]) -> list[Fraction | None]:
+        """Values of ``e`` at every assignment of ``names``, which must cover
+        its free variables, in mixed-radix order."""
+        missing = free_vars(e) - set(names)
+        if missing:
+            raise KeyError(f"layout misses free variables {sorted(missing)}")
+        return self._cells(e, tuple((n, self.cardinality(n)) for n in names))
+
+    def _cells(self, e: Expr, layout: tuple[Var, ...]) -> list[Fraction | None]:
+        if isinstance(e, FactorExpr):
+            unknown = set(e.outcomes + e.given) - self._names
+            if unknown:
+                raise KeyError(f"recipe references unknown variables {sorted(unknown)}")
+            joint = self._margin(e.outcomes + e.given, layout)
+            if not e.given:
+                return joint
+            dens = self._margin(e.given, layout)
+            return [None if d == 0 else j / d for j, d in zip(joint, dens)]
+        if isinstance(e, ProductExpr):
+            out = [_ONE] * prod(c for _, c in layout)
+            for f in e.factors:
+                out = [
+                    _ZERO if a == 0 or b == 0 else None if a is None or b is None else a * b
+                    for a, b in zip(out, self._cells(f, layout))
+                ]
+            return out
+        if isinstance(e, SumExpr):
+            card = self.cardinality(e.var)
+            outer = tuple(v for v in layout if v[0] != e.var)
+            body = self._cells(e.body, outer + ((e.var, card),))
+            sums = [
+                None if None in body[i : i + card] else sum(body[i : i + card], _ZERO)
+                for i in range(0, len(body), card)
+            ]
+            if len(outer) < len(layout):  # the bound variable shadowed a free one
+                sums = [sums[p] for p in _index_map(layout, outer)]
+            return sums
+        dens, nums = self._cells(e.den, layout), self._cells(e.num, layout)
+        return [None if d is None or d == 0 or n is None else n / d for n, d in zip(nums, dens)]
 
     def evaluate(self, e: Expr, env: Mapping[str, int]) -> Fraction | None:
-        if isinstance(e, FactorExpr):
-            return self._factor_value(e, env)
-        if isinstance(e, ProductExpr):
-            acc = Fraction(1)
-            pending = False
-            for f in e.factors:
-                v = self.evaluate(f, env)
-                if v is None:
-                    pending = True
-                elif v == 0:
-                    return Fraction(0)
-                else:
-                    acc *= v
-            return None if pending else acc
-        if isinstance(e, SumExpr):
-            total = Fraction(0)
-            env2 = dict(env)
-            for value in range(self.cardinality(e.var)):
-                env2[e.var] = value
-                v = self.evaluate(e.body, env2)
-                if v is None:
-                    return None
-                total += v
-            return total
-        den = self.evaluate(e.den, env)
-        if den is None or den == 0:
-            return None
-        num = self.evaluate(e.num, env)
-        if num is None:
-            return None
-        return num / den
+        """Value of ``e`` at ``env``, looked up in its table over its free variables."""
+        names = sorted(free_vars(e))
+        if e not in self._tables:
+            self._tables[e] = self.table(e, names)
+        pos = 0
+        for n in names:
+            pos = pos * self.cardinality(n) + env[n]
+        return self._tables[e][pos]

@@ -287,11 +287,29 @@ def test_bare_command_prints_help(capsys):
     assert capsys.readouterr().out.startswith("usage: causalbox")
 
 
-_BAD_FILES = ("nowhere", "broken", "list")
+_BAD_FILES = ("nowhere", "broken", "list", "folder", "under_file")
+# documents that parse but carry a field of the wrong type
+_BAD_GRAPHS = {
+    "vertex_int": {"vertices": [1], "edges": []},
+    "vertex_name_int": {"vertices": [{"name": 1, "kind": "latent"}], "edges": []},
+    "vertices_object": {"vertices": {}, "edges": []},
+    "edges_string": {"vertices": [], "edges": "AB"},
+    "edge_ints": {"vertices": [], "edges": [[1, 2]]},
+}
+_BAD_DISTS = {
+    "table_list": {"variables": [], "index_variables": [], "table": []},
+    "variables_string": {"variables": "A", "index_variables": [], "table": {}},
+    "variable_list": {"variables": [["A", 2]], "index_variables": [], "table": {}},
+    "variable_name_int": {
+        "variables": [{"name": 0, "cardinality": 2}], "index_variables": [], "table": {"0": "1"}
+    },
+    "index_object": {"variables": [], "index_variables": {}, "table": {}},
+}
 _MALFORMED = [
-    *(["graph", "check", "--graph", "{%s}" % bad] for bad in _BAD_FILES),
+    *(["graph", "check", "--graph", "{%s}" % bad] for bad in _BAD_FILES + tuple(_BAD_GRAPHS)),
     *(["member", "--model", "N", "--graph", "{med}", "--dist", "{%s}" % bad]
-      for bad in _BAD_FILES),
+      for bad in _BAD_FILES + tuple(_BAD_DISTS)),
+    ["score", "--functional", "chsh", "--dist", "{table_list}"],
     *(["member", "--model", "PS", "--graph", "{swap}", "--dist", "{joint}",
        "--certificate", "{%s}" % bad] for bad in _BAD_FILES),
     ["fixtures", "emit", "pr-box", "--alpha", "2"],
@@ -305,21 +323,26 @@ _MALFORMED = [
 
 @pytest.mark.parametrize("template", _MALFORMED, ids=" ".join)
 def test_malformed_input_exits_one(template, files, tmp_path, capsys):
-    """Missing, broken and non-object files, out-of-range fixture parameters
-    and unknown vertices are input errors: exit 1, never an exception."""
+    """Missing, unreadable, broken and non-object files, mistyped fields,
+    out-of-range fixture parameters and unknown vertices are input errors:
+    exit 1, never an exception."""
     emit, _ = files
     from causalbox import join_inputs, swapping_box, uniform_table
     from causalbox.fileio import dump_kernel
 
     (tmp_path / "broken.json").write_text('{"vertices": [')
     (tmp_path / "list.json").write_text("[1, 2]\n")
+    (tmp_path / "folder.json").mkdir()
+    for name, doc in {**_BAD_GRAPHS, **_BAD_DISTS}.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     joint = tmp_path / "joint.json"
     dump_kernel(join_inputs(swapping_box(), uniform_table((("X", 2), ("Z", 2)))), joint)
     paths = {
         "med": emit("mediation-graph", "med.json"),
         "swap": emit("swapping-graph", "swap.json"),
         "joint": str(joint),
-        **{bad: str(tmp_path / f"{bad}.json") for bad in _BAD_FILES},
+        **{bad: str(tmp_path / f"{bad}.json") for bad in (*_BAD_FILES, *_BAD_GRAPHS, *_BAD_DISTS)},
+        "under_file": str(tmp_path / "list.json" / "graph.json"),
     }
     capsys.readouterr()
     assert dispatch([arg.format(**paths) for arg in template]) == 1

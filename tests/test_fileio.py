@@ -61,6 +61,19 @@ def test_missing_fields_are_named():
         )
 
 
+def test_mistyped_fields_are_named():
+    with pytest.raises(FileFormatError, match=r"vertices\[0\] must be an object"):
+        graph_from_dict({"vertices": [1], "edges": []})
+    with pytest.raises(FileFormatError, match="'edges' must be a list"):
+        graph_from_dict({"vertices": [], "edges": None})
+    with pytest.raises(FileFormatError, match="'table' must be an object"):
+        kernel_from_dict({"variables": [], "index_variables": [], "table": []})
+    with pytest.raises(FileFormatError, match=r"variables\[0\]\.name must be a string"):
+        kernel_from_dict(
+            {"variables": [{"name": 0, "cardinality": 2}], "index_variables": [], "table": {}}
+        )
+
+
 def test_latent_cardinality_rejected():
     with pytest.raises(FileFormatError, match="latent"):
         graph_from_dict(
