@@ -2,16 +2,24 @@
 
 A :class:`LinearSystem` holds named non-negative unknowns, linear equalities
 and an optional linear objective to maximize.  :func:`lp_solve` runs a
-two-phase simplex with Bland's anti-cycling rule on exact
-:class:`fractions.Fraction` rows ``[A | b]``, so its verdicts are proofs.
-A pivot touches only the nonzero columns of the pivot row, and phase 1's
-artificial variables have no columns: they are tracked by basis id alone.
+two-phase simplex with Bland's anti-cycling rule, so its verdicts are
+proofs.  The simplex pivots on integers, fraction-free (Edmonds 1967;
+Bareiss 1968): each row ``[A | b]`` is a primitive integer vector that
+stands for itself divided by a positive integer, the coefficient of the
+row's basic variable, and the reduced-cost row carries one integer
+denominator.  Pivots read only signs and cross-multiplied ratios, so the
+pivot sequence is the one the same simplex takes on ``Fraction`` rows;
+``Fraction`` appears only where the input is read and where the
+:class:`LpResult` is built.  Phase 1's artificial variables have no
+columns: they are tracked by basis id and, while basic, by their integer
+coefficient in their row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 __all__ = ["LinearSystem", "LpResult", "lp_solve"]
@@ -19,7 +27,8 @@ __all__ = ["LinearSystem", "LpResult", "lp_solve"]
 
 @dataclass
 class LinearSystem:
-    """max objective . x  subject to  equalities, x >= 0."""
+    """max objective . x  subject to  equalities, x >= 0.  Coefficients are
+    rationals (``Fraction`` or ``int``)."""
 
     variables: tuple[str, ...]
     equalities: list[tuple[dict[str, Fraction], Fraction]] = field(default_factory=list)
@@ -32,6 +41,9 @@ class LinearSystem:
         unknown = set(self.objective or ()) - set(self.variables)
         if unknown:
             raise ValueError(f"objective references undeclared variables {sorted(unknown)}")
+        equalities, self.equalities = self.equalities, []
+        for coeffs, rhs in equalities:
+            self.add_equality(coeffs, rhs)
 
     def add_equality(self, coeffs: Mapping[str, Fraction], rhs) -> None:
         known = set(self.variables)
@@ -52,50 +64,67 @@ class LpResult:
         return self.status == "optimal"
 
 
-def _pivot(rows, z, basis, r, c):
-    """Make column c basic in row r; z is updated as one more row."""
+def _lowest(row, den):
+    """Divide an integer row and its positive denominator by their gcd."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _pivot(rows, dens, basis, r, c):
+    """Make column c basic in row r.  Row i stands for ``rows[i] / dens[i]``;
+    the last row is z, updated as one more row.
+
+    The pivot row is made primitive with a positive pivot p.  Every other row
+    with f = row[c] != 0 becomes p*row - f*prow over the denominator p*den.
+    """
     prow = rows[r]
-    nonzero = [j for j, v in enumerate(prow) if v]
-    piv = prow[c]
-    for j in nonzero:
-        prow[j] /= piv
-    for row in (*rows, z):
+    g = gcd(*prow)
+    if prow[c] < 0:  # only when a zero-level artificial is driven out
+        g = -g
+    if g != 1:
+        prow = rows[r] = [v // g for v in prow]
+    p = dens[r] = prow[c]
+    for i, row in enumerate(rows):
         f = row[c]
-        if f and row is not prow:
-            for j in nonzero:
-                row[j] -= f * prow[j]
+        if f and i != r:
+            rows[i], dens[i] = _lowest([p * a - f * b for a, b in zip(row, prow)], p * dens[i])
     basis[r] = c
 
 
-def _zrow(rows, basis, costs, n):
-    """Reduced-cost row z_j - c_j over the n columns, objective value last."""
-    z = [-costs[j] for j in range(n)] + [Fraction(0)]
-    for row, bi in zip(rows, basis):
-        cb = costs[bi]
-        if cb:
-            for j, v in enumerate(row):
-                if v:
-                    z[j] += cb * v
-    return z
+def _zrow(rows, dens, basis, costs, n):
+    """Reduced-cost row z_j - c_j over the n columns, objective value last,
+    as integers over one positive denominator."""
+    terms = [(costs[b], row, d) for row, b, d in zip(rows, basis, dens) if costs[b]]
+    den = lcm(*(c.denominator for c in costs[:n]), *(c.denominator * d for c, _, d in terms))
+    z = [-c.numerator * (den // c.denominator) for c in costs[:n]] + [0]
+    for c, row, d in terms:
+        k = c.numerator * (den // (c.denominator * d))
+        z = [a + k * v for a, v in zip(z, row)]
+    return _lowest(z, den)
 
 
-def _run_simplex(rows, z, basis):
-    """Bland's rule pivots until optimal or unbounded.  Basic columns have
-    reduced cost exactly 0, so the entering column is never basic."""
+def _run_simplex(rows, dens, basis):
+    """Bland's rule pivots until optimal or unbounded.  Only the signs of z
+    are read, and ratios b_i / a_i are compared by cross-multiplication.
+    Basic columns have reduced cost exactly 0, so the entering column is
+    never basic."""
     while True:
-        enter = next((j for j, v in enumerate(z[:-1]) if v < 0), None)
+        enter = next((j for j, v in enumerate(rows[-1][:-1]) if v < 0), None)
         if enter is None:
             return "optimal"
-        leave, best, best_var = -1, None, None
-        for i, row in enumerate(rows):
+        leave, num, den = -1, 0, 1
+        for i, bi in enumerate(basis):
+            row = rows[i]
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < best_var):
-                    leave, best, best_var = i, ratio, basis[i]
+                cmp = row[-1] * den - num * a
+                if leave < 0 or cmp < 0 or (cmp == 0 and bi < basis[leave]):
+                    leave, num, den = i, row[-1], a
         if leave < 0:
             return "unbounded"
-        _pivot(rows, z, basis, leave, enter)
+        _pivot(rows, dens, basis, leave, enter)
 
 
 def lp_solve(system: LinearSystem) -> LpResult:
@@ -108,35 +137,44 @@ def lp_solve(system: LinearSystem) -> LpResult:
     names = system.variables
     n, m = len(names), len(system.equalities)
     pos = {v: j for j, v in enumerate(names)}
-    rows = []
+    rows, dens = [], []
     for coeffs, rhs in system.equalities:
-        row = [Fraction(0)] * n + [Fraction(rhs)]
+        # scaled by the lcm d of its denominators, the row's artificial has coefficient d
+        d = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        row = [0] * n + [rhs.numerator * (d // rhs.denominator)]
         for v, c in coeffs.items():
-            row[pos[v]] = Fraction(c)
-        rows.append(row if row[-1] >= 0 else [-v for v in row])
+            row[pos[v]] = c.numerator * (d // c.denominator)
+        row, d = _lowest(row if row[-1] >= 0 else [-v for v in row], d)
+        rows.append(row)
+        dens.append(d)
 
     # phase 1 maximizes minus the sum of the artificials: z is minus the column sums
     basis = [n + i for i in range(m)]
-    z = _zrow(rows, basis, [0] * n + [-1] * m, n)
-    if _run_simplex(rows, z, basis) != "optimal":
+    z, zden = _zrow(rows, dens, basis, [0] * n + [-1] * m, n)
+    rows.append(z)
+    dens.append(zden)
+    if _run_simplex(rows, dens, basis) != "optimal":
         raise RuntimeError("phase 1 is bounded by construction but ended unbounded")
-    if z[-1] != 0:
+    if rows[-1][-1] != 0:
         return LpResult("infeasible")
     # drive zero-level artificials out; a row left on one is a redundant equality
     for i in range(m):
         if basis[i] >= n:
             entering = next((j for j in range(n) if rows[i][j]), None)
             if entering is not None:
-                _pivot(rows, z, basis, i, entering)
-    rows, basis = [r for r, b in zip(rows, basis) if b < n], [b for b in basis if b < n]
+                _pivot(rows, dens, basis, i, entering)
+    kept = [i for i, b in enumerate(basis) if b < n]
+    rows, dens, basis = [rows[i] for i in kept], [dens[i] for i in kept], [basis[i] for i in kept]
 
     # phase 2 on the same rows
     costs = [Fraction(0)] * n
     for v, c in (system.objective or {}).items():
         costs[pos[v]] = Fraction(c)
-    z = _zrow(rows, basis, costs, n)
-    if _run_simplex(rows, z, basis) == "unbounded":
+    z, zden = _zrow(rows, dens, basis, costs, n)
+    rows.append(z)
+    dens.append(zden)
+    if _run_simplex(rows, dens, basis) == "unbounded":
         return LpResult("unbounded")
     assignment = dict.fromkeys(names, Fraction(0))
-    assignment.update((names[bi], row[-1]) for row, bi in zip(rows, basis))
-    return LpResult("optimal", z[-1], assignment)
+    assignment.update((names[bi], Fraction(row[-1], d)) for row, bi, d in zip(rows, basis, dens))
+    return LpResult("optimal", Fraction(rows[-1][-1], dens[-1]), assignment)

@@ -344,5 +344,8 @@ class Evaluator:
             self._tables[e] = self.table(e, names)
         pos = 0
         for n in names:
-            pos = pos * self.cardinality(n) + env[n]
+            card = self.cardinality(n)
+            if not 0 <= env[n] < card:
+                raise ValueError(f"{n} = {env[n]} is outside 0..{card - 1}")
+            pos = pos * card + env[n]
         return self._tables[e][pos]

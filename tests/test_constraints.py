@@ -325,6 +325,16 @@ def test_evaluator_matches_direct_quotient(rng):
         assert evaluator.evaluate(recipe, {"B": b, "C": c, "D": d}) == direct
 
 
+
+@pytest.mark.parametrize("env", [{"B": 0, "C": 2, "X": 0}, {"B": 0, "C": -1, "X": 0}])
+def test_evaluator_rejects_values_outside_the_cardinality(env, rng):
+    """C = 2 would read the cell of (B, C) = (1, 0) and C = -1 another cell."""
+    (recipe,) = [
+        r.recipe for r in enumerate_constraints(mediation_graph()) if isinstance(r, VermaConstraint)
+    ]
+    with pytest.raises(ValueError, match="C = "):
+        Evaluator(_mediation_table(rng)).evaluate(recipe, env)
+
 @st.composite
 def _latent_root_graphs(draw):
     """Four or five observed vertices, one ternary at most, and one to three

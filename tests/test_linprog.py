@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from causalbox import (
     LinearSystem,
     chsh_graph,
+    classical_member,
     decompose_ns_box,
     gyni_graph,
     gyni_projected,
@@ -103,6 +104,14 @@ def test_undeclared_variable_rejected():
         system.add_equality({"q": Fraction(1)}, Fraction(0))
 
 
+def test_constructor_equalities_are_checked():
+    with pytest.raises(ValueError, match="equality"):
+        LinearSystem(("x",), [({"y": 1}, 1)])
+    system = LinearSystem(("x",), [({"x": 2}, 4)])
+    assert system.equalities == [({"x": 2}, Fraction(4))]
+    assert type(system.equalities[0][1]) is Fraction
+
+
 def test_undeclared_objective_variable_rejected():
     with pytest.raises(ValueError, match="objective"):
         LinearSystem(("x",), objective={"q": Fraction(1)})
@@ -167,14 +176,50 @@ def degenerate_feasible_systems(draw):
     return LinearSystem(names, rows, objective)
 
 
-@given(random_systems() | degenerate_feasible_systems())
-@settings(max_examples=600, deadline=None)
+@st.composite
+def wide_systems(draw):
+    """Up to 10 variables x 8 rows with numerators in +-60 over denominators
+    1-12.  Some rows are k times an integer row, such as 2x = 4 or
+    6x + 4y = 10, so their gcd is k while the artificial's coefficient is 1;
+    about half the systems are feasible by construction.  Rows are drawn as
+    dense lists under a bit mask, which keeps generation cheap."""
+    n = draw(st.integers(1, 10))
+    names = tuple(f"x{j}" for j in range(n))
+
+    def ints(lo, hi):
+        return st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+
+    def coefficients():
+        mask, k = draw(st.integers(0, 2**n - 1)), draw(st.sampled_from([1, 1, 2, 3, 6]))
+        if k == 1:
+            values = map(Fraction, draw(ints(-60, 60)), draw(ints(1, 12)))
+        else:
+            values = (Fraction(k * a) for a in draw(ints(-60 // k, 60 // k)))
+        return k, {v: c for j, (v, c) in enumerate(zip(names, values)) if mask >> j & 1}
+
+    point = draw(st.none() | ints(0, 3).map(lambda xs: dict(zip(names, xs))))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        k, coeffs = coefficients()
+        if point is not None:
+            rhs = sum(c * point[v] for v, c in coeffs.items())
+        elif k == 1:
+            rhs = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 12)))
+        else:
+            rhs = k * draw(st.integers(-60 // k, 60 // k))
+        rows.append((coeffs, rhs))
+    objective = coefficients()[1] if draw(st.booleans()) else None
+    return LinearSystem(names, rows, objective)
+
+
+@given(random_systems() | degenerate_feasible_systems() | wide_systems())
+@settings(max_examples=900, deadline=None)
 def test_lp_solve_matches_reference(system):
     _assert_matches_reference(system)
 
 
-def _decompose_ns_systems():
-    """Every LP that ``decompose_ns_box`` builds on the 24 NS vertices."""
+def _polytope_lps(run):
+    """Every LP that ``run()`` hands to ``polytope.lp_solve``."""
     systems = []
 
     def record(system):
@@ -183,12 +228,13 @@ def _decompose_ns_systems():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polytope, "lp_solve", record)
-        for box in ns_box_vertices():
-            decompose_ns_box(box)
+        run()
     return systems
 
 
-@pytest.mark.parametrize("fixture", ["gyni", "instrumental", "chsh", "ns-decompose"])
+@pytest.mark.parametrize(
+    "fixture", ["gyni", "instrumental", "chsh", "ns-decompose", "gyni-C", "chsh-C"]
+)
 def test_fixture_lps_match_reference(fixture):
     if fixture == "gyni":
         joint = join_inputs(gyni_projected(), uniform_table((("X", 2),)))
@@ -198,7 +244,11 @@ def test_fixture_lps_match_reference(fixture):
     elif fixture == "chsh":
         joint = join_inputs(pr_box(), uniform_table((("X", 2), ("Y", 2))))
         systems = [ps_system(joint, chsh_graph())[0]]
+    elif fixture == "ns-decompose":
+        systems = _polytope_lps(lambda: [decompose_ns_box(box) for box in ns_box_vertices()])
+    elif fixture == "gyni-C":
+        systems = _polytope_lps(lambda: classical_member(gyni_projected(), gyni_graph()))
     else:
-        systems = _decompose_ns_systems()
+        systems = _polytope_lps(lambda: classical_member(pr_box(), chsh_graph()))
     for system in systems:
         _assert_matches_reference(system)
