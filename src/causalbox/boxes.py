@@ -49,6 +49,7 @@ _RESPONSES = {
 }
 
 
+@lru_cache(maxsize=None)
 def pr_box(alpha: int = 0, beta: int = 0, gamma: int = 0) -> Kernel:
     """(alpha, beta, gamma)-PR box; (0, 0, 0) is the standard PR box."""
     for bit in (alpha, beta, gamma):
@@ -69,6 +70,7 @@ def local_responses(i: int) -> tuple[str, str]:
     return _RESPONSES[i // 4][0], _RESPONSES[i % 4][0]
 
 
+@lru_cache(maxsize=None)
 def local_box(i: int) -> Kernel:
     """Deterministic local box number ``i``.
 
@@ -94,17 +96,11 @@ def ns_box_vertices() -> list[Kernel]:
     16 local boxes followed by the 8 PR boxes in lexicographic order, so
     PR(alpha, beta, gamma) sits at 16 + 4 alpha + 2 beta + gamma.
 
-    The kernels are built once, on the first call, and shared (kernels are
-    immutable); every call returns a fresh list of them.
+    :func:`local_box` and :func:`pr_box` build each box once and share it
+    (kernels are immutable); every call returns a fresh list of them.
     """
-    return list(_ns_box_vertices_cached())
-
-
-@lru_cache(maxsize=1)
-def _ns_box_vertices_cached() -> tuple[Kernel, ...]:
     boxes = [local_box(i) for i in range(16)]
-    boxes += [pr_box(a, b, g) for a in _BIT for b in _BIT for g in _BIT]
-    return tuple(boxes)
+    return boxes + [pr_box(a, b, g) for a in _BIT for b in _BIT for g in _BIT]
 
 
 def _gyni_indicator(a, b, c, x, y, z) -> int:

@@ -103,6 +103,16 @@ def _load(path: str | None, flag: str, what: str, loader):
         raise ValueError(f"bad {what} file {path}: {exc}")
 
 
+def _load_graph(path: str | None):
+    """The ``--graph`` file; a graph that :func:`validate` reports raises a
+    ``ValueError`` naming the file and every violation."""
+    dag = _load(path, "graph", "graph", load_graph)
+    report = validate(dag)
+    if report:
+        raise ValueError(f"invalid graph file {path}: {'; '.join(report)}")
+    return dag
+
+
 def _as_joint(dist: Kernel) -> Kernel:
     """Accept either a joint table over the observed vertices or a
     conditional on the graph's setting variables with uniform settings."""
@@ -112,12 +122,12 @@ def _as_joint(dist: Kernel) -> Kernel:
 
 
 def _cmd_graph(args) -> int:
-    dag = _load(args.graph, "graph", "graph", load_graph)
     if args.graph_cmd == "check":
-        report = validate(dag)
+        report = validate(_load(args.graph, "graph", "graph", load_graph))
         _emit(args, {"valid": not report, "violations": report},
               "valid" if not report else "\n".join(report))
         return EXIT_OK if not report else EXIT_REJECTED
+    dag = _load_graph(args.graph)
     if args.graph_cmd == "mdag":
         m = to_mdag(dag, _parse_fixed(args.fixed))
         payload = {
@@ -147,7 +157,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_constraints(args) -> int:
-    records = enumerate_constraints(_load(args.graph, "graph", "graph", load_graph))
+    records = enumerate_constraints(_load_graph(args.graph))
     lines = [str(r) for r in records]
     payload = {"constraints": []}
     for r in records:
@@ -168,7 +178,7 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_hyper(args) -> int:
-    h = build_hypergraph(_load(args.graph, "graph", "graph", load_graph))
+    h = build_hypergraph(_load_graph(args.graph))
     payload = {
         "graph": graph_to_dict(h.base),
         "copy_map": {u: list(pair) for u, pair in sorted(h.copy_map.items())},
@@ -185,7 +195,7 @@ def _cmd_hyper(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    dag = _load(args.graph, "graph", "graph", load_graph)
+    dag = _load_graph(args.graph)
     dist = _load(args.dist, "dist", "distribution", load_kernel)
     h = build_hypergraph(dag)
     if sorted(dist.var_names()) != sorted(h.base.observed()) or not dist.is_prob_table:
@@ -198,7 +208,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    dag = _load(args.graph, "graph", "graph", load_graph)
+    dag = _load_graph(args.graph)
     dist = _load(args.dist, "dist", "distribution", load_kernel)
     model = args.model
     payload = {}
@@ -279,7 +289,7 @@ def _cmd_score(args) -> int:
 
 
 def _vertices(args):
-    dag = _load(args.graph, "graph", "graph", load_graph)
+    dag = _load_graph(args.graph)
     if args.lift:
         return enumerate_h_vertices(build_hypergraph(dag))
     return enumerate_classical_vertices(dag)

@@ -153,27 +153,6 @@ def _merge_in_products(e: Expr, dag: CausalDag) -> Expr:
     return e
 
 
-def _harmonize_quotient(e: Expr, dag: CausalDag) -> Expr:
-    """Align a quotient of single conditionals so it collapses to one
-    conditional: p(N|G,H) / p(D|G) with D within N becomes p(N-D|G,H,D)
-    when the denominator extends to p(D|G,H)."""
-    if not isinstance(e, QuotientExpr):
-        return e
-    num, den = e.num, e.den
-    if (
-        isinstance(num, FactorExpr)
-        and isinstance(den, FactorExpr)
-        and set(den.outcomes) < set(num.outcomes)
-        and set(den.given) <= set(num.given)
-    ):
-        extra = set(num.given) - set(den.given)
-        expanded = _expandable(den, extra, dag) if extra else den
-        if expanded is not None:
-            rest = tuple(o for o in num.outcomes if o not in den.outcomes)
-            return factor(rest, num.given + den.outcomes)
-    return e
-
-
 def _rewrite(e: Expr, rule, dag: CausalDag) -> Expr:
     """Apply ``rule`` bottom-up: to every node once its children are rewritten."""
     if isinstance(e, ProductExpr):
@@ -189,16 +168,15 @@ def reduce_expr(e: Expr, dag: CausalDag) -> Expr:
     """Normalize a recipe modulo the graph's conditional independences.
 
     Alternates structural simplification with d-separation justified
-    rewrites (conditioning-set reduction, chain merges, quotient collapse)
-    until a fixed point.  Sound for every distribution satisfying the CI
-    constraints of the graph, which are checked alongside the Verma records.
+    rewrites (conditioning-set reduction, chain merges) until a fixed
+    point.  Sound for every distribution satisfying the CI constraints of
+    the graph, which are checked alongside the Verma records.
     """
     e = simplify(e)
     seen = {canonical(e)}
     while True:
         e2 = simplify(_rewrite(e, _reduce_factor, dag))
         e2 = simplify(_merge_in_products(e2, dag))
-        e2 = simplify(_rewrite(e2, _harmonize_quotient, dag))
         key = canonical(e2)
         if key in seen:
             return e2

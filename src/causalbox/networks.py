@@ -16,10 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Mapping
 
 from .graphs import OBSERVED, CausalDag, HyperDag, topological_order
-from .tables import Kernel, assignments, reorder
+from .tables import Kernel, _index_map, _sums, assignments, reorder, uniform_table
 
 __all__ = ["ClassicalNetwork", "random_network", "lift_network"]
 
@@ -52,25 +53,17 @@ class ClassicalNetwork:
     def joint_observed(self) -> Kernel:
         """Exact joint distribution of the observed vertices.
 
-        Sums the product of all CPTs over the latent assignments.
+        Multiplies the CPTs cell by cell over all vertices in topological
+        order, then sums out the latent vertices.
         """
-        order = topological_order(self.dag)
-        all_vars = [(v, self.cardinality(v)) for v in order]
-        observed = [v for v in order if self.dag.spec(v).kind == OBSERVED]
-        obs_vars = [(v, self.cardinality(v)) for v in observed]
-        table: dict[tuple[int, ...], Fraction] = {}
-        for values in assignments(all_vars):
-            a = dict(zip(order, values))
-            p = Fraction(1)
-            for v in order:
-                p *= self.cpts[v].value({k: a[k] for k in (v, *self.dag.parents(v))})
-                if p == 0:
-                    break
-            if p == 0:
-                continue
-            key = tuple(a[v] for v in observed)
-            table[key] = table.get(key, Fraction(0)) + p
-        return Kernel.from_mapping(obs_vars, (), table)
+        all_vars = tuple((v, self.cardinality(v)) for v in topological_order(self.dag))
+        cells = [Fraction(1)] * prod(c for _, c in all_vars)
+        for v, _ in all_vars:
+            cpt = self.cpts[v]
+            at = _index_map(all_vars, cpt.variables)
+            cells = [p * cpt.entries[i] if p else p for p, i in zip(cells, at)]
+        observed = tuple(v for v in all_vars if self.dag.spec(v[0]).kind == OBSERVED)
+        return Kernel(observed, (), tuple(_sums(cells, all_vars, observed)))
 
 
 def random_network(
@@ -92,13 +85,13 @@ def random_network(
     for v in dag.names():
         parents = sorted(dag.parents(v))
         index_vars = tuple((p, card[p]) for p in parents)
-        rows = {}
-        for idx in assignments(index_vars):
+        rows = []
+        for _ in assignments(index_vars):
             weights = [rng.randint(1, weight_range) for _ in range(card[v])]
-            total = sum(weights)
-            for value, w in enumerate(weights):
-                rows[(value,) + idx] = Fraction(w, total)
-        cpts[v] = Kernel.from_mapping(((v, card[v]),), index_vars, rows)
+            rows.append([Fraction(w, sum(weights)) for w in weights])
+        # the outcome varies slowest in the layout
+        entries = tuple(row[value] for value in range(card[v]) for row in rows)
+        cpts[v] = Kernel(((v, card[v]),), index_vars, entries)
     return ClassicalNetwork(dag, cpts)
 
 
@@ -117,10 +110,7 @@ def lift_network(net: ClassicalNetwork, hyper: HyperDag) -> ClassicalNetwork:
     for v in hyper.base.names():
         if v in hyper.copy_map:
             source, _ = hyper.copy_map[v]
-            card = net.cardinality(source)
-            cpts[v] = Kernel.from_function(
-                ((v, card),), (), lambda a: Fraction(1, card)
-            )
+            cpts[v] = uniform_table(((v, net.cardinality(source)),))
             continue
         old = net.cpts[v]
         swap = renamed.get(v, {})

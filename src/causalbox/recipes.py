@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
-from .tables import Kernel, Var, _index_map, marginalize
+from .tables import Kernel, Var, _index_map, _position, marginalize
 
 __all__ = [
     "Expr",
@@ -342,10 +342,4 @@ class Evaluator:
         names = sorted(free_vars(e))
         if e not in self._tables:
             self._tables[e] = self.table(e, names)
-        pos = 0
-        for n in names:
-            card = self.cardinality(n)
-            if not 0 <= env[n] < card:
-                raise ValueError(f"{n} = {env[n]} is outside 0..{card - 1}")
-            pos = pos * card + env[n]
-        return self._tables[e][pos]
+        return self._tables[e][_position([(n, self.cardinality(n)) for n in names], env)]

@@ -190,13 +190,7 @@ class Kernel:
 
     def value(self, assignment: Assignment) -> Fraction:
         """Entry at a full assignment of all variables, given by name."""
-        missing = [n for n, _ in self.variables if n not in assignment]
-        if missing:
-            raise UnknownVariableError(f"assignment missing {missing}")
-        pos = 0
-        for name, card in self.variables:
-            pos = pos * card + assignment[name]
-        return self.entries[pos]
+        return self.entries[_position(self.variables, assignment)]
 
     def cells(self) -> Iterator[tuple[dict[str, int], Fraction]]:
         """Iterate ``(assignment_dict, entry)`` over all cells."""
@@ -218,7 +212,7 @@ def prob_table(variables: Sequence[Var], source) -> Kernel:
 
 def uniform_table(variables: Sequence[Var]) -> Kernel:
     total = prod(c for _, c in variables)
-    return Kernel.from_function(variables, (), lambda a: Fraction(1, total))
+    return Kernel(tuple(variables), (), (Fraction(1, total),) * total)
 
 
 def point_mass(variables: Sequence[Var], point: Assignment) -> Kernel:
@@ -236,6 +230,24 @@ def _partition_vars(
     inside = tuple(v for v in variables if v[0] in names)
     outside = tuple(v for v in variables if v[0] not in names)
     return inside, outside
+
+
+def _position(variables: Sequence[Var], assignment: Assignment) -> int:
+    """Flat position in ``variables``' layout of a full assignment by name.
+
+    Raises :class:`UnknownVariableError` for a missing name and
+    :class:`CardinalityMismatchError` for a value outside its range.
+    """
+    missing = [n for n, _ in variables if n not in assignment]
+    if missing:
+        raise UnknownVariableError(f"assignment missing {missing}")
+    pos = 0
+    for name, card in variables:
+        value = assignment[name]
+        if not 0 <= value < card:
+            raise CardinalityMismatchError(f"{name} = {value} is outside 0..{card - 1}")
+        pos = pos * card + value
+    return pos
 
 
 def _index_map(variables: Sequence[Var], onto: Sequence[Var]) -> list[int]:

@@ -1,6 +1,8 @@
 """The name-keyed table ops that ``causalbox.tables`` used before its
 positional core, kept verbatim as the reference for the differential tests
-in ``test_tables.py``.  Every cell is looked up by name through
+in ``test_tables.py``, and the per-assignment loop that
+``ClassicalNetwork.joint_observed`` used before it, the reference for
+``test_networks.py``.  Every cell is looked up by name through
 ``Kernel.value`` and every result is built through ``Kernel.from_mapping``
 or ``Kernel.from_function``.
 """
@@ -10,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from causalbox.graphs import OBSERVED, topological_order
+from causalbox.networks import ClassicalNetwork
 from causalbox.tables import (
     Assignment,
     CardinalityMismatchError,
@@ -200,3 +204,27 @@ def join_inputs(kernel: Kernel, inputs: Kernel) -> Kernel:
         return kernel.value(a) * inputs.value({n: a[n] for n, _ in inputs.variables})
 
     return Kernel.from_function(joint_vars, (), fn)
+
+
+def joint_observed(net: ClassicalNetwork) -> Kernel:
+    """Exact joint distribution of the observed vertices of ``net``.
+
+    Sums the product of all CPTs over the latent assignments.
+    """
+    order = topological_order(net.dag)
+    all_vars = [(v, net.cardinality(v)) for v in order]
+    observed = [v for v in order if net.dag.spec(v).kind == OBSERVED]
+    obs_vars = [(v, net.cardinality(v)) for v in observed]
+    table: dict[tuple[int, ...], Fraction] = {}
+    for values in assignments(all_vars):
+        a = dict(zip(order, values))
+        p = Fraction(1)
+        for v in order:
+            p *= net.cpts[v].value({k: a[k] for k in (v, *net.dag.parents(v))})
+            if p == 0:
+                break
+        if p == 0:
+            continue
+        key = tuple(a[v] for v in observed)
+        table[key] = table.get(key, Fraction(0)) + p
+    return Kernel.from_mapping(obs_vars, (), table)

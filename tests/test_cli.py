@@ -63,6 +63,57 @@ def test_invalid_graph_exits_two(files, tmp_path, capsys):
     assert "cycle" in capsys.readouterr().out
 
 
+_INVALID_GRAPHS = {
+    # a latent vertex with an incoming edge and no outgoing one
+    "latent_child": (
+        [
+            {"name": "A", "kind": "observed", "cardinality": 2},
+            {"name": "X", "kind": "observed", "cardinality": 2},
+            {"name": "L", "kind": "latent"},
+        ],
+        [["X", "L"]],
+    ),
+    "unknown_vertex": (
+        [
+            {"name": "A", "kind": "observed", "cardinality": 2},
+            {"name": "X", "kind": "observed", "cardinality": 2},
+            {"name": "L", "kind": "latent"},
+        ],
+        [["X", "A"], ["L", "A"], ["A", "Q"]],
+    ),
+}
+_GRAPH_COMMANDS = [
+    *(["member", "--model", model, "--dist", "{dist}"] for model in ("C", "PS", "N", "I")),
+    ["constraints", "enumerate"],
+    ["hyper", "build"],
+    ["graph", "mdag"],
+    ["graph", "districts"],
+    ["graph", "dsep", "--a", "X", "--b", "A"],
+    ["vertices"],
+    ["project", "--dist", "{dist}"],
+]
+
+
+@pytest.mark.parametrize("command", _GRAPH_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("graph", sorted(_INVALID_GRAPHS))
+def test_commands_reject_invalid_graphs(graph, command, tmp_path, capsys):
+    """Every command but ``graph check`` refuses a graph that ``graph
+    check`` reports: exit 1, with the file and the violation named."""
+    from causalbox import uniform_table
+    from causalbox.fileio import dump_kernel
+
+    vertices, edges = _INVALID_GRAPHS[graph]
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    observed = [(v["name"], 2) for v in vertices if v["kind"] == "observed"]
+    dump_kernel(uniform_table(observed), tmp_path / "dist.json")
+    argv = [arg.format(dist=tmp_path / "dist.json") for arg in command]
+    assert dispatch([*argv, "--graph", str(gpath)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid graph file {gpath}: "), err
+    assert dispatch(["graph", "check", "--graph", str(gpath)]) == 2
+
+
 def test_constraints_enumerate_prints_verma(files, capsys):
     emit, _ = files
     gpath = emit("mediation-graph", "med.json")
@@ -122,6 +173,17 @@ def test_decompose_ns(files, capsys):
     dump_kernel(reorder(box, box.outcome_vars, box.index_vars[::-1]), dpath)
     assert dispatch(["decompose-ns", "--dist", dpath]) == 0
     assert "local 8 (id,const0): 1" in capsys.readouterr().out
+
+
+def test_gyni_score_rejects_values_outside_the_cardinality(tmp_path, capsys):
+    """The gyni functional reads Z = 1, which a unary Z does not have."""
+    from causalbox import uniform_table
+    from causalbox.fileio import dump_kernel
+
+    names = ("A", "B", "C", "X", "Y")
+    dump_kernel(uniform_table([*((n, 2) for n in names), ("Z", 1)]), tmp_path / "box.json")
+    assert dispatch(["score", "--functional", "gyni", "--dist", str(tmp_path / "box.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: Z = 1 is outside 0..0")
 
 
 def test_instrumental_score_reads_variables_by_name(tmp_path, capsys):

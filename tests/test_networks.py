@@ -1,5 +1,6 @@
 """Classical networks: exact joints and the hypergraph lift round trip."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,9 @@ from causalbox import (
     project,
     random_network,
 )
+
+import table_reference as ref
+from conftest import all_test_graphs, district_demo_graph
 
 
 def test_joint_of_tiny_network_by_hand():
@@ -63,3 +67,37 @@ def test_lift_projects_back_exactly(graph, rng):
         assert set(projected.var_names()) == set(original.var_names())
         for env, value in original.cells():
             assert projected.value(env) == value
+
+
+def _with_deterministic_cpts(net: ClassicalNetwork, rng) -> ClassicalNetwork:
+    """The same network with about half of its CPTs replaced by random
+    deterministic ones, so that the joint has exact zero cells."""
+    cpts = {}
+    for v, cpt in net.cpts.items():
+        card = cpt.outcome_vars[0][1]
+        width = len(cpt.entries) // card
+        picks = [rng.randrange(card) for _ in range(width)]
+        entries = tuple(Fraction(int(picks[j] == value)) for value in range(card) for j in range(width))
+        deterministic = Kernel(cpt.outcome_vars, cpt.index_vars, entries)
+        cpts[v] = deterministic if rng.random() < 0.5 else cpt
+    return ClassicalNetwork(net.dag, cpts)
+
+
+@pytest.mark.parametrize(
+    "dag",
+    [*all_test_graphs().values(), district_demo_graph()],
+    ids=[*all_test_graphs(), "district_demo"],
+)
+def test_joint_observed_matches_reference(dag):
+    """The positional product of CPTs equals the per-assignment loop it
+    replaced: same layout, same entries, with and without zero cells."""
+    rng = random.Random(2024)
+    for latent_cardinality in (2, 3, 4):
+        net = random_network(dag, rng, latent_cardinality=latent_cardinality)
+        for n in (net, _with_deterministic_cpts(net, rng)):
+            joint, expected = n.joint_observed(), ref.joint_observed(n)
+            assert (joint.outcome_vars, joint.index_vars) == (
+                expected.outcome_vars,
+                expected.index_vars,
+            )
+            assert joint.entries == expected.entries

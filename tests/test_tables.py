@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from causalbox import (
     CardinalityMismatchError,
     Kernel,
+    UnknownVariableError,
     ZeroConditioningError,
     ZeroProbabilityEventError,
     ZeroSelectionProbabilityError,
@@ -48,6 +49,18 @@ def test_kernel_validates_rows():
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     with pytest.raises(ValueError, match=r"index assignment \(1,\) sums to 3/4"):
         Kernel((("A", 2),), (("X", 2),), (half, half, half, quarter))
+
+
+def test_value_rejects_values_outside_the_cardinality():
+    """X = 2 would read the cell of (A, X) = (1, 0), and A = -1 the cell
+    entries[-2]."""
+    q = Kernel((("A", 2),), (("X", 2),), tuple(Fraction(k, 4) for k in (1, 2, 3, 2)))
+    for env in ({"A": 0, "X": 2}, {"A": -1, "X": 0}, {"A": 2, "X": 1}):
+        with pytest.raises(CardinalityMismatchError, match=r"is outside 0\.\.1"):
+            q.value(env)
+    with pytest.raises(UnknownVariableError):
+        q.value({"A": 0})
+    assert q.value({"A": 1, "X": 0}) == Fraction(3, 4)
 
 
 def test_marginalize_pr_box_is_uniform():
