@@ -12,8 +12,8 @@ lift certificate; infeasibility or a zero optimum refutes it.
 The no-signalling equalities are written once, by ``_ns_rows``: each
 equality is two lists of flat positions in a given variable layout, read
 through the stride maps of :mod:`causalbox.tables`.  ``ns_member`` sums a
-box's entries at those positions; ``ps_system`` takes the same positions
-in the layout of its unknowns as coefficients.
+box's integer numerators at those positions; ``ps_system`` takes the same
+positions in the layout of its unknowns as coefficients.
 
 Hypergraphs outside that scope (several latent vertices, or outcome
 vertices untouched by the latent) carry nonlinear independence constraints;
@@ -37,7 +37,7 @@ from .graphs import (
     is_bell_type,
 )
 from .linprog import LinearSystem, lp_solve
-from .tables import Kernel, _index_map, assignments, project, reorder
+from .tables import Kernel, _index_map, _numerators, assignments, project, reorder
 
 __all__ = [
     "ns_member",
@@ -97,8 +97,8 @@ def ns_member(box: Kernel, h: HyperDag) -> bool:
         box.index_vars
     ) != _parties(dag, bell_inputs(dag)):
         raise ValueError("box variables do not match the hypergraph's parties")
-    e = box.entries
-    return all(sum(e[k] for k in lo) == sum(e[k] for k in hi) for lo, hi in rows)
+    num, _ = _numerators(box)
+    return all(sum(num[k] for k in lo) == sum(num[k] for k in hi) for lo, hi in rows)
 
 
 def instrumental_score(k: Kernel) -> Fraction:

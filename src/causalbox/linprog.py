@@ -13,6 +13,10 @@ pivot sequence is the one the same simplex takes on ``Fraction`` rows;
 :class:`LpResult` is built.  Phase 1's artificial variables have no
 columns: they are tracked by basis id and, while basic, by their integer
 coefficient in their row.
+
+:func:`lp_solve` reads a system into those rows and hands them to the
+private core ``_solve``.  Callers that hold integer data already (the
+polytope LPs) build the same rows themselves and call the core directly.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ __all__ = ["LinearSystem", "LpResult", "lp_solve"]
 
 @dataclass
 class LinearSystem:
-    """max objective . x  subject to  equalities, x >= 0.  Coefficients are
-    rationals (``Fraction`` or ``int``)."""
+    """max objective . x  subject to  equalities, x >= 0.  Coefficients,
+    right-hand sides and objective values are rationals (``Fraction`` or
+    ``int``); anything else, a float included, raises ``TypeError``."""
 
     variables: tuple[str, ...]
     equalities: list[tuple[dict[str, Fraction], Fraction]] = field(default_factory=list)
@@ -41,6 +46,9 @@ class LinearSystem:
         unknown = set(self.objective or ()) - set(self.variables)
         if unknown:
             raise ValueError(f"objective references undeclared variables {sorted(unknown)}")
+        for v, c in (self.objective or {}).items():
+            if not isinstance(c, _RATIONAL):
+                raise _not_rational(f"objective coefficient of {v}", c)
         equalities, self.equalities = self.equalities, []
         for coeffs, rhs in equalities:
             self.add_equality(coeffs, rhs)
@@ -50,7 +58,19 @@ class LinearSystem:
         unknown = set(coeffs) - known
         if unknown:
             raise ValueError(f"equality references undeclared variables {sorted(unknown)}")
+        for v, c in coeffs.items():
+            if not isinstance(c, _RATIONAL):
+                raise _not_rational(f"coefficient of {v}", c)
+        if not isinstance(rhs, _RATIONAL):
+            raise _not_rational(f"right-hand side of the equality over {sorted(coeffs)}", rhs)
         self.equalities.append((dict(coeffs), Fraction(rhs)))
+
+
+_RATIONAL = (int, Fraction)
+
+
+def _not_rational(what: str, value) -> TypeError:
+    return TypeError(f"{what} is a {type(value).__name__}, not an int or Fraction")
 
 
 @dataclass(frozen=True)
@@ -135,7 +155,7 @@ def lp_solve(system: LinearSystem) -> LpResult:
     termination on degenerate systems.
     """
     names = system.variables
-    n, m = len(names), len(system.equalities)
+    n = len(names)
     pos = {v: j for j, v in enumerate(names)}
     rows, dens = [], []
     for coeffs, rhs in system.equalities:
@@ -147,7 +167,25 @@ def lp_solve(system: LinearSystem) -> LpResult:
         row, d = _lowest(row if row[-1] >= 0 else [-v for v in row], d)
         rows.append(row)
         dens.append(d)
+    costs = [Fraction(0)] * n
+    for v, c in (system.objective or {}).items():
+        costs[pos[v]] = Fraction(c)
+    status, value, x = _solve(rows, dens, costs)
+    if x is None:
+        return LpResult(status)
+    return LpResult(status, value, dict(zip(names, x)))
 
+
+def _solve(rows, dens, costs):
+    """The two-phase simplex on integer rows: maximize ``costs . x`` subject
+    to ``rows[i][:-1] . x = rows[i][-1]`` over ``dens[i]``, x >= 0.
+
+    Each row has a non-negative right-hand side and is reduced with its
+    denominator by :func:`_lowest`; ``costs`` holds one rational per
+    column.  The lists are consumed.  Returns ``(status, value, x)``, the
+    last two ``None`` unless the status is ``"optimal"``.
+    """
+    n, m = len(costs), len(rows)
     # phase 1 maximizes minus the sum of the artificials: z is minus the column sums
     basis = [n + i for i in range(m)]
     z, zden = _zrow(rows, dens, basis, [0] * n + [-1] * m, n)
@@ -156,7 +194,7 @@ def lp_solve(system: LinearSystem) -> LpResult:
     if _run_simplex(rows, dens, basis) != "optimal":
         raise RuntimeError("phase 1 is bounded by construction but ended unbounded")
     if rows[-1][-1] != 0:
-        return LpResult("infeasible")
+        return "infeasible", None, None
     # drive zero-level artificials out; a row left on one is a redundant equality
     for i in range(m):
         if basis[i] >= n:
@@ -167,14 +205,12 @@ def lp_solve(system: LinearSystem) -> LpResult:
     rows, dens, basis = [rows[i] for i in kept], [dens[i] for i in kept], [basis[i] for i in kept]
 
     # phase 2 on the same rows
-    costs = [Fraction(0)] * n
-    for v, c in (system.objective or {}).items():
-        costs[pos[v]] = Fraction(c)
     z, zden = _zrow(rows, dens, basis, costs, n)
     rows.append(z)
     dens.append(zden)
     if _run_simplex(rows, dens, basis) == "unbounded":
-        return LpResult("unbounded")
-    assignment = dict.fromkeys(names, Fraction(0))
-    assignment.update((names[bi], Fraction(row[-1], d)) for row, bi, d in zip(rows, basis, dens))
-    return LpResult("optimal", Fraction(rows[-1][-1], dens[-1]), assignment)
+        return "unbounded", None, None
+    x = [Fraction(0)] * n
+    for row, bi, d in zip(rows, basis, dens):
+        x[bi] = Fraction(row[-1], d)
+    return "optimal", Fraction(rows[-1][-1], dens[-1]), x

@@ -20,7 +20,15 @@ from math import prod
 from typing import Mapping
 
 from .graphs import OBSERVED, CausalDag, HyperDag, topological_order
-from .tables import Kernel, _index_map, _sums, assignments, reorder, uniform_table
+from .tables import (
+    CardinalityMismatchError,
+    Kernel,
+    _index_map,
+    _sums,
+    assignments,
+    reorder,
+    uniform_table,
+)
 
 __all__ = ["ClassicalNetwork", "random_network", "lift_network"]
 
@@ -30,8 +38,9 @@ class ClassicalNetwork:
     """A DAG plus one CPT per vertex.
 
     Each CPT is a kernel with the vertex as single outcome variable and its
-    parents (sorted by name) as index variables.  Latent vertices get an
-    explicit cardinality here, fixed by their CPT.
+    parents (sorted by name) as index variables, each at the cardinality
+    its own CPT gives it.  Latent vertices get an explicit cardinality
+    here, fixed by their CPT.
     """
 
     dag: CausalDag
@@ -46,6 +55,13 @@ class ClassicalNetwork:
                 raise ValueError(f"CPT for {v} must have {v} as its only outcome")
             if [n for n, _ in cpt.index_vars] != sorted(self.dag.parents(v)):
                 raise ValueError(f"CPT for {v} must be indexed by its sorted parents")
+        for v in self.dag.names():
+            for parent, card in self.cpts[v].index_vars:
+                if card != self.cardinality(parent):
+                    raise CardinalityMismatchError(
+                        f"CPT for {v} indexes parent {parent} with cardinality {card},"
+                        f" but {parent} has {self.cardinality(parent)}"
+                    )
 
     def cardinality(self, name: str) -> int:
         return self.cpts[name].outcome_vars[0][1]

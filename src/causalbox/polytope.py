@@ -12,14 +12,20 @@ feasibility question over convex weights of those vertices.
 
 A bipartite no-signalling box is decomposed with one such LP: its scores on
 the eight CHSH variants name the one PR box it can need, or none.
+
+Both LPs are built as integer rows for the simplex core of
+:mod:`causalbox.linprog`: the vertex tables as one integer matrix (built
+once for each of the nine vertex sets of the decomposition), and the
+target through its integer numerators, laid out by a stride map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _iterproduct
-from math import prod
+from math import lcm, prod
 from typing import Callable, Mapping, Sequence
 
 from .boxes import chsh_graph, ns_box_vertices
@@ -34,8 +40,8 @@ from .graphs import (
     topological_order,
 )
 from .lift import ns_member
-from .linprog import LinearSystem, lp_solve
-from .tables import Kernel, _index_map, assignments, conditional, reorder
+from .linprog import _lowest, _solve
+from .tables import Kernel, _index_map, _numerators, assignments, conditional
 
 __all__ = [
     "Vertex",
@@ -140,16 +146,6 @@ class MemberVerdict:
     weights: tuple[Fraction, ...] | None = None
 
 
-def _as_conditional(p: Kernel, template: Kernel) -> Kernel:
-    """Bring ``p`` to the conditional shape of the vertex tables."""
-    index_names = [n for n, _ in template.index_vars]
-    if p.is_prob_table and index_names:
-        p = conditional(p, index_names)
-    if set(p.var_names()) != set(template.var_names()):
-        raise ValueError("distribution variables do not match the graph's vertices")
-    return reorder(p, template.outcome_vars, template.index_vars)
-
-
 def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     """Exact membership of a conditional table in the classical polytope.
 
@@ -163,22 +159,60 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     the graph can be accepted.
     """
     vertices = enumerate_classical_vertices(g)
-    return _convex_member(p, [v.table for v in vertices])
+    return _convex_member(p, _vertex_matrix([v.table for v in vertices]))
 
 
-def _convex_member(p: Kernel, tables: list[Kernel]) -> MemberVerdict:
-    """Convex weights of ``tables``, which share one layout, that give ``p``."""
-    target = _as_conditional(p, tables[0])
-    names = [f"w{i}" for i in range(len(tables))]
-    system = LinearSystem(tuple(names))
-    system.add_equality({n: Fraction(1) for n in names}, Fraction(1))
-    for i, value in enumerate(target.entries):
-        coeffs = {n: t.entries[i] for n, t in zip(names, tables) if t.entries[i]}
-        system.add_equality(coeffs, value)
-    result = lp_solve(system)
-    if not result.is_optimal:
+def _vertex_matrix(tables: Sequence[Kernel]):
+    """``(outcome_vars, index_vars, rows, den)`` for ``tables``, which share
+    the first one's layout: entry i of table j is ``rows[i][j] / den``."""
+    den = lcm(*(e.denominator for t in tables for e in t.entries))
+    rows = tuple(
+        tuple(e.numerator * (den // e.denominator) for e in cell)
+        for cell in zip(*(t.entries for t in tables))
+    )
+    return tables[0].outcome_vars, tables[0].index_vars, rows, den
+
+
+@lru_cache(maxsize=None)
+def _ns_vertex_matrix(pr: tuple[int, int, int] | None):
+    """The sixteen local boxes, after PR(alpha, beta, gamma) if ``pr`` names it."""
+    vertices = ns_box_vertices()
+    tables = vertices[:16]
+    if pr is not None:
+        alpha, beta, gamma = pr
+        tables = [vertices[16 + 4 * alpha + 2 * beta + gamma]] + tables
+    return _vertex_matrix(tables)
+
+
+def _convex_member(p: Kernel, vertices) -> MemberVerdict:
+    """Convex weights of the tables of a :func:`_vertex_matrix` that give ``p``.
+
+    A joint ``p`` is first made conditional on the vertices' index
+    variables; its variables must then match theirs by name, cardinality
+    and side.  The LP has one integer row for the weights' sum, then one
+    per cell of the vertex layout, each reduced by ``_lowest`` exactly as
+    :func:`lp_solve` reduces the same equality.
+    """
+    outcome_vars, index_vars, matrix, vden = vertices
+    layout = outcome_vars + index_vars
+    if p.is_prob_table and index_vars:
+        p = conditional(p, [n for n, _ in index_vars])
+    if set(p.var_names()) != {n for n, _ in layout}:
+        raise ValueError("distribution variables do not match the graph's vertices")
+    sides = sorted(p.outcome_vars), sorted(p.index_vars)
+    if sides != (sorted(outcome_vars), sorted(index_vars)):
+        raise ValueError(f"cannot lay out {p.variables} as {layout}")
+    num, den = _numerators(p)
+    n = len(matrix[0])
+    rows, dens = [[1] * (n + 1)], [1]
+    for cell, k in zip(matrix, _index_map(layout, p.variables)):
+        row, d = _lowest([c * den for c in cell] + [num[k] * vden], den * vden)
+        rows.append(row)
+        dens.append(d)
+    _, _, x = _solve(rows, dens, [0] * n)
+    if x is None:
         return MemberVerdict(False)
-    return MemberVerdict(True, tuple(result.assignment[n] for n in names))
+    return MemberVerdict(True, tuple(x))
 
 
 def functional_from_indicator(
@@ -225,16 +259,16 @@ def _violated_chsh_variant(q: Kernel) -> tuple[int, int, int] | None:
     S = sum over x, y of q(a + b = xy + alpha x + beta y + gamma | x, y),
     with sums mod 2.  Local boxes score at most 3 on every variant.
     """
-    e = q.entries
+    num, den = _numerators(q)
     at = _index_map((("A", 2), ("B", 2), ("X", 2), ("Y", 2)), q.variables)
-    # agree[x, y] = q(a = b | x, y); cell (a, b, x, y) sits at 8a + 4b + 2x + y
-    agree = [e[at[xy]] + e[at[12 + xy]] for xy in range(4)]
+    # agree[x, y] = den * q(a = b | x, y); cell (a, b, x, y) sits at 8a + 4b + 2x + y
+    agree = [num[at[xy]] + num[at[12 + xy]] for xy in range(4)]
     for alpha, beta, gamma in _iterproduct((0, 1), repeat=3):
-        score = Fraction(0)
+        score = 0  # den * S
         for xy, (x, y) in enumerate(_iterproduct((0, 1), repeat=2)):
             parity = (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
-            score += 1 - agree[xy] if parity else agree[xy]
-        if score > 3:
+            score += den - agree[xy] if parity else agree[xy]
+        if score > 3 * den:
             return alpha, beta, gamma
     return None
 
@@ -266,19 +300,12 @@ def decompose_ns_box(q: Kernel):
         ns = False
     if not ns:
         raise NotNoSignallingError("box is not a bipartite no-signalling kernel")
-    vertices = ns_box_vertices()
-    locals_ = vertices[:16]
     index = _violated_chsh_variant(q)
+    verdict = _convex_member(q, _ns_vertex_matrix(index))
+    if not verdict.member:
+        raise DecompositionNotFoundError(
+            "no-signalling box admits no PR-plus-local decomposition"
+        )
     if index is None:
-        verdict = _convex_member(q, locals_)
-        if verdict.member:
-            return None, (Fraction(0),) + verdict.weights
-    else:
-        alpha, beta, gamma = index
-        pr = vertices[16 + 4 * alpha + 2 * beta + gamma]
-        verdict = _convex_member(q, [pr] + locals_)
-        if verdict.member:
-            return index, verdict.weights
-    raise DecompositionNotFoundError(
-        "no-signalling box admits no PR-plus-local decomposition"
-    )
+        return None, (Fraction(0),) + verdict.weights
+    return index, verdict.weights

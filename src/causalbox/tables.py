@@ -16,8 +16,12 @@ diagonals and products over the table are read through such maps.
 ``_index_map`` is also the stride map of the lift's no-signalling rows in
 :mod:`causalbox.lift`.
 
-All arithmetic uses :class:`fractions.Fraction`, so equality constraints on
-tables are decidable: two kernels are equal iff every entry is equal.
+Entries are :class:`fractions.Fraction`, so equality constraints on tables
+are decidable: two kernels are equal iff every entry is equal.  The ops
+that build tables compute in ``Fraction``.  Code that only compares sums
+of entries, or hands them to the integer simplex, reads them through
+``_numerators``: integer numerators over their lcm, computed per call and
+never cached on the kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _product
-from math import prod
+from math import lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Var = tuple[str, int]
@@ -269,6 +273,13 @@ def _index_map(variables: Sequence[Var], onto: Sequence[Var]) -> list[int]:
         stride = strides.get(name, 0)
         positions = [p + v * stride for p in positions for v in range(card)]
     return positions
+
+
+def _numerators(kernel: Kernel) -> tuple[list[int], int]:
+    """The kernel's entries as integer numerators over their lcm ``den``:
+    entry i is ``num[i] / den``.  Computed on every call."""
+    den = lcm(*(e.denominator for e in kernel.entries))
+    return [e.numerator * (den // e.denominator) for e in kernel.entries], den
 
 
 def _sums(entries: Sequence[Fraction], variables: Sequence[Var], kept: Sequence[Var]):

@@ -117,3 +117,39 @@ def ternary_x_chsh_box():
         (("X", 3), ("Y", 2)),
         lambda v: Fraction(1, 4) if v["X"] < 2 else Fraction(int(v["A"] == v["B"] == 0)),
     )
+
+
+def polytope_lps(run):
+    """Every LP that ``run()`` hands to the integer simplex core from
+    ``causalbox.polytope``, each rebuilt as a ``LinearSystem``.
+
+    A captured row ``[a_1 .. a_n, b]`` over ``den`` becomes the equality
+    ``{w_j: a_j / den} = b / den``.  Each row must reach the core reduced
+    by ``linprog._lowest`` with ``b >= 0``, so ``lp_solve`` rebuilds the
+    very same rows from that system; the core's answer must equal
+    ``lp_solve``'s.  At least one LP must be captured.
+    """
+    from causalbox import LinearSystem, linprog, lp_solve, polytope
+
+    systems = []
+    solve = polytope._solve
+
+    def record(rows, dens, costs):
+        names = tuple(f"w{j}" for j in range(len(costs)))
+        system = LinearSystem(names, objective=dict(zip(names, costs)))
+        for row, den in zip(rows, dens):
+            assert linprog._lowest(row, den) == (row, den) and row[-1] >= 0
+            coeffs = {v: Fraction(a, den) for v, a in zip(names, row) if a}
+            system.add_equality(coeffs, Fraction(row[-1], den))
+        systems.append(system)
+        status, value, x = solve(rows, dens, costs)
+        want = lp_solve(system)
+        assert (status, value) == (want.status, want.value)
+        assert x == (None if want.assignment is None else list(want.assignment.values()))
+        return status, value, x
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polytope, "_solve", record)
+        run()
+    assert systems, "no LP reached the simplex core"
+    return systems

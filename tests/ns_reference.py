@@ -7,9 +7,16 @@ graphs and LP types are the package's own, so results compare with ``==``.
 
 Also ``decompose_ns_box`` as it was before it picked its one LP from the
 CHSH variant a box violates: a locals-only LP, then one LP per PR box in
-lexicographic order.  It is verbatim except that it calls the package's
-``lift.ns_member``, which this module's older ``ns_member`` shadows; it is
-the reference for the differential tests in ``test_polytope.py``.
+lexicographic order, each through ``_convex_member`` as it was before the
+polytope LPs were built as integer rows (a ``LinearSystem`` of ``Fraction``
+coefficients solved by ``lp_solve``, the target laid out by ``reorder``),
+and ``classical_member`` on that ``_convex_member``.  All three are the
+references for the differential tests in ``test_polytope.py``.  The
+decomposition tests no-signalling with this module's ``ns_member``, which
+sums ``Fraction`` marginals and matches the box's parties by name only, so
+it is a reference for binary boxes only: on a box with a ternary X it
+raises ``reorder``'s ``ValueError`` where the package raises
+``NotNoSignallingError``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from causalbox import lift
 from causalbox.boxes import chsh_graph, ns_box_vertices, pr_box
 from causalbox.graphs import (
     CausalDag,
@@ -28,13 +34,14 @@ from causalbox.graphs import (
     build_hypergraph,
     is_bell_type,
 )
-from causalbox.linprog import LinearSystem
+from causalbox.linprog import LinearSystem, lp_solve
 from causalbox.polytope import (
     DecompositionNotFoundError,
+    MemberVerdict,
     NotNoSignallingError,
-    _convex_member,
+    enumerate_classical_vertices,
 )
-from causalbox.tables import Kernel, assignments, marginalize
+from causalbox.tables import Kernel, assignments, conditional, marginalize, reorder
 
 
 @dataclass(frozen=True)
@@ -210,6 +217,37 @@ def ps_system(
     return system, h, inputs, outputs
 
 
+def _as_conditional(p: Kernel, template: Kernel) -> Kernel:
+    """Bring ``p`` to the conditional shape of the vertex tables."""
+    index_names = [n for n, _ in template.index_vars]
+    if p.is_prob_table and index_names:
+        p = conditional(p, index_names)
+    if set(p.var_names()) != set(template.var_names()):
+        raise ValueError("distribution variables do not match the graph's vertices")
+    return reorder(p, template.outcome_vars, template.index_vars)
+
+
+def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
+    """Exact membership of a conditional table in the classical polytope."""
+    vertices = enumerate_classical_vertices(g)
+    return _convex_member(p, [v.table for v in vertices])
+
+
+def _convex_member(p: Kernel, tables: list[Kernel]) -> MemberVerdict:
+    """Convex weights of ``tables``, which share one layout, that give ``p``."""
+    target = _as_conditional(p, tables[0])
+    names = [f"w{i}" for i in range(len(tables))]
+    system = LinearSystem(tuple(names))
+    system.add_equality({n: Fraction(1) for n in names}, Fraction(1))
+    for i, value in enumerate(target.entries):
+        coeffs = {n: t.entries[i] for n, t in zip(names, tables) if t.entries[i]}
+        system.add_equality(coeffs, value)
+    result = lp_solve(system)
+    if not result.is_optimal:
+        return MemberVerdict(False)
+    return MemberVerdict(True, tuple(result.assignment[n] for n in names))
+
+
 def decompose_ns_box(q: Kernel):
     """Decompose a bipartite no-signalling box into at most one PR box plus
     local deterministic boxes.
@@ -222,7 +260,7 @@ def decompose_ns_box(q: Kernel):
     are matched by name to the parties of the CHSH lift.
     """
     try:
-        ns = lift.ns_member(q, build_hypergraph(chsh_graph()))
+        ns = ns_member(q, build_hypergraph(chsh_graph()))
     except ValueError:
         ns = False
     if not ns:

@@ -21,10 +21,8 @@ from causalbox import (
     ps_system,
     uniform_table,
 )
-from causalbox import polytope
-
 import lp_reference
-from conftest import score2_table
+from conftest import polytope_lps, score2_table
 
 
 def test_bounded_maximum():
@@ -115,6 +113,27 @@ def test_constructor_equalities_are_checked():
 def test_undeclared_objective_variable_rejected():
     with pytest.raises(ValueError, match="objective"):
         LinearSystem(("x",), objective={"q": Fraction(1)})
+
+
+def test_float_coefficient_rejected():
+    system = LinearSystem(("x", "y"))
+    with pytest.raises(TypeError, match="coefficient of y is a float"):
+        system.add_equality({"x": Fraction(1), "y": 0.5}, Fraction(1))
+    with pytest.raises(TypeError, match="coefficient of x is a float"):
+        LinearSystem(("x",), [({"x": 1.0}, 1)])
+    assert system.equalities == []
+
+
+def test_float_right_hand_side_rejected():
+    system = LinearSystem(("x", "y"))
+    with pytest.raises(TypeError, match=r"right-hand side of the equality over \['x', 'y'\]"):
+        system.add_equality({"y": Fraction(1), "x": 1}, 0.1)
+    assert system.equalities == []
+
+
+def test_float_objective_rejected():
+    with pytest.raises(TypeError, match="objective coefficient of x is a float"):
+        LinearSystem(("x",), objective={"x": 0.25})
 
 
 def test_unbounded_phase_one_raises(monkeypatch):
@@ -218,20 +237,6 @@ def test_lp_solve_matches_reference(system):
     _assert_matches_reference(system)
 
 
-def _polytope_lps(run):
-    """Every LP that ``run()`` hands to ``polytope.lp_solve``."""
-    systems = []
-
-    def record(system):
-        systems.append(system)
-        return lp_solve(system)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(polytope, "lp_solve", record)
-        run()
-    return systems
-
-
 @pytest.mark.parametrize(
     "fixture", ["gyni", "instrumental", "chsh", "ns-decompose", "gyni-C", "chsh-C"]
 )
@@ -245,10 +250,10 @@ def test_fixture_lps_match_reference(fixture):
         joint = join_inputs(pr_box(), uniform_table((("X", 2), ("Y", 2))))
         systems = [ps_system(joint, chsh_graph())[0]]
     elif fixture == "ns-decompose":
-        systems = _polytope_lps(lambda: [decompose_ns_box(box) for box in ns_box_vertices()])
+        systems = polytope_lps(lambda: [decompose_ns_box(box) for box in ns_box_vertices()])
     elif fixture == "gyni-C":
-        systems = _polytope_lps(lambda: classical_member(gyni_projected(), gyni_graph()))
+        systems = polytope_lps(lambda: classical_member(gyni_projected(), gyni_graph()))
     else:
-        systems = _polytope_lps(lambda: classical_member(pr_box(), chsh_graph()))
+        systems = polytope_lps(lambda: classical_member(pr_box(), chsh_graph()))
     for system in systems:
         _assert_matches_reference(system)

@@ -8,6 +8,7 @@ import pytest
 from causalbox import (
     CausalDag,
     ClassicalNetwork,
+    CardinalityMismatchError,
     Kernel,
     OBSERVED,
     build_hypergraph,
@@ -21,6 +22,17 @@ from causalbox import (
 
 import table_reference as ref
 from conftest import all_test_graphs, district_demo_graph
+
+
+def test_cpt_over_a_parent_of_another_cardinality_is_rejected():
+    dag = CausalDag([("X", OBSERVED, 2), ("A", OBSERVED, 2)], [("X", "A")])
+    cpts = {
+        "X": Kernel((("X", 2),), (), (Fraction(1, 2), Fraction(1, 2))),
+        # indexed by a ternary X while X's own CPT is binary
+        "A": Kernel((("A", 2),), (("X", 3),), (Fraction(1),) * 3 + (Fraction(0),) * 3),
+    }
+    with pytest.raises(CardinalityMismatchError, match=r"CPT for A .* parent X"):
+        ClassicalNetwork(dag, cpts)
 
 
 def test_joint_of_tiny_network_by_hand():

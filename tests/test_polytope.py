@@ -1,5 +1,6 @@
 """Vertex enumeration, membership LPs, functional optimization, NS boxes."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -36,6 +37,7 @@ from causalbox import (
     pr_box,
     project,
     ps_member,
+    random_network,
     reorder,
     split_joint,
     tripartite_bell_graph,
@@ -44,7 +46,7 @@ from causalbox import (
 
 import causalbox.polytope
 import ns_reference
-from conftest import rng  # noqa: F401
+from conftest import polytope_lps, rng, score2_table, ternary_x_chsh_box  # noqa: F401
 
 
 def _chsh_functional(template):
@@ -538,17 +540,7 @@ def test_decompose_matches_reference(box, layout):
 
 def _lp_calls(box):
     """The number of LPs ``decompose_ns_box`` solves for ``box``."""
-    calls = []
-    solve = causalbox.polytope.lp_solve
-
-    def counting(system):
-        calls.append(system)
-        return solve(system)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(causalbox.polytope, "lp_solve", counting)
-        decompose_ns_box(box)
-    return len(calls)
+    return len(polytope_lps(lambda: decompose_ns_box(box)))
 
 
 @pytest.mark.parametrize("layout", _LAYOUTS, ids="".join)
@@ -573,3 +565,41 @@ def test_ns_box_vertices_returns_a_fresh_list():
     assert ns_box_vertices() == _VERTICES
     assert ns_box_vertices() is not ns_box_vertices()
     assert decompose_ns_box(pr_box(0, 1, 1)) == expected
+
+
+# -- classical membership on integer rows, against the Fraction-LP reference ------------
+
+
+def _classical_cases():
+    seeded = random.Random(20261018)
+    locals_ = _VERTICES[:16]
+    chsh = {"pr": pr_box(), "pr101-BA-YX": _laid_out(pr_box(1, 0, 1), ("BA", "YX"))}
+    chsh["ternary-x"] = ternary_x_chsh_box()
+    for i in range(6):
+        picks = seeded.sample(locals_, seeded.randint(2, 5))
+        raw = [seeded.randint(1, 8) for _ in picks]
+        box = _mix([(Fraction(w, sum(raw)), b) for w, b in zip(raw, picks)])
+        chsh[f"local-mix{i}"] = _laid_out(box, seeded.choice(_LAYOUTS))
+    chsh["local-mix-joint"] = join_inputs(box, uniform_table((("X", 2), ("Y", 2))))
+    cases = [pytest.param(chsh_graph(), box, id=f"chsh-{name}") for name, box in chsh.items()]
+    for name, g in (("instrumental", instrumental_graph()), ("gyni", gyni_graph())):
+        joint = random_network(g, seeded, latent_cardinality=2).joint_observed()
+        cases.append(pytest.param(g, joint, id=f"{name}-network"))
+    cases.append(pytest.param(instrumental_graph(), score2_table(), id="instrumental-score2"))
+    cases.append(pytest.param(gyni_graph(), gyni_projected(), id="gyni-projected"))
+    return cases
+
+
+def _verdict(member, p, g):
+    try:
+        return member(p, g)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("g, p", _classical_cases())
+def test_classical_member_matches_fraction_reference(g, p):
+    got = _verdict(classical_member, p, g)
+    assert got == _verdict(ns_reference.classical_member, p, g)
+    if p.variables == ternary_x_chsh_box().variables:
+        assert got is ValueError
