@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import boxes
-from .constraints import check_nested, enumerate_constraints, i_member
+from .constraints import _check_joint, check_nested, enumerate_constraints, i_member
 from .fileio import (
     FileFormatError,
     graph_to_dict,
@@ -198,10 +198,7 @@ def _cmd_project(args) -> int:
     dag = _load_graph(args.graph)
     dist = _load(args.dist, "dist", "distribution", load_kernel)
     h = build_hypergraph(dag)
-    if sorted(dist.var_names()) != sorted(h.base.observed()) or not dist.is_prob_table:
-        raise ValueError(
-            "project expects a joint table over the lifted graph's observed vertices"
-        )
+    _check_joint(dist, h.base, "project")
     payload = kernel_to_dict(project(dist, h.copies))
     _emit(args, payload, json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK

@@ -139,7 +139,7 @@ def kernel_from_dict(doc: dict) -> Kernel:
     outcome_vars = _parse_vars(outcomes, "variables")
     index_vars = _parse_vars(index, "index_variables")
     cards = [c for _, c in outcome_vars + index_vars]
-    table = {}
+    table, keys = {}, {}
     for key, raw in cells.items():
         parts = key.split(",")
         if len(parts) != len(cards):
@@ -151,6 +151,9 @@ def kernel_from_dict(doc: dict) -> Kernel:
         for v, c in zip(values, cards):
             if not 0 <= v < c:
                 raise FileFormatError(f"table key '{key}' out of range")
+        if values in keys:
+            raise FileFormatError(f"table keys '{keys[values]}' and '{key}' name one cell")
+        keys[values] = key
         try:
             table[values] = Fraction(str(raw))
         except (ValueError, ZeroDivisionError):

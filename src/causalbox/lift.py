@@ -11,8 +11,9 @@ lift certificate; infeasibility or a zero optimum refutes it.
 
 The no-signalling equalities are written once, by ``_ns_rows``: each
 equality is two lists of flat positions in a given variable layout, read
-through the stride maps of :mod:`causalbox.tables`.  ``ns_member`` sums a
-box's integer numerators at those positions; ``ps_system`` takes the same
+through the stride maps of :mod:`causalbox.tables`.  ``ns_member`` reads
+a box through the checked ``_numerators`` in the sorted party layout and
+compares its sums at those positions; ``ps_system`` takes the same
 positions in the layout of its unknowns as coefficients.
 
 Hypergraphs outside that scope (several latent vertices, or outcome
@@ -91,13 +92,13 @@ def _parties(dag: CausalDag, names) -> list:
 
 def ns_member(box: Kernel, h: HyperDag) -> bool:
     """Exact evaluation of every no-signalling equality on a conditional box."""
-    rows = _ns_rows(h, box.variables)  # rejects unsupported hypergraphs first
     dag = h.base
-    if sorted(box.outcome_vars) != _parties(dag, bell_outputs(dag)) or sorted(
-        box.index_vars
-    ) != _parties(dag, bell_inputs(dag)):
-        raise ValueError("box variables do not match the hypergraph's parties")
-    num, _ = _numerators(box)
+    outs, ins = _parties(dag, bell_outputs(dag)), _parties(dag, bell_inputs(dag))
+    rows = _ns_rows(h, outs + ins)  # rejects unsupported hypergraphs first
+    try:
+        num, _ = _numerators(box, outs, ins)
+    except ValueError:
+        raise ValueError("box variables do not match the hypergraph's parties") from None
     return all(sum(num[k] for k in lo) == sum(num[k] for k in hi) for lo, hi in rows)
 
 
@@ -166,6 +167,13 @@ def ps_system(
     outputs = bell_outputs(dag)
     in_vars = [(i, dag.cardinality(i)) for i in inputs]
     out_vars = [(o, dag.cardinality(o)) for o in outputs]
+    priors = input_priors or {}
+    for i, prior in priors.items():
+        if i not in inputs:
+            raise ValueError(f"input prior names {i}, which is not a setting of the lift")
+        missing = [v for v in range(dag.cardinality(i)) if prior is not None and v not in prior]
+        if missing:
+            raise ValueError(f"input prior for {i} gives no weight for values {missing}")
 
     # unknown k is the cell k of the layout in_vars + out_vars
     names = [
@@ -181,7 +189,6 @@ def ps_system(
         coeffs = dict.fromkeys((names[k] for k in lo), Fraction(1))
         coeffs.update(dict.fromkeys((names[k] for k in hi), Fraction(-1)))
         system.add_equality(coeffs, Fraction(0))
-    priors = input_priors or {}
     weights = [
         prod(
             (Fraction(priors[i][v]) for i, v in zip(inputs, iv) if priors.get(i) is not None),
@@ -209,11 +216,8 @@ def _certificate_check(p: Kernel, h: HyperDag, certificate: Kernel) -> PsVerdict
         return PsVerdict(
             "not_member", reason=f"certificate violates {verdict.violations[0].record}"
         )
-    projected = project(certificate, h.copies)
-
-    if sorted(projected.variables) != sorted(p.variables) or reorder(
-        p, projected.outcome_vars, projected.index_vars
-    ).entries != projected.entries:
+    projected = project(certificate, h.copies)  # over the observed vertices of p
+    if reorder(p, projected.outcome_vars, ()) != projected:
         return PsVerdict("not_member", reason="certificate does not project to the target")
     return PsVerdict("member", certificate=certificate, scale=None)
 

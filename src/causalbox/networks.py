@@ -53,6 +53,11 @@ class ClassicalNetwork:
             cpt = self.cpts[v]
             if [n for n, _ in cpt.outcome_vars] != [v]:
                 raise ValueError(f"CPT for {v} must have {v} as its only outcome")
+            card = cpt.outcome_vars[0][1]
+            if self.dag.spec(v).kind == OBSERVED and card != self.dag.cardinality(v):
+                raise CardinalityMismatchError(
+                    f"CPT for {v} has cardinality {card}, but {v} has {self.dag.cardinality(v)}"
+                )
             if [n for n, _ in cpt.index_vars] != sorted(self.dag.parents(v)):
                 raise ValueError(f"CPT for {v} must be indexed by its sorted parents")
         for v in self.dag.names():

@@ -16,7 +16,8 @@ the eight CHSH variants name the one PR box it can need, or none.
 Both LPs are built as integer rows for the simplex core of
 :mod:`causalbox.linprog`: the vertex tables as one integer matrix (built
 once for each of the nine vertex sets of the decomposition), and the
-target through its integer numerators, laid out by a stride map.
+target read once, in the vertices' layout, by the checked ``_numerators``
+of :mod:`causalbox.tables`.  The CHSH lift's NS rows are built once too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import product as _iterproduct
 from math import lcm, prod
 from typing import Callable, Mapping, Sequence
 
-from .boxes import chsh_graph, ns_box_vertices
+from .boxes import chsh_graph, local_box, pr_box
 from .graphs import (
     CausalDag,
     HyperDag,
@@ -39,9 +40,9 @@ from .graphs import (
     is_bell_type,
     topological_order,
 )
-from .lift import ns_member
+from .lift import _ns_rows
 from .linprog import _lowest, _solve
-from .tables import Kernel, _index_map, _numerators, assignments, conditional
+from .tables import Kernel, _numerators, _position, assignments, conditional
 
 __all__ = [
     "Vertex",
@@ -79,13 +80,14 @@ class Vertex:
     table: Kernel
 
 
-def _deterministic_vertices(g: CausalDag) -> list[Vertex]:
-    """Point-mass tables of the deterministic strategies on ``g``.
-
-    Strategies run in the lift's order: each output picks a response
-    function of its sorted observed parents in the hypergraph.  Outputs are
-    evaluated by direct substitution in topological order of ``g``, a copy
-    parent reading its source.  The first strategy of each table is kept.
+def enumerate_classical_vertices(g: CausalDag) -> list[Vertex]:
+    """Vertices of the classical polytope of a single-latent graph: its
+    deterministic functional models.  Strategies run in the lift's order:
+    each output picks a response function of its sorted observed parents in
+    the hypergraph, and outputs are evaluated by direct substitution in
+    topological order of ``g``, a copy parent reading its source.  With
+    uniform copies this equals lifting each strategy and projecting it
+    through the diagonal event.  The first strategy of each table is kept.
     """
     if len(g.latent()) > 1:
         raise MultiLatentError("vertex enumeration requires at most one latent vertex")
@@ -109,14 +111,8 @@ def _deterministic_vertices(g: CausalDag) -> list[Vertex]:
         entries = [Fraction(0)] * (prod(c for _, c in out_vars) * len(rows))
         for r, values in enumerate(dict(row) for row in rows):
             for v in order:
-                pos = 0
-                for p, c in parents[v]:
-                    pos = pos * c + values[p]
-                values[v] = responses[v][pos]
-            cell = 0
-            for v, c in out_vars:
-                cell = cell * c + values[v]
-            entries[cell * len(rows) + r] = Fraction(1)
+                values[v] = responses[v][_position(parents[v], values)]
+            entries[_position(out_vars, values) * len(rows) + r] = Fraction(1)
         key = tuple(entries)
         if key not in seen:
             seen[key] = Vertex(responses, Kernel(out_vars, in_vars, key))
@@ -129,15 +125,7 @@ def enumerate_h_vertices(h: HyperDag) -> list[Vertex]:
     them setting variables, so no two strategies share a table."""
     if not is_bell_type(h.base):
         raise ValueError("hypergraph base is not Bell-type")
-    return _deterministic_vertices(h.base)
-
-
-def enumerate_classical_vertices(g: CausalDag) -> list[Vertex]:
-    """Vertices of the classical polytope of a single-latent graph: its
-    deterministic functional models, evaluated by direct substitution.  With
-    uniform copies this equals lifting each hypergraph strategy and
-    projecting it through the diagonal event."""
-    return _deterministic_vertices(g)
+    return enumerate_classical_vertices(h.base)
 
 
 @dataclass(frozen=True)
@@ -158,8 +146,11 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     ``mediation_graph`` a joint that breaks a conditional independence of
     the graph can be accepted.
     """
-    vertices = enumerate_classical_vertices(g)
-    return _convex_member(p, _vertex_matrix([v.table for v in vertices]))
+    vertices = _vertex_matrix([v.table for v in enumerate_classical_vertices(g)])
+    outcome_vars, index_vars, _, _ = vertices
+    if p.is_prob_table and index_vars:
+        p = conditional(p, [n for n, _ in index_vars])
+    return _convex_member(vertices, *_numerators(p, outcome_vars, index_vars))
 
 
 def _vertex_matrix(tables: Sequence[Kernel]):
@@ -176,37 +167,28 @@ def _vertex_matrix(tables: Sequence[Kernel]):
 @lru_cache(maxsize=None)
 def _ns_vertex_matrix(pr: tuple[int, int, int] | None):
     """The sixteen local boxes, after PR(alpha, beta, gamma) if ``pr`` names it."""
-    vertices = ns_box_vertices()
-    tables = vertices[:16]
-    if pr is not None:
-        alpha, beta, gamma = pr
-        tables = [vertices[16 + 4 * alpha + 2 * beta + gamma]] + tables
-    return _vertex_matrix(tables)
+    tables = [local_box(i) for i in range(16)]
+    return _vertex_matrix(tables if pr is None else [pr_box(*pr)] + tables)
 
 
-def _convex_member(p: Kernel, vertices) -> MemberVerdict:
-    """Convex weights of the tables of a :func:`_vertex_matrix` that give ``p``.
+@lru_cache(maxsize=None)
+def _chsh_ns_rows():
+    """The no-signalling rows of the CHSH lift in the NS vertices' layout."""
+    outcome_vars, index_vars, _, _ = _ns_vertex_matrix(None)
+    return _ns_rows(build_hypergraph(chsh_graph()), outcome_vars + index_vars)
 
-    A joint ``p`` is first made conditional on the vertices' index
-    variables; its variables must then match theirs by name, cardinality
-    and side.  The LP has one integer row for the weights' sum, then one
-    per cell of the vertex layout, each reduced by ``_lowest`` exactly as
-    :func:`lp_solve` reduces the same equality.
+
+def _convex_member(vertices, num: list[int], den: int) -> MemberVerdict:
+    """Convex weights of the tables of a :func:`_vertex_matrix` that give the
+    target whose cell i of the vertices' layout is ``num[i] / den``.  The LP
+    has one integer row for the weights' sum, then one per cell, each
+    reduced by ``_lowest`` exactly as :func:`lp_solve` reduces that equality.
     """
-    outcome_vars, index_vars, matrix, vden = vertices
-    layout = outcome_vars + index_vars
-    if p.is_prob_table and index_vars:
-        p = conditional(p, [n for n, _ in index_vars])
-    if set(p.var_names()) != {n for n, _ in layout}:
-        raise ValueError("distribution variables do not match the graph's vertices")
-    sides = sorted(p.outcome_vars), sorted(p.index_vars)
-    if sides != (sorted(outcome_vars), sorted(index_vars)):
-        raise ValueError(f"cannot lay out {p.variables} as {layout}")
-    num, den = _numerators(p)
+    _, _, matrix, vden = vertices
     n = len(matrix[0])
     rows, dens = [[1] * (n + 1)], [1]
-    for cell, k in zip(matrix, _index_map(layout, p.variables)):
-        row, d = _lowest([c * den for c in cell] + [num[k] * vden], den * vden)
+    for cell, k in zip(matrix, num):
+        row, d = _lowest([c * den for c in cell] + [k * vden], den * vden)
         rows.append(row)
         dens.append(d)
     _, _, x = _solve(rows, dens, [0] * n)
@@ -251,18 +233,17 @@ def maximize_functional(
     return best, best_v
 
 
-def _violated_chsh_variant(q: Kernel) -> tuple[int, int, int] | None:
+def _violated_chsh_variant(num: list[int], den: int) -> tuple[int, int, int] | None:
     """The (alpha, beta, gamma) CHSH variant on which the binary box
-    q(A, B | X, Y), matched by name, scores above 3, if any.
+    q(A, B | X, Y) = ``num / den``, laid out in that order, scores above 3,
+    if any.
 
     The (alpha, beta, gamma) variant scores
     S = sum over x, y of q(a + b = xy + alpha x + beta y + gamma | x, y),
     with sums mod 2.  Local boxes score at most 3 on every variant.
     """
-    num, den = _numerators(q)
-    at = _index_map((("A", 2), ("B", 2), ("X", 2), ("Y", 2)), q.variables)
     # agree[x, y] = den * q(a = b | x, y); cell (a, b, x, y) sits at 8a + 4b + 2x + y
-    agree = [num[at[xy]] + num[at[12 + xy]] for xy in range(4)]
+    agree = [num[xy] + num[12 + xy] for xy in range(4)]
     for alpha, beta, gamma in _iterproduct((0, 1), repeat=3):
         score = 0  # den * S
         for xy, (x, y) in enumerate(_iterproduct((0, 1), repeat=2)):
@@ -280,7 +261,7 @@ def decompose_ns_box(q: Kernel):
     The result is ``(pr_index_or_None, weights)`` where ``weights`` lists
     the PR weight (zero for locals-only) followed by the sixteen local
     weights.  The box must be binary over A, B | X, Y, in any layout: its
-    variables are matched by name to the parties of the CHSH lift.
+    variables are matched by name, cardinality and side, and it is read once.
 
     The LP is picked by the box's scores on the eight CHSH variants.  If it
     scores above 3 on the (alpha, beta, gamma) variant, the LP is over
@@ -294,14 +275,15 @@ def decompose_ns_box(q: Kernel):
     - A box at most 3 on every variant is local (Fine), and every NS box
       mixes at most one PR box with locals (Barrett et al.).
     """
+    outcome_vars, index_vars, _, _ = _ns_vertex_matrix(None)
     try:
-        ns = ns_member(q, build_hypergraph(chsh_graph()))
+        num, den = _numerators(q, outcome_vars, index_vars)
     except ValueError:
-        ns = False
-    if not ns:
+        raise NotNoSignallingError("box variables are not binary A, B | X, Y") from None
+    if any(sum(num[k] for k in lo) != sum(num[k] for k in hi) for lo, hi in _chsh_ns_rows()):
         raise NotNoSignallingError("box is not a bipartite no-signalling kernel")
-    index = _violated_chsh_variant(q)
-    verdict = _convex_member(q, _ns_vertex_matrix(index))
+    index = _violated_chsh_variant(num, den)
+    verdict = _convex_member(_ns_vertex_matrix(index), num, den)
     if not verdict.member:
         raise DecompositionNotFoundError(
             "no-signalling box admits no PR-plus-local decomposition"

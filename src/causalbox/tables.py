@@ -20,7 +20,9 @@ Entries are :class:`fractions.Fraction`, so equality constraints on tables
 are decidable: two kernels are equal iff every entry is equal.  The ops
 that build tables compute in ``Fraction``.  Code that only compares sums
 of entries, or hands them to the integer simplex, reads them through
-``_numerators``: integer numerators over their lcm, computed per call and
+``_numerators(kernel, outcome_vars, index_vars)``: the one step that
+matches a target to a layout by name, cardinality and side, and gives its
+integer numerators over their lcm in that layout, computed per call and
 never cached on the kernel.
 """
 
@@ -275,11 +277,17 @@ def _index_map(variables: Sequence[Var], onto: Sequence[Var]) -> list[int]:
     return positions
 
 
-def _numerators(kernel: Kernel) -> tuple[list[int], int]:
-    """The kernel's entries as integer numerators over their lcm ``den``:
-    entry i is ``num[i] / den``.  Computed on every call."""
-    den = lcm(*(e.denominator for e in kernel.entries))
-    return [e.numerator * (den // e.denominator) for e in kernel.entries], den
+def _numerators(kernel: Kernel, outcome_vars: Sequence[Var], index_vars: Sequence[Var]):
+    """``kernel`` laid out over ``outcome_vars`` indexed by ``index_vars``, as
+    integer numerators over their lcm ``den``: cell i is ``num[i] / den``.
+    The layout must list the kernel's variables by name and cardinality,
+    each on its side, or ``ValueError``.  Computed on every call."""
+    layout = tuple(outcome_vars) + tuple(index_vars)
+    if sorted(layout) != sorted(kernel.variables) or set(outcome_vars) != set(kernel.outcome_vars):
+        raise ValueError(f"cannot lay out {kernel.variables} as {layout}")
+    cells = [kernel.entries[p] for p in _index_map(layout, kernel.variables)]
+    den = lcm(*(e.denominator for e in cells))
+    return [e.numerator * (den // e.denominator) for e in cells], den
 
 
 def _sums(entries: Sequence[Fraction], variables: Sequence[Var], kept: Sequence[Var]):

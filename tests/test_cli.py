@@ -264,6 +264,14 @@ def test_semantic_mismatch_exits_one(files, tmp_path, capsys):
             argv = ["member", "--model", model, "--graph", gpath, "--dist", str(tmp_path / "box.json")]
             assert dispatch(argv) == 1, model
             assert "error:" in capsys.readouterr().err, model
+    # the lifted vertices of the instrumental graph, with a ternary X for its binary X
+    from causalbox import uniform_table
+
+    inst = emit("instrumental-graph", "inst.json")
+    dump_kernel(uniform_table((("A", 2), ("A_B", 2), ("B", 2), ("X", 3))), tmp_path / "l.json")
+    argv = ["project", "--graph", inst, "--dist", str(tmp_path / "l.json"), "--format", "machine"]
+    assert dispatch(argv) == 1
+    assert "do not match observed vertices" in capsys.readouterr().err
 
 
 def test_project_subcommand(files, tmp_path, capsys):
@@ -366,6 +374,15 @@ _BAD_DISTS = {
         "variables": [{"name": 0, "cardinality": 2}], "index_variables": [], "table": {"0": "1"}
     },
     "index_object": {"variables": [], "index_variables": {}, "table": {}},
+    # the uniform table over mediation's vertices, with "00,0,0,0" naming cell 0,0,0,0 again
+    "duplicate_key": {
+        "variables": [{"name": n, "cardinality": 2} for n in "ABCX"],
+        "index_variables": [],
+        "table": {
+            **{f"{a},{b},{c},{x}": "1/16" for a in "01" for b in "01" for c in "01" for x in "01"},
+            "00,0,0,0": "1/16",
+        },
+    },
 }
 _MALFORMED = [
     *(["graph", "check", "--graph", "{%s}" % bad] for bad in _BAD_FILES + tuple(_BAD_GRAPHS)),

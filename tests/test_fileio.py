@@ -1,5 +1,7 @@
 """Text formats: exact round trips and named-field errors."""
 
+import re
+
 import pytest
 
 from causalbox import gyni_projected, mediation_graph, pr_box, swapping_graph
@@ -107,3 +109,15 @@ def test_zero_entries_may_be_omitted():
     }
     kernel = kernel_from_dict(doc)
     assert kernel.value({"A": 0}) == 0
+
+
+@pytest.mark.parametrize("again", ["00", " 0", "+0", "0 "])
+def test_table_keys_naming_one_cell_twice_are_rejected(again):
+    # int() accepts padding and leading zeros, so each key below names cell (0,)
+    doc = {
+        "variables": [{"name": "A", "cardinality": 2}],
+        "index_variables": [],
+        "table": {"0": "1/2", again: "1/2", "1": "1/2"},
+    }
+    with pytest.raises(FileFormatError, match=re.escape(f"table keys '0' and '{again}' name one cell")):
+        kernel_from_dict(doc)

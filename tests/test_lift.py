@@ -492,3 +492,18 @@ def test_inclusion_chain_fixture_witnesses():
     assert not classical_member(gyni_projected(), gg).member
     joint = join_inputs(gyni_projected(), uniform_table((("X", 2),)))
     assert ps_member(joint, gg).member
+
+
+def test_ps_system_rejects_priors_off_the_settings():
+    """Priors designate settings of the lift (here A_B and X), each in full."""
+    g = instrumental_graph()
+    p = uniform_table((("A", 2), ("B", 2), ("X", 2)))
+    half = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    for priors, message in (
+        ({"Q": half}, "names Q, which is not a setting"),
+        ({"A": half}, "names A, which is not a setting"),
+        ({"X": {0: Fraction(1, 4)}}, r"for X gives no weight for values \[1\]"),
+    ):
+        for run in (ps_system, ps_member):
+            with pytest.raises(ValueError, match=message):
+                run(p, g, input_priors=priors)

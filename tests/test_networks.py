@@ -35,6 +35,17 @@ def test_cpt_over_a_parent_of_another_cardinality_is_rejected():
         ClassicalNetwork(dag, cpts)
 
 
+def test_observed_cpt_of_another_cardinality_is_rejected():
+    dag = CausalDag([("X", OBSERVED, 2), ("A", OBSERVED, 2)], [("X", "A")])
+    cpts = {
+        # a ternary CPT for the binary X, and A's CPT indexed by that ternary X
+        "X": Kernel((("X", 3),), (), (Fraction(1, 3),) * 3),
+        "A": Kernel((("A", 2),), (("X", 3),), (Fraction(1),) * 3 + (Fraction(0),) * 3),
+    }
+    with pytest.raises(CardinalityMismatchError, match=r"CPT for X has cardinality 3, but X has 2"):
+        ClassicalNetwork(dag, cpts)
+
+
 def test_joint_of_tiny_network_by_hand():
     dag = CausalDag([("X", OBSERVED, 2), ("A", OBSERVED, 2)], [("X", "A")])
     cpts = {

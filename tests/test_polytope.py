@@ -416,6 +416,42 @@ def test_mixture_reconstruction_exact(rng):
             assert rebuilt == value
 
 
+def test_decompose_reads_each_box_once_and_builds_no_lift(monkeypatch):
+    """The CHSH lift and its no-signalling rows are built once; every box is
+    read through one checked layout read."""
+    import causalbox.lift
+
+    decompose_ns_box(pr_box())  # builds the constant rows and vertex matrices
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (causalbox.polytope, causalbox.lift):
+        for name in ("build_hypergraph", "chsh_graph", "_ns_rows", "_numerators"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for box in ns_box_vertices():
+        decompose_ns_box(box)
+    assert calls == {"_numerators": 24}
+
+
+def test_ns_lift_rows_and_vertex_matrices_are_built_on_first_use():
+    import subprocess
+    import sys
+
+    probe = (
+        "import causalbox.polytope as p; "
+        "print(p._chsh_ns_rows.cache_info().currsize, p._ns_vertex_matrix.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]
+
+
 def test_signalling_box_rejected():
     signalling = Kernel.from_function(
         (("A", 2), ("B", 2)),

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +35,7 @@ from causalbox import (
     uniform_table,
 )
 from causalbox.networks import random_network
+from causalbox.tables import _numerators
 
 import table_reference as ref
 from conftest import random_rational_table
@@ -414,3 +415,25 @@ def test_reorder_round_trip(kernel, data):
     assert reorder(moved, kernel.outcome_vars, kernel.index_vars) == kernel
     with pytest.raises(ValueError):
         reorder(kernel, outcome + [("Q", 2)], index)
+
+
+@given(shuffled_kernels(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_numerators_read_a_checked_layout(kernel, data):
+    outcome = list(data.draw(st.permutations(kernel.outcome_vars)))
+    index = list(data.draw(st.permutations(kernel.index_vars)))
+    entries = reorder(kernel, outcome, index).entries
+    den = lcm(*(e.denominator for e in entries))
+    num = [e.numerator * (den // e.denominator) for e in entries]
+    assert _numerators(kernel, outcome, index) == (num, den)
+    # the layout with one variable on the other side, at another cardinality, or unknown
+    name, card = var = data.draw(st.sampled_from(kernel.variables))
+    moved = ([v for v in outcome if v != var], [v for v in index if v != var])
+    moved[var in outcome].append(var)
+
+    def swap(new):
+        return tuple([new if v == var else v for v in side] for side in (outcome, index))
+
+    for outs, ins in (moved, swap((name, card % 3 + 1)), swap(("Q", card))):
+        with pytest.raises(ValueError, match="cannot lay out"):
+            _numerators(kernel, outs, ins)
