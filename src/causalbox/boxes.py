@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import LATENT, OBSERVED, CausalDag
-from .tables import Kernel, uniform_table
+from .tables import CardinalityMismatchError, Kernel
 
 __all__ = [
     "pr_box",
@@ -158,31 +158,23 @@ def swapping_box() -> Kernel:
     )
 
 
-def chsh_score(box: Kernel, input_dist: Kernel | None = None) -> Fraction:
-    """Probability that A + B = X * Y (mod 2) under the given input
-    distribution, uniform inputs by default."""
+def chsh_score(box: Kernel) -> Fraction:
+    """Probability that A + B = X * Y (mod 2) under uniform inputs."""
     out_names = [n for n, _ in box.outcome_vars]
     in_names = [n for n, _ in box.index_vars]
     if len(out_names) != 2 or len(in_names) != 2:
         raise ValueError("chsh_score expects a bipartite box")
-    for n in out_names + in_names:
-        if box.cardinality(n) != 2:
-            from .tables import CardinalityMismatchError
-
-            raise CardinalityMismatchError("chsh_score expects binary variables")
+    if any(box.cardinality(n) != 2 for n in out_names + in_names):
+        raise CardinalityMismatchError("chsh_score expects binary variables")
     a_n, b_n = out_names
     x_n, y_n = in_names
-    if input_dist is None:
-        input_dist = uniform_table(box.index_vars)
-    if any(v == 0 for v in input_dist.entries):
-        raise ValueError("input distribution must have full support")
-    score = Fraction(0)
-    for assign, value in input_dist.cells():
-        x, y = assign[x_n], assign[y_n]
-        for a in _BIT:
-            b = a ^ (x & y)
-            score += value * box.value({a_n: a, b_n: b, x_n: x, y_n: y})
-    return score
+    wins = sum(
+        box.value({a_n: a, b_n: a ^ (x & y), x_n: x, y_n: y})
+        for x in _BIT
+        for y in _BIT
+        for a in _BIT
+    )
+    return Fraction(wins, 4)
 
 
 # -- named graphs ----------------------------------------------------------

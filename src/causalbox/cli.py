@@ -235,7 +235,7 @@ def _cmd_member(args) -> int:
             payload["certificate"] = kernel_to_dict(ps.certificate)
             if ps.scale is not None:
                 payload["scale"] = str(ps.scale)
-        text = "member of PS(G)" if member else "not in PS(G): LP infeasible"
+        text = "member of PS(G)" if member else f"not in PS(G): {ps.reason or 'LP infeasible'}"
     else:
         verdict = (i_member if model == "I" else check_nested)(_as_joint(dist), dag)
         member = verdict.member

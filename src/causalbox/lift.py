@@ -4,10 +4,13 @@ For a graph whose hypergraph has a single latent vertex parenting every
 outcome vertex, the lifted correlation set is the no-signalling polytope of
 the associated Bell structure, a set cut out by finitely many linear
 equalities.  Post-selection membership then reduces to one exact linear
-program: find a no-signalling box whose diagonal section is proportional to
-the target distribution, with the proportionality scalar maximized.  A
-strictly positive optimum certifies membership and the optimizer is the
-lift certificate; infeasibility or a zero optimum refutes it.
+program: find a no-signalling box whose diagonal section, weighted by the
+setting prior (the target's own marginal on an original setting, uniform on
+a copy), is proportional to the target distribution, with the
+proportionality scalar maximized.  That scalar is the probability of the
+diagonal event.  A strictly positive optimum certifies membership and the
+optimizer is the lift certificate; infeasibility or a zero optimum refutes
+it.
 
 The no-signalling equalities are written once, by ``_ns_rows``: each
 equality is two lists of flat positions in a given variable layout, read
@@ -38,7 +41,7 @@ from .graphs import (
     is_bell_type,
 )
 from .linprog import LinearSystem, lp_solve
-from .tables import Kernel, _index_map, _numerators, assignments, project, reorder
+from .tables import Kernel, _index_map, _numerators, _sums, assignments, project, reorder
 
 __all__ = [
     "ns_member",
@@ -126,7 +129,7 @@ def instrumental_score(k: Kernel) -> Fraction:
 class PsVerdict:
     status: str  # "member" | "not_member" | "unsupported"
     certificate: Kernel | None = None
-    scale: Fraction | None = None
+    scale: Fraction | None = None  # probability of the diagonal event, in (0, 1]
     reason: str | None = None
 
     @property
@@ -139,26 +142,22 @@ def _qname(out_values, in_values) -> str:
     return "q[" + ",".join(map(str, out_values)) + "|" + ",".join(map(str, in_values)) + "]"
 
 
-def ps_system(
-    p: Kernel, g: CausalDag, input_priors=None
-) -> tuple[LinearSystem, HyperDag, list, list]:
+def ps_system(p: Kernel, g: CausalDag) -> tuple[LinearSystem, HyperDag, list, list]:
     """The post-selection membership LP for a supported graph.
 
     Unknowns are the box entries q(outputs | inputs) of the hypergraph plus
     a scalar t; constraints are normalization, the no-signalling equalities
     and the diagonal pinning prior(x) * q(diagonal of x) = t * p(x) for
     every joint assignment x of the observed vertices; the objective
-    maximizes t.
+    maximizes t, the probability of the diagonal (post-selection) event.
 
-    ``input_priors`` optionally designates a full-support marginal (a map
-    from value to weight) for any setting vertex of the lift, original
-    roots and added copies alike; unspecified settings are uniform.  The
-    uniform copy default is a normative part of the model: it makes the
-    conditioning projection coincide with direct diagonal substitution into
-    the conditional box, which is the projection the whole construction
-    uses, and it realizes every classically generated distribution through
-    its network lift.  Verdicts genuinely depend on the designated priors,
-    so they are part of the membership question, not a tuning knob.
+    The prior of a lifted setting row is the product of its settings'
+    priors.  An original setting is observed, so its prior is its marginal
+    under ``p``; a value ``p`` never takes gives pinning rows that read
+    0 = 0.  A copy's prior is uniform, a constant of the model: it makes
+    the conditioning projection coincide with direct diagonal substitution
+    into the conditional box, and it realizes every classically generated
+    distribution through its network lift.
     """
     _check_joint(p, g, "ps_system")
     h = build_hypergraph(g)
@@ -167,13 +166,6 @@ def ps_system(
     outputs = bell_outputs(dag)
     in_vars = [(i, dag.cardinality(i)) for i in inputs]
     out_vars = [(o, dag.cardinality(o)) for o in outputs]
-    priors = input_priors or {}
-    for i, prior in priors.items():
-        if i not in inputs:
-            raise ValueError(f"input prior names {i}, which is not a setting of the lift")
-        missing = [v for v in range(dag.cardinality(i)) if prior is not None and v not in prior]
-        if missing:
-            raise ValueError(f"input prior for {i} gives no weight for values {missing}")
 
     # unknown k is the cell k of the layout in_vars + out_vars
     names = [
@@ -189,15 +181,14 @@ def ps_system(
         coeffs = dict.fromkeys((names[k] for k in lo), Fraction(1))
         coeffs.update(dict.fromkeys((names[k] for k in hi), Fraction(-1)))
         system.add_equality(coeffs, Fraction(0))
+    priors = [
+        [Fraction(1, c)] * c if i in h.copies else _sums(p.entries, p.variables, [(i, c)])
+        for i, c in in_vars
+    ]
     weights = [
-        prod(
-            (Fraction(priors[i][v]) for i, v in zip(inputs, iv) if priors.get(i) is not None),
-            start=Fraction(1),
-        )
+        prod((prior[v] for prior, v in zip(priors, iv)), start=Fraction(1))
         for iv in assignments(in_vars)
     ]
-    if min(weights) <= 0:
-        raise ValueError("input priors must have full support")
     # each copy input reads its source's value: the repeated-name diagonal
     diagonal = [(h.copies.get(n, n), c) for n, c in in_vars + out_vars]
     for k, value in zip(_index_map(p.variables, diagonal), p.entries):
@@ -208,9 +199,7 @@ def ps_system(
 def _certificate_check(p: Kernel, h: HyperDag, certificate: Kernel) -> PsVerdict:
     expected = _parties(h.base, h.base.observed())
     if sorted(certificate.variables) != expected or not certificate.is_prob_table:
-        return PsVerdict(
-            "not_member", reason="certificate must be a joint table over the lifted vertices"
-        )
+        raise ValueError(f"certificate must be a joint table over the lifted vertices {expected}")
     verdict = i_member(certificate, h.base)
     if not verdict.member:
         return PsVerdict(
@@ -222,27 +211,16 @@ def _certificate_check(p: Kernel, h: HyperDag, certificate: Kernel) -> PsVerdict
     return PsVerdict("member", certificate=certificate, scale=None)
 
 
-def ps_member(
-    p: Kernel,
-    g: CausalDag,
-    certificate: Kernel | None = None,
-    input_priors=None,
-) -> PsVerdict:
+def ps_member(p: Kernel, g: CausalDag, certificate: Kernel | None = None) -> PsVerdict:
     """Post-selection membership of a joint observed distribution.
 
     Supported graphs (hypergraph with exactly one latent vertex parenting
     every outcome vertex) are decided by exact LP; the verdict carries the
     maximizing scale t and the lift certificate, which projects back to the
     target exactly.  A zero optimum means the diagonal event cannot carry
-    the target and the distribution is not a member.
-
-    The setting marginals are part of the question being decided: the test
-    asks whether ``p`` is the projection of a no-signalling lift operated
-    with the designated setting distribution.  All settings default to
-    uniform; a model run with non-uniform settings must designate them via
-    ``input_priors`` (a classical network with a skewed root prior is a
-    member under its own prior, not necessarily under the uniform one).
-    See :func:`ps_system`.
+    the target and the distribution is not a member.  The lift's original
+    settings take their marginals under ``p`` and its copies are uniform,
+    so the verdict depends on ``p`` and ``g`` alone; see :func:`ps_system`.
 
     For unsupported graphs a caller-supplied candidate lift is verified
     instead: it must satisfy every conditional-independence constraint of
@@ -266,7 +244,7 @@ def ps_member(
             reason="hypergraph independence model is not a linear no-signalling"
             " polytope; supply a candidate lift to verify",
         )
-    system, h, inputs, outputs = ps_system(p, g, input_priors=input_priors)
+    system, h, inputs, outputs = ps_system(p, g)
     result = lp_solve(system)
     if not result.is_optimal or result.value == 0:
         return PsVerdict("not_member")

@@ -87,15 +87,17 @@ class ClassicalNetwork:
         return Kernel(observed, (), tuple(_sums(cells, all_vars, observed)))
 
 
+_WEIGHT_RANGE = 8
+
+
 def random_network(
     dag: CausalDag,
     rng: random.Random,
     latent_cardinality: int = 4,
-    weight_range: int = 8,
 ) -> ClassicalNetwork:
     """Random full-support rational CPTs for every vertex.
 
-    Entries are drawn as integer weights in [1, weight_range] and normalized
+    Entries are drawn as integer weights in [1, _WEIGHT_RANGE] and normalized
     exactly, so every CPT row is a reduced rational distribution.
     """
     cpts = {}
@@ -108,7 +110,7 @@ def random_network(
         index_vars = tuple((p, card[p]) for p in parents)
         rows = []
         for _ in assignments(index_vars):
-            weights = [rng.randint(1, weight_range) for _ in range(card[v])]
+            weights = [rng.randint(1, _WEIGHT_RANGE) for _ in range(card[v])]
             rows.append([Fraction(w, sum(weights)) for w in weights])
         # the outcome varies slowest in the layout
         entries = tuple(row[value] for value in range(card[v]) for row in rows)

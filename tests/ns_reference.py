@@ -4,6 +4,9 @@ maps, kept verbatim as the reference for the differential tests in
 them, ``ns_member`` evaluating each through ``marginalize``, and
 ``ps_system`` expanding each into LP coefficients by name.  The tables,
 graphs and LP types are the package's own, so results compare with ``==``.
+This ``ps_system`` still takes designated ``input_priors``; the package
+reads them off the joint (its marginal on an original setting, uniform on
+a copy), and the tests hand the reference those derived priors.
 
 Also ``decompose_ns_box`` as it was before it picked its one LP from the
 CHSH variant a box violates: a locals-only LP, then one LP per PR box in

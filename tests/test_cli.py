@@ -441,3 +441,66 @@ def test_certificate_file_errors_name_the_file(files, tmp_path, capsys):
     broken.write_text("{oops")
     assert dispatch([*argv, "--certificate", str(broken)]) == 1
     assert capsys.readouterr().err.startswith(f"error: bad certificate file {broken}: Expecting")
+
+
+def test_member_reads_skewed_settings_off_the_joint(files, tmp_path, capsys):
+    """A classical joint whose setting X is drawn 1/5 : 4/5 is in every model."""
+    import random
+
+    from causalbox import Kernel, instrumental_graph
+    from causalbox.fileio import dump_kernel
+    from causalbox.networks import ClassicalNetwork, random_network
+
+    emit, _ = files
+    gpath = emit("instrumental-graph", "instr.json")
+    g = instrumental_graph()
+    cpts = dict(random_network(g, random.Random(3), latent_cardinality=3).cpts)
+    cpts["X"] = Kernel.from_mapping((("X", 2),), (), {(0,): Fraction(1, 5), (1,): Fraction(4, 5)})
+    dpath = tmp_path / "skewed.json"
+    dump_kernel(ClassicalNetwork(g, cpts).joint_observed(), dpath)
+    for model in ("C", "PS", "N", "I"):
+        assert dispatch(["member", "--model", model, "--graph", gpath, "--dist", str(dpath)]) == 0
+        assert capsys.readouterr().out == f"member of {model}(G)\n"
+
+
+def test_ps_certificate_of_another_shape_is_an_input_error(files, tmp_path, capsys):
+    """The conditional box that PS prints is not a joint over the lifted
+    vertices, so feeding it back is an input error, not a rejection."""
+    emit, _ = files
+    gpath = emit("gyni-graph", "gyni.json")
+    dpath = emit("gyni-projected", "gp.json")
+    argv = ["member", "--model", "PS", "--graph", gpath, "--dist", dpath]
+    assert dispatch([*argv, "--format", "machine"]) == 0
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text(json.dumps(json.loads(capsys.readouterr().out)["certificate"]))
+    assert dispatch([*argv, "--certificate", str(certificate)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: certificate must be a joint table over the lifted vertices [('A', 2), ('A_B', 2)"
+    )
+
+
+def test_ps_certificate_rejection_prints_its_reason(files, tmp_path, capsys):
+    from causalbox import Kernel, join_inputs, swapping_box, uniform_table
+    from causalbox.fileio import dump_kernel
+
+    emit, _ = files
+    gpath = emit("swapping-graph", "swap.json")
+    joint = join_inputs(swapping_box(), uniform_table((("X", 2), ("Z", 2))))
+    # a signalling candidate: A copies Z
+    bad = Kernel.from_function(
+        joint.outcome_vars,
+        (),
+        lambda v: Fraction(1, 8) if v["A"] == v["Z"] and v["C"] == v["B"] else 0,
+    )
+    dump_kernel(joint, tmp_path / "joint.json")
+    dump_kernel(bad, tmp_path / "bad.json")
+    argv = ["member", "--model", "PS", "--graph", gpath, "--dist", str(tmp_path / "joint.json"),
+            "--certificate", str(tmp_path / "bad.json")]
+    assert dispatch(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("not in PS(G): certificate violates CI: ")
+    assert "LP infeasible" not in out
+    assert dispatch([*argv, "--format", "machine"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"member": False}

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from causalbox import (
     Kernel,
+    instrumental_graph,
     join_inputs,
     local_box,
     mediation_graph,
@@ -26,7 +27,7 @@ from causalbox import (
 )
 from causalbox.cli import dispatch
 from causalbox.fileio import dump_kernel
-from causalbox.networks import random_network
+from causalbox.networks import ClassicalNetwork, random_network
 
 from conftest import score2_table
 
@@ -37,6 +38,7 @@ PAIRS = [
     ("gyni-graph.json", "gyni-projected.json"),
     ("instrumental-graph.json", "score2.json"),
     ("mediation-graph.json", "mediation-joint.json"),
+    ("instrumental-graph.json", "instrumental-skewed.json"),
 ]
 
 COMMANDS = [
@@ -72,6 +74,11 @@ def write_fixtures(directory: Path) -> None:
     dump_kernel(score2_table(), directory / "score2.json")
     net = random_network(mediation_graph(), random.Random(7), latent_cardinality=3)
     dump_kernel(net.joint_observed(), directory / "mediation-joint.json")
+    # a classical joint whose setting X is drawn 1/5 : 4/5
+    cpts = dict(random_network(instrumental_graph(), random.Random(5), latent_cardinality=3).cpts)
+    cpts["X"] = Kernel.from_mapping((("X", 2),), (), {(0,): Fraction(1, 5), (1,): Fraction(4, 5)})
+    dump_kernel(ClassicalNetwork(instrumental_graph(), cpts).joint_observed(),
+                directory / "instrumental-skewed.json")
     # an even mixture of two network joints breaks B _||_ X | A and the Verma record
     p1, p2 = (random_network(mediation_graph(), random.Random(seed), latent_cardinality=2)
               .joint_observed() for seed in (11, 12))

@@ -31,7 +31,10 @@ from causalbox import (
     instrumental_graph,
     instrumental_score,
     join_inputs,
+    i_member,
     lift_network,
+    local_box,
+    marginalize,
     lp_solve,
     reorder,
     mediation_graph,
@@ -47,7 +50,7 @@ from causalbox import (
     tripartite_bell_graph,
     uniform_table,
 )
-from causalbox.networks import random_network
+from causalbox.networks import ClassicalNetwork, random_network
 
 import ns_reference
 from conftest import score2_table, ternary_x_chsh_box
@@ -200,13 +203,41 @@ def test_ns_member_matches_reference(case):
 
 
 def _priors(g):
-    """A full-support, non-uniform prior on every setting of the lift."""
-    dag = build_hypergraph(g).base
+    """A full-support, non-uniform prior on every original setting of the lift."""
+    h = build_hypergraph(g)
     priors = {}
-    for i in bell_inputs(dag):
-        card = dag.cardinality(i)
-        total = card * (card + 1) // 2
-        priors[i] = {v: Fraction(v + 1, total) for v in range(card)}
+    for i in bell_inputs(h.base):
+        if i not in h.copies:
+            card = h.base.cardinality(i)
+            total = card * (card + 1) // 2
+            priors[i] = {v: Fraction(v + 1, total) for v in range(card)}
+    return priors
+
+
+def _setting_table(variables, priors):
+    """The product table of independent setting priors over ``variables``."""
+    return Kernel.from_function(variables, (), lambda v: prod(priors[i][v[i]] for i in v))
+
+
+def _reskewed(p, g):
+    """``p`` with its original settings redrawn from ``_priors(g)``."""
+    priors = _priors(g)
+    kernel, _ = split_joint(p, sorted(priors))
+    return join_inputs(kernel, _setting_table(kernel.index_vars, priors))
+
+
+def _derived_priors(p, g):
+    """The setting priors ``ps_system`` reads, spelled out: ``p``'s marginal
+    on each original setting of the lift, uniform on each copy."""
+    h = build_hypergraph(g)
+    priors = {}
+    for i in bell_inputs(h.base):
+        card = h.base.cardinality(i)
+        if i in h.copies:
+            priors[i] = {v: Fraction(1, card) for v in range(card)}
+        else:
+            margin = marginalize(p, [n for n in p.var_names() if n != i])
+            priors[i] = {v: margin.value({i: v}) for v in range(card)}
     return priors
 
 
@@ -233,16 +264,31 @@ PS_CASES = {
 }
 
 
-@pytest.mark.parametrize("with_priors", [False, True], ids=["uniform", "priors"])
+@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "priors"])
 @pytest.mark.parametrize("name", sorted(PS_CASES))
-def test_ps_system_matches_reference(name, with_priors):
+def test_ps_system_matches_reference(name, skewed):
+    """The reference takes the priors as designated inputs; handed the ones
+    ``ps_system`` reads off the joint, it builds the same system."""
     p, g = PS_CASES[name]()
-    priors = _priors(g) if with_priors else None
-    system, _, inputs, outputs = ps_system(p, g, input_priors=priors)
-    want, _, want_inputs, want_outputs = ns_reference.ps_system(p, g, input_priors=priors)
+    if skewed:
+        p = _reskewed(p, g)
+    system, _, inputs, outputs = ps_system(p, g)
+    want, _, want_inputs, want_outputs = ns_reference.ps_system(
+        p, g, input_priors=_derived_priors(p, g)
+    )
     assert (inputs, outputs) == (want_inputs, want_outputs)
     assert system == want
     assert [list(c) for c, _ in system.equalities] == [list(c) for c, _ in want.equalities]
+
+
+def test_ps_scale_is_the_diagonal_probability():
+    """Every case but the score-2 table is a member, the ternary network
+    joints with their skewed settings included, and its scale is the
+    probability of the diagonal event."""
+    scales = {name: ps_member(*PS_CASES[name]()).scale for name in sorted(PS_CASES)}
+    assert scales.pop("instrumental") is None
+    assert all(0 < s <= 1 for s in scales.values()), scales
+    assert (scales["chsh"], scales["tripartite"], scales["gyni"]) == (1, 1, Fraction(1, 4))
 
 
 def test_ns_equalities_follow_from_lifted_independences(rng):
@@ -367,13 +413,15 @@ def test_gyni_projected_is_ps_member_with_exact_certificate():
 def test_uniform_copy_prior_is_normative(rng):
     """The uniform copy marginal is part of the model, not a free knob.
 
-    Under the uniform prior the LP accepts every classical mixture (as it
-    must, since the network lift realizes them), and rejections such as the
-    signalling score-2 table stay rejected under any full-support prior.
+    With uniform copies the LP accepts every classical mixture (as it must,
+    since the network lift realizes them), and rejections such as the
+    signalling score-2 table stay rejected under a skewed copy prior too.
     A skewed copy prior, by contrast, can reject classical mixtures, which
-    is why the copy marginal is pinned rather than left to choice."""
+    is why the copy marginal is pinned rather than left to choice; the
+    reference, which still takes designated priors, shows it."""
     g = instrumental_graph()
-    skew = {"A_B": {0: Fraction(1, 3), 1: Fraction(2, 3)}}
+    half = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    skew = {"X": half, "A_B": {0: Fraction(1, 3), 1: Fraction(2, 3)}}
     vertices = enumerate_classical_vertices(g)
     mixtures = []
     for _ in range(5):
@@ -389,12 +437,14 @@ def test_uniform_copy_prior_is_normative(rng):
     for joint in mixtures:
         result = lp_solve(ps_system(joint, g)[0])
         assert result.is_optimal and result.value > 0
-    for priors in (None, skew):
-        result = lp_solve(ps_system(score2_table(), g, input_priors=priors)[0])
+    for result in (
+        lp_solve(ps_system(score2_table(), g)[0]),
+        lp_solve(ns_reference.ps_system(score2_table(), g, input_priors=skew)[0]),
+    ):
         assert not result.is_optimal or result.value == 0
     # the recorded counterexample: an equal mixture of the strategies
-    # (a = 0, b = 0) and (a = x, b = 0) is classical, hence accepted under
-    # the uniform prior, yet its skewed-prior system is infeasible
+    # (a = 0, b = 0) and (a = x, b = 0) is classical, hence accepted with
+    # uniform copies, yet its skewed-copy system is infeasible
     def counterexample(v):
         a_const = Fraction(int(v["A"] == 0 and v["B"] == 0))
         a_track = Fraction(int(v["A"] == v["X"] and v["B"] == 0))
@@ -405,27 +455,78 @@ def test_uniform_copy_prior_is_normative(rng):
     )
     joint = join_inputs(box, uniform_table((("X", 2),)))
     assert lp_solve(ps_system(joint, g)[0]).value > 0
-    skewed = lp_solve(ps_system(joint, g, input_priors=skew)[0])
+    skewed = lp_solve(ns_reference.ps_system(joint, g, input_priors=skew)[0])
     assert skewed.status == "infeasible"
 
 
-def test_skewed_setting_priors_are_designated_inputs(rng):
-    """A classical model with a non-uniform setting prior is a member once
-    that prior is designated; under the default uniform designation the
-    same joint asks a different question and may be refused."""
-    from fractions import Fraction as F
+def _skewed_network_joint(g, rng, x_prior, latent_cardinality=3):
+    """A seeded network joint on ``g`` whose setting X has the CPT ``x_prior``."""
+    cpts = dict(random_network(g, rng, latent_cardinality=latent_cardinality).cpts)
+    cpts["X"] = Kernel.from_mapping(
+        (("X", 2),), (), {(v,): w for v, w in enumerate(x_prior)}
+    )
+    return ClassicalNetwork(g, cpts).joint_observed()
 
-    from causalbox import Kernel
-    from causalbox.networks import ClassicalNetwork, random_network
 
+def test_skewed_setting_prior_is_read_from_the_joint(rng):
+    """A classical model with a non-uniform setting prior is a member as it
+    stands.  Its certificate, run with the joint's setting marginal and a
+    uniform copy, projects back to the joint entry for entry."""
     g = instrumental_graph()
-    net = random_network(g, rng, latent_cardinality=3)
-    cpts = dict(net.cpts)
-    cpts["X"] = Kernel.from_mapping((("X", 2),), (), {(0,): F(1, 5), (1,): F(4, 5)})
-    p = ClassicalNetwork(g, cpts).joint_observed()
-    matched = ps_member(p, g, input_priors={"X": {0: F(1, 5), 1: F(4, 5)}})
-    assert matched.member and matched.scale > 0
+    h = build_hypergraph(g)
+    p = _skewed_network_joint(g, rng, (Fraction(1, 5), Fraction(4, 5)))
+    verdict = ps_member(p, g)
+    assert verdict.member and 0 < verdict.scale <= 1
     assert check_nested(p, g).member
+    settings = _setting_table(verdict.certificate.index_vars, _derived_priors(p, g))
+    projected = project(join_inputs(verdict.certificate, settings), h.copies)
+    assert reorder(p, projected.outcome_vars, ()) == projected
+
+
+HIERARCHY_GRAPHS = {
+    "chsh": chsh_graph,
+    "gyni": gyni_graph,
+    "instrumental": instrumental_graph,
+    "tripartite": tripartite_bell_graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIERARCHY_GRAPHS))
+def test_network_joints_climb_the_hierarchy(name):
+    """C(G) ⊆ PS(G) ⊆ N(G) on seeded network joints, whose random root CPTs
+    leave their settings skewed."""
+    g = HIERARCHY_GRAPHS[name]()
+    skewed = 0
+    for seed in range(5):
+        p = random_network(g, random.Random(seed), latent_cardinality=2).joint_observed()
+        priors = _derived_priors(p, g)
+        skewed += any(len(set(priors[i].values())) > 1 for i in _priors(g))
+        assert classical_member(p, g).member
+        verdict = ps_member(p, g)
+        assert verdict.member and 0 < verdict.scale <= 1
+        assert check_nested(p, g).member
+    assert skewed >= 3
+
+
+@pytest.mark.parametrize("make", [chsh_graph, instrumental_graph], ids=["chsh", "instrumental"])
+def test_never_used_setting_value_is_a_ps_member(make, rng):
+    """A setting value the joint never takes leaves pinning rows 0 = 0."""
+    g = make()
+    p = _skewed_network_joint(g, rng, (Fraction(1), Fraction(0)), latent_cardinality=2)
+    assert ps_member(p, g).member
+    assert check_nested(p, g).member and i_member(p, g).member
+
+
+def test_correlated_settings_are_rejected_by_ps_and_i():
+    """Settings that always agree break X _||_ Y: no lift carries them."""
+    g = chsh_graph()
+    diagonal = Kernel.from_function(
+        (("X", 2), ("Y", 2)), (), lambda v: Fraction(int(v["X"] == v["Y"]), 2)
+    )
+    p = join_inputs(local_box(5), diagonal)
+    assert ps_member(p, g).status == "not_member"
+    assert not i_member(p, g).member
+    assert not check_nested(p, g).member
 
 
 def test_swapping_needs_certificate_and_accepts_itself():
@@ -449,6 +550,18 @@ def test_certificate_rejected_when_it_violates_independences():
     )
     verdict = ps_member(joint, g, certificate=bad)
     assert verdict.status == "not_member"
+    assert verdict.reason.startswith("certificate violates ")
+
+
+def test_certificate_must_be_a_joint_over_the_lifted_vertices():
+    """A certificate of another shape is an input error, not a verdict: the
+    conditional box the LP returns, and a joint missing the copies."""
+    g = gyni_graph()
+    joint = join_inputs(gyni_projected(), uniform_table((("X", 2),)))
+    box = ps_member(joint, g).certificate
+    for certificate in (box, joint):
+        with pytest.raises(ValueError, match=r"joint table over the lifted vertices \[\('A', 2\)"):
+            ps_member(joint, g, certificate=certificate)
 
 
 def test_latent_free_graphs_decided_by_lp_only_with_one_outcome(rng):
@@ -492,18 +605,3 @@ def test_inclusion_chain_fixture_witnesses():
     assert not classical_member(gyni_projected(), gg).member
     joint = join_inputs(gyni_projected(), uniform_table((("X", 2),)))
     assert ps_member(joint, gg).member
-
-
-def test_ps_system_rejects_priors_off_the_settings():
-    """Priors designate settings of the lift (here A_B and X), each in full."""
-    g = instrumental_graph()
-    p = uniform_table((("A", 2), ("B", 2), ("X", 2)))
-    half = {0: Fraction(1, 2), 1: Fraction(1, 2)}
-    for priors, message in (
-        ({"Q": half}, "names Q, which is not a setting"),
-        ({"A": half}, "names A, which is not a setting"),
-        ({"X": {0: Fraction(1, 4)}}, r"for X gives no weight for values \[1\]"),
-    ):
-        for run in (ps_system, ps_member):
-            with pytest.raises(ValueError, match=message):
-                run(p, g, input_priors=priors)
