@@ -11,102 +11,123 @@ distributions in the hierarchy
 via deterministic-strategy vertex enumeration and exact rational linear
 programming.  Everything is computed over arbitrary-precision rationals, so
 every verdict is exact.
+
+``import causalbox`` loads no submodule.  Each public name is imported from
+its defining module on first access (PEP 562), so a caller pays only for the
+modules it uses; ``causalbox.<submodule>`` works the same way.
 """
 
-from .graphs import (
-    OBSERVED,
-    LATENT,
-    VertexSpec,
-    CausalDag,
-    MDag,
-    HyperDag,
-    CiConstraint,
-    CycleError,
-    UnknownVertexError,
-    FixedNotParentlessError,
-    NotADistrictError,
-    MultiLatentError,
-    validate,
-    topological_order,
-    to_mdag,
-    districts,
-    subgraph,
-    marginal_mdag,
-    d_separated,
-    ci_constraints,
-    build_hypergraph,
-    is_bell_type,
-    bell_inputs,
-    bell_outputs,
-)
-from .tables import (
-    Kernel,
-    UnknownVariableError,
-    ZeroProbabilityEventError,
-    ZeroSelectionProbabilityError,
-    ZeroConditioningError,
-    CardinalityMismatchError,
-    prob_table,
-    uniform_table,
-    point_mass,
-    marginalize,
-    condition,
-    conditional,
-    ci_violation,
-    ci_holds,
-    reorder,
-    project,
-    join_inputs,
-    split_joint,
-)
-from .networks import ClassicalNetwork, random_network, lift_network
-from .boxes import (
-    pr_box,
-    local_box,
-    local_responses,
-    ns_box_vertices,
-    gyni_box,
-    gyni_projected,
-    swapping_box,
-    chsh_score,
-    chsh_graph,
-    instrumental_graph,
-    mediation_graph,
-    gyni_graph,
-    tripartite_bell_graph,
-    swapping_graph,
-    triangle_graph,
-)
-from .constraints import (
-    VermaConstraint,
-    ConstraintRecord,
-    NestedVerdict,
-    Violation,
-    district_kernel,
-    district_kernel_recipe,
-    enumerate_constraints,
-    check_nested,
-    i_member,
-)
-from .linprog import LinearSystem, LpResult, lp_solve
-from .polytope import (
-    Vertex,
-    NotNoSignallingError,
-    DecompositionNotFoundError,
-    enumerate_h_vertices,
-    enumerate_classical_vertices,
-    classical_member,
-    maximize_functional,
-    functional_from_indicator,
-    decompose_ns_box,
-    MemberVerdict,
-)
-from .lift import (
-    ns_member,
-    instrumental_score,
-    PsVerdict,
-    ps_member,
-    ps_system,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# the defining module of every public name
+_EXPORTS = {
+    "graphs": (
+        "OBSERVED",
+        "LATENT",
+        "VertexSpec",
+        "CausalDag",
+        "MDag",
+        "HyperDag",
+        "CiConstraint",
+        "CycleError",
+        "UnknownVertexError",
+        "FixedNotParentlessError",
+        "NotADistrictError",
+        "MultiLatentError",
+        "validate",
+        "topological_order",
+        "to_mdag",
+        "districts",
+        "subgraph",
+        "marginal_mdag",
+        "d_separated",
+        "ci_constraints",
+        "build_hypergraph",
+        "is_bell_type",
+        "bell_inputs",
+        "bell_outputs",
+    ),
+    "tables": (
+        "Kernel",
+        "UnknownVariableError",
+        "ZeroProbabilityEventError",
+        "ZeroSelectionProbabilityError",
+        "ZeroConditioningError",
+        "CardinalityMismatchError",
+        "prob_table",
+        "uniform_table",
+        "point_mass",
+        "marginalize",
+        "condition",
+        "conditional",
+        "ci_violation",
+        "ci_holds",
+        "reorder",
+        "project",
+        "join_inputs",
+        "split_joint",
+    ),
+    "networks": ("ClassicalNetwork", "random_network", "lift_network"),
+    "boxes": (
+        "pr_box",
+        "local_box",
+        "local_responses",
+        "ns_box_vertices",
+        "gyni_box",
+        "gyni_projected",
+        "swapping_box",
+        "chsh_score",
+        "chsh_graph",
+        "instrumental_graph",
+        "mediation_graph",
+        "gyni_graph",
+        "tripartite_bell_graph",
+        "swapping_graph",
+        "triangle_graph",
+    ),
+    "constraints": (
+        "VermaConstraint",
+        "ConstraintRecord",
+        "NestedVerdict",
+        "Violation",
+        "district_kernel",
+        "district_kernel_recipe",
+        "enumerate_constraints",
+        "check_nested",
+        "i_member",
+    ),
+    "linprog": ("LinearSystem", "LpResult", "lp_solve"),
+    "polytope": (
+        "Vertex",
+        "NotNoSignallingError",
+        "DecompositionNotFoundError",
+        "enumerate_h_vertices",
+        "enumerate_classical_vertices",
+        "classical_member",
+        "maximize_functional",
+        "functional_from_indicator",
+        "decompose_ns_box",
+        "MemberVerdict",
+    ),
+    "lift": ("ns_member", "instrumental_score", "PsVerdict", "ps_member", "ps_system"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "fileio", "recipes"}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # binds itself here
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,6 +15,14 @@ Subcommands wire the file formats to the library operations:
 
 Exit codes: 0 success or member, 2 not-member or constraint violated,
 1 usage or input error.  ``--format machine`` prints deterministic JSON.
+
+A request is one process, and compiling the library's modules costs more
+than most verdicts, so this module imports only ``fileio``, ``graphs`` and
+``tables`` up front; each handler, or branch of ``member``, imports what it
+runs.  ``member --model N|I`` and ``constraints enumerate`` add
+``constraints`` and ``recipes``; ``member --model C`` adds ``polytope`` and
+``linprog``; ``member --model PS`` adds ``lift`` and ``linprog``;
+``decompose-ns`` adds ``polytope``, ``linprog``, ``lift`` and ``boxes``.
 """
 
 from __future__ import annotations
@@ -24,8 +32,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import boxes
-from .constraints import _check_joint, check_nested, enumerate_constraints, i_member
 from .fileio import (
     FileFormatError,
     graph_to_dict,
@@ -41,35 +47,26 @@ from .graphs import (
     to_mdag,
     validate,
 )
-from .lift import instrumental_score, ns_member, ps_member
-from .polytope import (
-    classical_member,
-    decompose_ns_box,
-    enumerate_classical_vertices,
-    enumerate_h_vertices,
-    functional_from_indicator,
-    maximize_functional,
-)
-from .recipes import render
-from .tables import Kernel, join_inputs, project, uniform_table
+from .tables import Kernel, _check_joint, join_inputs, project, uniform_table
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECTED = 2
 
+# each fixture from the boxes module and the parsed arguments
 _FIXTURES = {
-    "pr-box": lambda args: boxes.pr_box(args.alpha, args.beta, args.gamma),
-    "local-box": lambda args: boxes.local_box(args.index),
-    "gyni-box": lambda args: boxes.gyni_box(),
-    "gyni-projected": lambda args: boxes.gyni_projected(),
-    "swapping-box": lambda args: boxes.swapping_box(),
-    "chsh-graph": lambda args: boxes.chsh_graph(),
-    "instrumental-graph": lambda args: boxes.instrumental_graph(),
-    "mediation-graph": lambda args: boxes.mediation_graph(),
-    "gyni-graph": lambda args: boxes.gyni_graph(),
-    "tripartite-bell-graph": lambda args: boxes.tripartite_bell_graph(),
-    "swapping-graph": lambda args: boxes.swapping_graph(),
-    "triangle-graph": lambda args: boxes.triangle_graph(),
+    "pr-box": lambda boxes, args: boxes.pr_box(args.alpha, args.beta, args.gamma),
+    "local-box": lambda boxes, args: boxes.local_box(args.index),
+    "gyni-box": lambda boxes, args: boxes.gyni_box(),
+    "gyni-projected": lambda boxes, args: boxes.gyni_projected(),
+    "swapping-box": lambda boxes, args: boxes.swapping_box(),
+    "chsh-graph": lambda boxes, args: boxes.chsh_graph(),
+    "instrumental-graph": lambda boxes, args: boxes.instrumental_graph(),
+    "mediation-graph": lambda boxes, args: boxes.mediation_graph(),
+    "gyni-graph": lambda boxes, args: boxes.gyni_graph(),
+    "tripartite-bell-graph": lambda boxes, args: boxes.tripartite_bell_graph(),
+    "swapping-graph": lambda boxes, args: boxes.swapping_graph(),
+    "triangle-graph": lambda boxes, args: boxes.triangle_graph(),
 }
 
 
@@ -157,6 +154,9 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_constraints(args) -> int:
+    from .constraints import enumerate_constraints
+    from .recipes import render
+
     records = enumerate_constraints(_load_graph(args.graph))
     lines = [str(r) for r in records]
     payload = {"constraints": []}
@@ -210,18 +210,24 @@ def _cmd_member(args) -> int:
     model = args.model
     payload = {}
     if model == "NS":
+        from .lift import ns_member
+
         h = build_hypergraph(dag)
         if not dist.index_vars:
             raise ValueError("NS membership expects a conditional box")
         member = ns_member(dist, h)
         text = "no-signalling" if member else "signalling"
     elif model == "C":
+        from .polytope import classical_member
+
         verdict = classical_member(dist, dag)
         member = verdict.member
         if member:
             payload["weights"] = [str(w) for w in verdict.weights]
         text = "member of C(G)" if member else "not in C(G): LP infeasible"
     elif model == "PS":
+        from .lift import ps_member
+
         joint = _as_joint(dist)
         certificate = None
         if args.certificate:
@@ -237,6 +243,8 @@ def _cmd_member(args) -> int:
                 payload["scale"] = str(ps.scale)
         text = "member of PS(G)" if member else f"not in PS(G): {ps.reason or 'LP infeasible'}"
     else:
+        from .constraints import check_nested, i_member
+
         verdict = (i_member if model == "I" else check_nested)(_as_joint(dist), dag)
         member = verdict.member
         text = f"member of {model}(G)"
@@ -249,6 +257,8 @@ def _cmd_member(args) -> int:
 
 
 def _functional_for(name: str, template: Kernel):
+    from .polytope import functional_from_indicator
+
     if name == "chsh":
         weight = Fraction(1, 4)
         return functional_from_indicator(
@@ -267,8 +277,12 @@ def _functional_for(name: str, template: Kernel):
 def _cmd_score(args) -> int:
     dist = _load(args.dist, "dist", "distribution", load_kernel)
     if args.functional == "chsh":
-        value = boxes.chsh_score(dist)
+        from .boxes import chsh_score
+
+        value = chsh_score(dist)
     elif args.functional == "instrumental":
+        from .lift import instrumental_score
+
         value = instrumental_score(dist)
     else:
         names = set(dist.var_names())
@@ -286,6 +300,8 @@ def _cmd_score(args) -> int:
 
 
 def _vertices(args):
+    from .polytope import enumerate_classical_vertices, enumerate_h_vertices
+
     dag = _load_graph(args.graph)
     if args.lift:
         return enumerate_h_vertices(build_hypergraph(dag))
@@ -293,6 +309,8 @@ def _vertices(args):
 
 
 def _cmd_optimize(args) -> int:
+    from .polytope import maximize_functional
+
     vertices = _vertices(args)
     try:
         functional = _functional_for(args.functional, vertices[0].table)
@@ -322,6 +340,9 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .boxes import local_responses
+    from .polytope import decompose_ns_box
+
     pr_index, weights = decompose_ns_box(_load(args.dist, "dist", "distribution", load_kernel))
     payload = {
         "pr_box": list(pr_index) if pr_index else None,
@@ -335,7 +356,7 @@ def _cmd_decompose(args) -> int:
         lines.append("locals only")
     for i, w in enumerate(weights[1:]):
         if w:
-            fa, fb = boxes.local_responses(i)
+            fa, fb = local_responses(i)
             lines.append(f"local {i} ({fa},{fb}): {w}")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
@@ -347,7 +368,9 @@ def _cmd_fixtures(args) -> int:
         raise ValueError(
             f"unknown fixture {name}; available: {', '.join(sorted(_FIXTURES))}"
         )
-    obj = _FIXTURES[name](args)
+    from . import boxes
+
+    obj = _FIXTURES[name](boxes, args)
     if isinstance(obj, Kernel):
         payload = kernel_to_dict(obj)
     else:

@@ -53,7 +53,7 @@ from .recipes import (
     simplify,
     sum_over,
 )
-from .tables import Kernel, ZeroConditioningError, assignments, ci_violation
+from .tables import Kernel, ZeroConditioningError, _check_joint, assignments, ci_violation
 
 __all__ = [
     "VermaConstraint",
@@ -355,17 +355,6 @@ def _verma_violation(ev: Evaluator, record: VermaConstraint) -> tuple[dict | Non
             }
             return witness, saw_none
     return None, saw_none
-
-
-def _check_joint(table: Kernel, dag: CausalDag, caller: str) -> None:
-    """Reject anything but a joint table over exactly the observed vertices."""
-    if not table.is_prob_table:
-        raise ValueError(f"{caller} expects a joint probability table")
-    expected = sorted((v, dag.cardinality(v)) for v in dag.observed())
-    if sorted(table.variables) != expected:
-        raise ValueError(
-            f"table variables {sorted(table.variables)} do not match observed vertices {expected}"
-        )
 
 
 def i_member(table: Kernel, dag: CausalDag) -> NestedVerdict:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .constraints import _check_joint, i_member
 from .graphs import (
     CausalDag,
     HyperDag,
@@ -41,7 +40,16 @@ from .graphs import (
     is_bell_type,
 )
 from .linprog import LinearSystem, lp_solve
-from .tables import Kernel, _index_map, _numerators, _sums, assignments, project, reorder
+from .tables import (
+    Kernel,
+    _check_joint,
+    _index_map,
+    _numerators,
+    _sums,
+    assignments,
+    project,
+    reorder,
+)
 
 __all__ = [
     "ns_member",
@@ -200,6 +208,8 @@ def _certificate_check(p: Kernel, h: HyperDag, certificate: Kernel) -> PsVerdict
     expected = _parties(h.base, h.base.observed())
     if sorted(certificate.variables) != expected or not certificate.is_prob_table:
         raise ValueError(f"certificate must be a joint table over the lifted vertices {expected}")
+    from .constraints import i_member  # only certificate mode needs the CI records
+
     verdict = i_member(certificate, h.base)
     if not verdict.member:
         return PsVerdict(

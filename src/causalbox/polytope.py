@@ -29,7 +29,6 @@ from itertools import product as _iterproduct
 from math import lcm, prod
 from typing import Callable, Mapping, Sequence
 
-from .boxes import chsh_graph, local_box, pr_box
 from .graphs import (
     CausalDag,
     HyperDag,
@@ -40,9 +39,8 @@ from .graphs import (
     is_bell_type,
     topological_order,
 )
-from .lift import _ns_rows
 from .linprog import _lowest, _solve
-from .tables import Kernel, _numerators, _position, assignments, conditional
+from .tables import Kernel, _numerators, _position, assignments
 
 __all__ = [
     "Vertex",
@@ -139,7 +137,10 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
 
     Solves the feasibility LP p = sum_i w_i vertex_i with w >= 0 summing to
     one, row-wise over the setting variables; returns the weights on
-    success.  Joint tables are split on the graph's setting variables first.
+    success.  A joint table is read as p(outputs | settings) =
+    p(outputs, settings) / p(settings) on the setting assignments it gives
+    positive probability; the rows of the others are undefined and left out
+    of the LP, so the weights reproduce every supported row.
 
     The verdict is exact only when the latent parents every output vertex.
     The strategies let the latent drive every output, so on a graph such as
@@ -147,10 +148,17 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     the graph can be accepted.
     """
     vertices = _vertex_matrix([v.table for v in enumerate_classical_vertices(g)])
-    outcome_vars, index_vars, _, _ = vertices
-    if p.is_prob_table and index_vars:
-        p = conditional(p, [n for n, _ in index_vars])
-    return _convex_member(vertices, *_numerators(p, outcome_vars, index_vars))
+    outcome_vars, index_vars, matrix, vden = vertices
+    if not (p.is_prob_table and index_vars):
+        return _convex_member(vertices, *_numerators(p, outcome_vars, index_vars))
+    # cell i of the layout holds setting assignment i % width
+    num, _ = _numerators(p, outcome_vars + index_vars, ())
+    width = prod(c for _, c in index_vars)
+    context = [sum(num[s::width]) for s in range(width)]
+    kept = [i for i in range(len(num)) if context[i % width]]
+    den = lcm(*(context[i % width] for i in kept))
+    target = [num[i] * (den // context[i % width]) for i in kept]
+    return _convex_member((outcome_vars, index_vars, [matrix[i] for i in kept], vden), target, den)
 
 
 def _vertex_matrix(tables: Sequence[Kernel]):
@@ -167,6 +175,8 @@ def _vertex_matrix(tables: Sequence[Kernel]):
 @lru_cache(maxsize=None)
 def _ns_vertex_matrix(pr: tuple[int, int, int] | None):
     """The sixteen local boxes, after PR(alpha, beta, gamma) if ``pr`` names it."""
+    from .boxes import local_box, pr_box
+
     tables = [local_box(i) for i in range(16)]
     return _vertex_matrix(tables if pr is None else [pr_box(*pr)] + tables)
 
@@ -174,6 +184,9 @@ def _ns_vertex_matrix(pr: tuple[int, int, int] | None):
 @lru_cache(maxsize=None)
 def _chsh_ns_rows():
     """The no-signalling rows of the CHSH lift in the NS vertices' layout."""
+    from .boxes import chsh_graph
+    from .lift import _ns_rows
+
     outcome_vars, index_vars, _, _ = _ns_vertex_matrix(None)
     return _ns_rows(build_hypergraph(chsh_graph()), outcome_vars + index_vars)
 

@@ -32,7 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _product
 from math import lcm, prod
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from .graphs import CausalDag
 
 Var = tuple[str, int]
 Assignment = Mapping[str, int]
@@ -461,3 +464,14 @@ def split_joint(table: Kernel, input_names: Iterable[str]) -> tuple[Kernel, Kern
     margin = marginalize(table, outcome_names)
     kernel = conditional(table, input_names)
     return kernel, margin
+
+
+def _check_joint(table: Kernel, dag: CausalDag, caller: str) -> None:
+    """Reject anything but a joint table over exactly the observed vertices."""
+    if not table.is_prob_table:
+        raise ValueError(f"{caller} expects a joint probability table")
+    expected = sorted((v, dag.cardinality(v)) for v in dag.observed())
+    if sorted(table.variables) != expected:
+        raise ValueError(
+            f"table variables {sorted(table.variables)} do not match observed vertices {expected}"
+        )

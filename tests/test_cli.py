@@ -443,24 +443,44 @@ def test_certificate_file_errors_name_the_file(files, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: bad certificate file {broken}: Expecting")
 
 
-def test_member_reads_skewed_settings_off_the_joint(files, tmp_path, capsys):
-    """A classical joint whose setting X is drawn 1/5 : 4/5 is in every model."""
+def _instrumental_joint(x_prior, path):
+    """A seeded classical joint of the instrumental graph with X drawn by
+    ``x_prior``, written to ``path``."""
     import random
 
     from causalbox import Kernel, instrumental_graph
     from causalbox.fileio import dump_kernel
     from causalbox.networks import ClassicalNetwork, random_network
 
-    emit, _ = files
-    gpath = emit("instrumental-graph", "instr.json")
     g = instrumental_graph()
     cpts = dict(random_network(g, random.Random(3), latent_cardinality=3).cpts)
-    cpts["X"] = Kernel.from_mapping((("X", 2),), (), {(0,): Fraction(1, 5), (1,): Fraction(4, 5)})
-    dpath = tmp_path / "skewed.json"
-    dump_kernel(ClassicalNetwork(g, cpts).joint_observed(), dpath)
+    cpts["X"] = Kernel.from_mapping((("X", 2),), (), dict(zip([(0,), (1,)], x_prior)))
+    dump_kernel(ClassicalNetwork(g, cpts).joint_observed(), path)
+    return str(path)
+
+
+def test_member_reads_skewed_settings_off_the_joint(files, tmp_path, capsys):
+    """A classical joint whose setting X is drawn 1/5 : 4/5 is in every model."""
+    emit, _ = files
+    gpath = emit("instrumental-graph", "instr.json")
+    dpath = _instrumental_joint((Fraction(1, 5), Fraction(4, 5)), tmp_path / "skewed.json")
     for model in ("C", "PS", "N", "I"):
-        assert dispatch(["member", "--model", model, "--graph", gpath, "--dist", str(dpath)]) == 0
+        assert dispatch(["member", "--model", model, "--graph", gpath, "--dist", dpath]) == 0
         assert capsys.readouterr().out == f"member of {model}(G)\n"
+
+
+def test_member_accepts_a_setting_that_never_occurs(files, tmp_path, capsys):
+    """A classical joint whose setting X is always 0 is in every model: C
+    leaves out the rows of X = 1, which have no conditional."""
+    emit, _ = files
+    gpath = emit("instrumental-graph", "instr.json")
+    dpath = _instrumental_joint((Fraction(1), Fraction(0)), tmp_path / "x0.json")
+    for model in ("C", "PS", "N", "I"):
+        assert dispatch(["member", "--model", model, "--graph", gpath, "--dist", dpath]) == 0
+        assert capsys.readouterr().out == f"member of {model}(G)\n"
+    argv = ["member", "--model", "C", "--graph", gpath, "--dist", dpath, "--format", "machine"]
+    assert dispatch(argv) == 0
+    assert sum(Fraction(w) for w in json.loads(capsys.readouterr().out)["weights"]) == 1
 
 
 def test_ps_certificate_of_another_shape_is_an_input_error(files, tmp_path, capsys):

@@ -1,0 +1,153 @@
+"""The package's export surface, and the modules each CLI command loads.
+
+``import causalbox`` loads no submodule: every public name is imported from
+its defining module on first access.  The CLI imports the modules of a
+command inside its handler, so a later eager import fails here instead of
+slowing every request.
+"""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import causalbox
+from causalbox.cli import dispatch
+
+# the 87 names the package exported when it imported every module eagerly
+EXPORTS = {
+    "graphs": [
+        "OBSERVED", "LATENT", "VertexSpec", "CausalDag", "MDag", "HyperDag",
+        "CiConstraint", "CycleError", "UnknownVertexError", "FixedNotParentlessError",
+        "NotADistrictError", "MultiLatentError", "validate", "topological_order",
+        "to_mdag", "districts", "subgraph", "marginal_mdag", "d_separated",
+        "ci_constraints", "build_hypergraph", "is_bell_type", "bell_inputs",
+        "bell_outputs",
+    ],
+    "tables": [
+        "Kernel", "UnknownVariableError", "ZeroProbabilityEventError",
+        "ZeroSelectionProbabilityError", "ZeroConditioningError",
+        "CardinalityMismatchError", "prob_table", "uniform_table", "point_mass",
+        "marginalize", "condition", "conditional", "ci_violation", "ci_holds",
+        "reorder", "project", "join_inputs", "split_joint",
+    ],
+    "networks": ["ClassicalNetwork", "random_network", "lift_network"],
+    "boxes": [
+        "pr_box", "local_box", "local_responses", "ns_box_vertices", "gyni_box",
+        "gyni_projected", "swapping_box", "chsh_score", "chsh_graph",
+        "instrumental_graph", "mediation_graph", "gyni_graph",
+        "tripartite_bell_graph", "swapping_graph", "triangle_graph",
+    ],
+    "constraints": [
+        "VermaConstraint", "ConstraintRecord", "NestedVerdict", "Violation",
+        "district_kernel", "district_kernel_recipe", "enumerate_constraints",
+        "check_nested", "i_member",
+    ],
+    "linprog": ["LinearSystem", "LpResult", "lp_solve"],
+    "polytope": [
+        "Vertex", "NotNoSignallingError", "DecompositionNotFoundError",
+        "enumerate_h_vertices", "enumerate_classical_vertices", "classical_member",
+        "maximize_functional", "functional_from_indicator", "decompose_ns_box",
+        "MemberVerdict",
+    ],
+    "lift": ["ns_member", "instrumental_score", "PsVerdict", "ps_member", "ps_system"],
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """stdout of ``code`` run in a new interpreter with ``argv``."""
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
+def test_exports_are_the_pinned_names():
+    assert len(NAMES) == len(set(NAMES)) == 87
+    assert sorted(causalbox.__all__) == sorted(NAMES)
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_each_name_is_the_object_of_its_module(module):
+    source = importlib.import_module(f"causalbox.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(causalbox, name) is getattr(source, name), name
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace = {}
+    exec("from causalbox import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(NAMES)
+    assert set(NAMES) <= set(dir(causalbox))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        causalbox.no_such_name
+    with pytest.raises(ImportError):
+        from causalbox import no_such_name  # noqa: F401
+
+
+def test_bare_import_loads_no_submodule():
+    probe = (
+        "import sys, causalbox; "
+        "loaded = lambda: sorted(m for m in sys.modules if m.partition('.')[0] == 'causalbox'); "
+        "print(*loaded()); print(causalbox.recipes.Evaluator.__name__, *loaded())"
+    )
+    bare, attribute = _fresh(probe).splitlines()
+    assert bare == "causalbox"
+    assert attribute == "Evaluator causalbox causalbox.recipes causalbox.tables"
+
+
+_COMMON = {"causalbox", "causalbox.cli", "causalbox.fileio", "causalbox.graphs", "causalbox.tables"}
+_NESTED = _COMMON | {"causalbox.constraints", "causalbox.recipes"}
+_PROBE = """
+import contextlib, io, sys
+from causalbox.cli import dispatch
+with contextlib.redirect_stdout(io.StringIO()):
+    code = dispatch(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "causalbox"))
+"""
+
+
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    """Paths of the fixture files, by the names the commands below use."""
+    folder = tmp_path_factory.mktemp("fixtures")
+    paths = {}
+    for key, name in (("chsh", "chsh-graph"), ("pr", "pr-box"), ("med", "mediation-graph")):
+        paths[key] = str(folder / f"{name}.json")
+        assert dispatch(["fixtures", "emit", name, "--out", paths[key]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        ("member --model N --graph {chsh} --dist {pr}", 0, _NESTED),
+        ("member --model I --graph {chsh} --dist {pr}", 0, _NESTED),
+        (
+            "member --model C --graph {chsh} --dist {pr}",
+            2,
+            _COMMON | {"causalbox.polytope", "causalbox.linprog"},
+        ),
+        (
+            "member --model PS --graph {chsh} --dist {pr}",
+            0,
+            _COMMON | {"causalbox.lift", "causalbox.linprog"},
+        ),
+        (
+            "decompose-ns --dist {pr}",
+            0,
+            _COMMON | {"causalbox.boxes", "causalbox.lift", "causalbox.linprog", "causalbox.polytope"},
+        ),
+        ("constraints enumerate --graph {med}", 0, _NESTED),
+    ],
+    ids=["N", "I", "C", "PS", "decompose-ns", "constraints"],
+)
+def test_each_command_loads_only_its_modules(fixture_files, argv, code, modules):
+    got, *loaded = _fresh(_PROBE, *argv.format(**fixture_files).split()).split()
+    assert int(got) == code
+    assert set(loaded) == modules

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from causalbox import (
     CausalDag,
+    ClassicalNetwork,
     Kernel,
     LATENT,
     MultiLatentError,
@@ -31,6 +32,7 @@ from causalbox import (
     instrumental_graph,
     join_inputs,
     local_box,
+    marginalize,
     maximize_functional,
     mediation_graph,
     ns_box_vertices,
@@ -296,6 +298,32 @@ def test_vertex_mixture_weights_reconstruct(rng):
             w * vert.table.value(env) for w, vert in zip(verdict.weights, vertices)
         )
         assert rebuilt == value
+
+
+def _never_sets_x(g, seed):
+    """A classical joint of ``g`` whose setting X is always 0."""
+    cpts = dict(random_network(g, random.Random(seed), latent_cardinality=3).cpts)
+    cpts["X"] = Kernel.from_mapping((("X", 2),), (), {(0,): Fraction(1), (1,): Fraction(0)})
+    return ClassicalNetwork(g, cpts).joint_observed()
+
+
+@pytest.mark.parametrize("make_graph", [instrumental_graph, chsh_graph])
+def test_classical_member_drops_setting_rows_of_probability_zero(make_graph):
+    g = make_graph()
+    p = _never_sets_x(g, 5)
+    verdict = classical_member(p, g)
+    assert verdict.member
+    assert all(w >= 0 for w in verdict.weights) and sum(verdict.weights) == 1
+    vertices = enumerate_classical_vertices(g)
+    prior = marginalize(p, [n for n, _ in vertices[0].table.outcome_vars])
+    supported = 0
+    for env, value in p.cells():
+        if prior.value(env) == 0:
+            continue
+        supported += 1
+        rebuilt = sum(w * v.table.value(env) for w, v in zip(verdict.weights, vertices))
+        assert rebuilt == value / prior.value(env), env
+    assert 0 < supported < len(p.entries)
 
 
 # -- functional optimization -----------------------------------------------------
