@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .graphs import LATENT, OBSERVED, CausalDag
-from .tables import CardinalityMismatchError, Kernel
+from .tables import CardinalityMismatchError, Kernel, _numerators
 
 __all__ = [
     "pr_box",
@@ -159,22 +160,39 @@ def swapping_box() -> Kernel:
 
 
 def chsh_score(box: Kernel) -> Fraction:
-    """Probability that A + B = X * Y (mod 2) under uniform inputs."""
-    out_names = [n for n, _ in box.outcome_vars]
-    in_names = [n for n, _ in box.index_vars]
-    if len(out_names) != 2 or len(in_names) != 2:
+    """Probability that A + B = X * Y (mod 2) under uniform inputs, with
+    A, B the box's outcomes and X, Y its inputs, in their order."""
+    if len(box.outcome_vars) != 2 or len(box.index_vars) != 2:
         raise ValueError("chsh_score expects a bipartite box")
-    if any(box.cardinality(n) != 2 for n in out_names + in_names):
+    if any(card != 2 for _, card in box.variables):
         raise CardinalityMismatchError("chsh_score expects binary variables")
-    a_n, b_n = out_names
-    x_n, y_n = in_names
-    wins = sum(
-        box.value({a_n: a, b_n: a ^ (x & y), x_n: x, y_n: y})
-        for x in _BIT
-        for y in _BIT
-        for a in _BIT
+    num, den = _numerators(box, box.outcome_vars, box.index_vars)
+    return Fraction(_chsh_scores(num)[0, 0, 0], 4 * den)
+
+
+# the parity xy + alpha x + beta y + gamma (mod 2) of each CHSH variant
+# (alpha, beta, gamma) at (x, y) = (0, 0), (0, 1), (1, 0), (1, 1)
+_CHSH_PARITIES = {
+    v: [(x & y) ^ (v[0] & x) ^ (v[1] & y) ^ v[2] for x, y in product(_BIT, _BIT)]
+    for v in product(_BIT, _BIT, _BIT)
+}
+
+
+def _chsh_scores(num: list[int]) -> dict[tuple[int, int, int], int]:
+    """``den * S`` on each (alpha, beta, gamma) variant of CHSH, keyed in
+    lexicographic order, for the binary box q(A, B | X, Y) = ``num / den``
+    laid out in that order: S = sum over x, y of
+    q(a + b = xy + alpha x + beta y + gamma | x, y), with sums mod 2."""
+    # cell (a, b, x, y) sits at 8a + 4b + 2x + y, so
+    # by_parity[t][2x + y] = den * q(a + b = t | x, y)
+    by_parity = (
+        [num[xy] + num[12 + xy] for xy in range(4)],
+        [num[4 + xy] + num[8 + xy] for xy in range(4)],
     )
-    return Fraction(wins, 4)
+    return {
+        variant: by_parity[t0][0] + by_parity[t1][1] + by_parity[t2][2] + by_parity[t3][3]
+        for variant, (t0, t1, t2, t3) in _CHSH_PARITIES.items()
+    }
 
 
 # -- named graphs ----------------------------------------------------------

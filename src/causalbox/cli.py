@@ -34,6 +34,8 @@ from fractions import Fraction
 
 from .fileio import (
     FileFormatError,
+    dump_graph,
+    dump_kernel,
     graph_to_dict,
     kernel_to_dict,
     load_graph,
@@ -98,6 +100,15 @@ def _load(path: str | None, flag: str, what: str, loader):
         raise ValueError(f"cannot read {what} file {path}: {exc.strerror}")
     except (FileFormatError, json.JSONDecodeError) as exc:
         raise ValueError(f"bad {what} file {path}: {exc}")
+
+
+def _write(path: str, obj) -> None:
+    """Write a kernel or a graph file through :mod:`causalbox.fileio`; a file
+    that cannot be written raises a ``ValueError`` naming the path."""
+    try:
+        (dump_kernel if isinstance(obj, Kernel) else dump_graph)(obj, path)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}")
 
 
 def _load_graph(path: str | None):
@@ -179,6 +190,8 @@ def _cmd_constraints(args) -> int:
 
 def _cmd_hyper(args) -> int:
     h = build_hypergraph(_load_graph(args.graph))
+    if args.out:
+        _write(args.out, h.base)
     payload = {
         "graph": graph_to_dict(h.base),
         "copy_map": {u: list(pair) for u, pair in sorted(h.copy_map.items())},
@@ -187,10 +200,6 @@ def _cmd_hyper(args) -> int:
     for u, (src, child) in sorted(h.copy_map.items()):
         text_lines.append(f"  {u}: copy of {src} feeding {child}")
     _emit(args, payload, "\n".join(text_lines))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload["graph"], fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return EXIT_OK
 
 
@@ -299,19 +308,10 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _vertices(args):
-    from .polytope import enumerate_classical_vertices, enumerate_h_vertices
-
-    dag = _load_graph(args.graph)
-    if args.lift:
-        return enumerate_h_vertices(build_hypergraph(dag))
-    return enumerate_classical_vertices(dag)
-
-
 def _cmd_optimize(args) -> int:
-    from .polytope import maximize_functional
+    from .polytope import enumerate_classical_vertices, maximize_functional
 
-    vertices = _vertices(args)
+    vertices = enumerate_classical_vertices(_load_graph(args.graph))
     try:
         functional = _functional_for(args.functional, vertices[0].table)
     except KeyError as exc:
@@ -330,7 +330,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
-    vertices = _vertices(args)
+    from .polytope import enumerate_classical_vertices
+
+    vertices = enumerate_classical_vertices(_load_graph(args.graph))
     payload = {
         "count": len(vertices),
         "vertices": [kernel_to_dict(v.table) for v in vertices],
@@ -371,16 +373,11 @@ def _cmd_fixtures(args) -> int:
     from . import boxes
 
     obj = _FIXTURES[name](boxes, args)
-    if isinstance(obj, Kernel):
-        payload = kernel_to_dict(obj)
-    else:
-        payload = graph_to_dict(obj)
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.out, obj)
     else:
-        print(text)
+        payload = kernel_to_dict(obj) if isinstance(obj, Kernel) else graph_to_dict(obj)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -445,11 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p)
     p.add_argument("--functional", required=True, choices=("chsh", "gyni"))
-    p.add_argument("--lift", action="store_true", help="use hypergraph vertices")
 
     p = sub.add_parser("vertices", help="enumerate polytope vertices", parents=[fmt])
     common(p)
-    p.add_argument("--lift", action="store_true", help="use hypergraph vertices")
 
     p = sub.add_parser(
         "decompose-ns", help="PR-plus-local decomposition", parents=[fmt]

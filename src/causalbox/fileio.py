@@ -86,7 +86,7 @@ def graph_from_dict(doc: dict) -> CausalDag:
             )
         cardinality = entry.get("cardinality")
         if kind == OBSERVED:
-            if not isinstance(cardinality, int) or cardinality < 1:
+            if type(cardinality) is not int or cardinality < 1:  # a bool is no cardinality
                 raise FileFormatError(
                     f"vertices[{i}].cardinality must be a positive integer"
                 )
@@ -126,7 +126,7 @@ def _parse_vars(entries: list, field: str) -> tuple[tuple[str, int], ...]:
     out = []
     for i, entry in enumerate(entries):
         card = _entry(entry, f"{field}[{i}]").get("cardinality")
-        if not isinstance(card, int) or card < 1:
+        if type(card) is not int or card < 1:
             raise FileFormatError(f"{field}[{i}].cardinality must be a positive integer")
         out.append((entry["name"], card))
     return tuple(out)

@@ -147,12 +147,13 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     ``mediation_graph`` a joint that breaks a conditional independence of
     the graph can be accepted.
     """
-    vertices = _vertex_matrix([v.table for v in enumerate_classical_vertices(g)])
-    outcome_vars, index_vars, matrix, vden = vertices
-    if not (p.is_prob_table and index_vars):
-        return _convex_member(vertices, *_numerators(p, outcome_vars, index_vars))
-    # cell i of the layout holds setting assignment i % width
-    num, _ = _numerators(p, outcome_vars + index_vars, ())
+    outcome_vars, index_vars, matrix, vden = _vertex_matrix(
+        [v.table for v in enumerate_classical_vertices(g)]
+    )
+    # cell i of either layout holds setting assignment i % width; a box's
+    # rows each sum to its denominator, so all of them are kept
+    layout = (outcome_vars + index_vars, ()) if p.is_prob_table else (outcome_vars, index_vars)
+    num, _ = _numerators(p, *layout)
     width = prod(c for _, c in index_vars)
     context = [sum(num[s::width]) for s in range(width)]
     kept = [i for i in range(len(num)) if context[i % width]]
@@ -246,27 +247,6 @@ def maximize_functional(
     return best, best_v
 
 
-def _violated_chsh_variant(num: list[int], den: int) -> tuple[int, int, int] | None:
-    """The (alpha, beta, gamma) CHSH variant on which the binary box
-    q(A, B | X, Y) = ``num / den``, laid out in that order, scores above 3,
-    if any.
-
-    The (alpha, beta, gamma) variant scores
-    S = sum over x, y of q(a + b = xy + alpha x + beta y + gamma | x, y),
-    with sums mod 2.  Local boxes score at most 3 on every variant.
-    """
-    # agree[x, y] = den * q(a = b | x, y); cell (a, b, x, y) sits at 8a + 4b + 2x + y
-    agree = [num[xy] + num[12 + xy] for xy in range(4)]
-    for alpha, beta, gamma in _iterproduct((0, 1), repeat=3):
-        score = 0  # den * S
-        for xy, (x, y) in enumerate(_iterproduct((0, 1), repeat=2)):
-            parity = (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
-            score += den - agree[xy] if parity else agree[xy]
-        if score > 3 * den:
-            return alpha, beta, gamma
-    return None
-
-
 def decompose_ns_box(q: Kernel):
     """Decompose a bipartite no-signalling box into at most one PR box plus
     local deterministic boxes, with one exact LP.
@@ -276,11 +256,12 @@ def decompose_ns_box(q: Kernel):
     weights.  The box must be binary over A, B | X, Y, in any layout: its
     variables are matched by name, cardinality and side, and it is read once.
 
-    The LP is picked by the box's scores on the eight CHSH variants.  If it
-    scores above 3 on the (alpha, beta, gamma) variant, the LP is over
-    PR(alpha, beta, gamma) plus the locals; otherwise it is over the locals
-    alone.  This gives the first feasible decomposition of the order
-    "locals only, then each PR box in lexicographic order":
+    The LP is picked by the box's scores on the eight CHSH variants, which
+    :mod:`causalbox.boxes` computes.  If it scores above 3 on the
+    (alpha, beta, gamma) variant, the LP is over PR(alpha, beta, gamma) plus
+    the locals; otherwise it is over the locals alone.  This gives the first
+    feasible decomposition of the order "locals only, then each PR box in
+    lexicographic order":
     - PR boxes score 4 on their own variant and at most 2 on every other,
       and locals at most 3, so a mixture with PR weight w scores at most
       3 + w on its PR box's variant and at most 3 - w on the others.  A box
@@ -295,7 +276,9 @@ def decompose_ns_box(q: Kernel):
         raise NotNoSignallingError("box variables are not binary A, B | X, Y") from None
     if any(sum(num[k] for k in lo) != sum(num[k] for k in hi) for lo, hi in _chsh_ns_rows()):
         raise NotNoSignallingError("box is not a bipartite no-signalling kernel")
-    index = _violated_chsh_variant(num, den)
+    from .boxes import _chsh_scores
+
+    index = next((v for v, score in _chsh_scores(num).items() if score > 3 * den), None)
     verdict = _convex_member(_ns_vertex_matrix(index), num, den)
     if not verdict.member:
         raise DecompositionNotFoundError(

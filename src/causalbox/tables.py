@@ -93,13 +93,14 @@ class CardinalityMismatchError(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
+    """A kernel entry as a ``Fraction``: an ``int`` is converted, and anything
+    but an ``int`` or ``Fraction`` (a float or a bool included) raises
+    ``TypeError``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    raise TypeError(f"kernel entry is a {type(value).__name__}, not an int or Fraction")
 
 
 def assignments(variables: Sequence[Var]) -> Iterator[tuple[int, ...]]:
@@ -114,7 +115,8 @@ class Kernel:
     Entries are stored flat in mixed-radix order over
     ``outcome_vars + index_vars`` with the last variable varying fastest.
     Instances are immutable and validated on construction: entries are
-    non-negative and every index row sums to exactly one.
+    ``int`` or ``Fraction`` (stored as ``Fraction``), non-negative, and
+    every index row sums to exactly one.
     """
 
     outcome_vars: tuple[Var, ...]
@@ -131,11 +133,13 @@ class Kernel:
         size = prod(c for _, c in self.variables)
         if len(self.entries) != size:
             raise ValueError(f"expected {size} entries, got {len(self.entries)}")
-        if any(e < 0 for e in self.entries):
+        entries = tuple(map(_as_fraction, self.entries))
+        if any(e.numerator < 0 for e in entries):
             raise ValueError("negative entry in kernel")
+        object.__setattr__(self, "entries", entries)
         width = prod(c for _, c in self.index_vars)
         for j, idx in enumerate(assignments(self.index_vars)):
-            row = sum(self.entries[j::width])
+            row = sum(entries[j::width])
             if row != 1:
                 raise ValueError(
                     f"row for index assignment {idx} sums to {row}, expected 1"
@@ -156,7 +160,7 @@ class Kernel:
         names = [n for n, _ in outcome_vars + index_vars]
         entries = []
         for values in assignments(outcome_vars + index_vars):
-            entries.append(_as_fraction(fn(dict(zip(names, values)))))
+            entries.append(fn(dict(zip(names, values))))
         return cls(outcome_vars, index_vars, tuple(entries))
 
     @classmethod
@@ -175,7 +179,7 @@ class Kernel:
         index_vars = tuple(index_vars)
         entries = []
         for values in assignments(outcome_vars + index_vars):
-            entries.append(_as_fraction(table.get(values, Fraction(0))))
+            entries.append(table.get(values, Fraction(0)))
         return cls(outcome_vars, index_vars, tuple(entries))
 
     # -- access ------------------------------------------------------------

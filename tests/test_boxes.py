@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from causalbox import (
+    CardinalityMismatchError,
     build_hypergraph,
     chsh_graph,
     chsh_score,
@@ -18,6 +19,7 @@ from causalbox import (
     ns_box_vertices,
     ns_member,
     pr_box,
+    reorder,
     swapping_box,
     uniform_table,
     Kernel,
@@ -59,6 +61,32 @@ def test_chsh_scores():
         (("A", 2), ("B", 2)), (("X", 2), ("Y", 2)), lambda v: Fraction(1, 4)
     )
     assert chsh_score(noise) == Fraction(1, 2)
+
+
+def test_chsh_score_reads_its_box_by_position():
+    """A and B are the box's outcomes and X, Y its inputs, in their order."""
+    box = pr_box(0, 0, 0)
+    renamed = Kernel((("P", 2), ("Q", 2)), (("S", 2), ("T", 2)), box.entries)
+    assert chsh_score(renamed) == 1
+    # laid out (B, A | Y, X), the standard PR box is the same box
+    assert chsh_score(reorder(box, box.outcome_vars[::-1], box.index_vars[::-1])) == 1
+
+
+@pytest.mark.parametrize(
+    "box, error, match",
+    [
+        (gyni_box(), ValueError, "expects a bipartite box"),
+        (
+            Kernel((("A", 2), ("B", 3)), (("X", 2), ("Y", 2)), (Fraction(1, 6),) * 24),
+            CardinalityMismatchError,
+            "expects binary variables",
+        ),
+    ],
+    ids=["tripartite", "ternary"],
+)
+def test_chsh_score_rejects_other_boxes(box, error, match):
+    with pytest.raises(error, match=match):
+        chsh_score(box)
 
 
 def test_local_boxes_bounded_by_classical_chsh():

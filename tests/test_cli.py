@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, determinism, round trips."""
 
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
-from causalbox.cli import dispatch
+from causalbox.cli import build_parser, dispatch
 from causalbox.fileio import load_graph, load_kernel
 
 
@@ -313,6 +314,76 @@ def test_hyper_build_text_and_out(files, tmp_path, capsys):
     assert capsys.readouterr().out == "copies: (none; graph is Bell-type)\n"
 
 
+@pytest.mark.parametrize("name", ["instrumental-graph", "gyni-graph"])
+def test_lifted_vertices_through_hyper_build(name, files, tmp_path, capsys):
+    """``hyper build --out`` and then ``vertices`` give the hypergraph's vertices."""
+    emit, _ = files
+    lifted = str(tmp_path / "lifted.json")
+    assert dispatch(["hyper", "build", "--graph", emit(name, "g.json"), "--out", lifted]) == 0
+    capsys.readouterr()
+    assert dispatch(["vertices", "--graph", lifted, "--format", "machine"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    from causalbox import boxes, build_hypergraph, enumerate_h_vertices
+    from causalbox.fileio import kernel_to_dict
+
+    graph = getattr(boxes, name.replace("-", "_"))()
+    expected = [kernel_to_dict(v.table) for v in enumerate_h_vertices(build_hypergraph(graph))]
+    assert payload == {"count": len(expected), "vertices": expected}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hyper", "build", "--graph", "{graph}"], ["fixtures", "emit", "pr-box"]],
+    ids=" ".join,
+)
+def test_unwritable_out_is_an_input_error(argv, files, tmp_path, capsys):
+    """Nothing is printed before the write fails."""
+    emit, _ = files
+    out = str(tmp_path / "missing" / "out.json")
+    argv = [arg.format(graph=emit("chsh-graph", "chsh.json")) for arg in argv]
+    assert dispatch([*argv, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+
+# every option of every command; a new option changes this test on purpose
+OPTIONS = {
+    "graph check": ["--fixed", "--format", "--graph"],
+    "graph mdag": ["--fixed", "--format", "--graph"],
+    "graph districts": ["--fixed", "--format", "--graph"],
+    "graph dsep": ["--a", "--b", "--fixed", "--format", "--graph"],
+    "constraints enumerate": ["--format", "--graph"],
+    "hyper build": ["--format", "--graph", "--out"],
+    "project": ["--dist", "--format", "--graph"],
+    "member": ["--certificate", "--dist", "--format", "--graph", "--model"],
+    "score": ["--dist", "--format", "--functional"],
+    "optimize": ["--format", "--functional", "--graph"],
+    "vertices": ["--format", "--graph"],
+    "decompose-ns": ["--dist", "--format"],
+    "fixtures emit": ["--alpha", "--beta", "--format", "--gamma", "--index", "--out", "name"],
+}
+
+
+def _options(parser, command=()):
+    """The options (and positional names) of each command under ``parser``,
+    ``--help`` left out."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        names = (n for a in parser._actions for n in a.option_strings or [a.dest])
+        return {" ".join(command): sorted(set(names) - {"-h", "--help"})}
+    return {
+        key: names
+        for action in subparsers
+        for name, sub in action.choices.items()
+        for key, names in _options(sub, (*command, name)).items()
+    }
+
+
+def test_option_surface_is_pinned():
+    assert _options(build_parser()) == OPTIONS
+
+
 def test_member_text_lists_violations(files, tmp_path, capsys):
     emit, _ = files
     gpath = emit("mediation-graph", "med.json")
@@ -397,6 +468,13 @@ _MALFORMED = [
     ["fixtures", "emit", "local-box", "--index", "16"],
     ["fixtures", "emit", "local-box", "--index", "-1"],
     ["graph", "dsep", "--graph", "{med}", "--a", "Q", "--b", "X"],
+    ["graph", "dsep", "--graph", "{med}", "--a", "X"],
+    # the swapping joint has no Y
+    ["score", "--functional", "gyni", "--dist", "{joint}"],
+    # mediation's vertices have no Y
+    ["optimize", "--graph", "{med}", "--functional", "chsh"],
+    # lifted vertices come from `hyper build --out` and the plain command
+    ["vertices", "--graph", "{med}", "--lift"],
 ]
 
 

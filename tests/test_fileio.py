@@ -61,6 +61,27 @@ def test_missing_fields_are_named():
         graph_from_dict(
             {"vertices": [{"name": "A", "kind": "observed"}], "edges": []}
         )
+    with pytest.raises(FileFormatError, match=r"vertices\[0\] missing field 'name'"):
+        graph_from_dict({"vertices": [{"kind": "latent"}], "edges": []})
+    with pytest.raises(FileFormatError, match=r"vertices\[0\] missing field 'kind'"):
+        graph_from_dict({"vertices": [{"name": "L"}], "edges": []})
+
+
+@pytest.mark.parametrize("card", [0, True, "2", 2.0], ids=["zero", "true", "string", "float"])
+def test_cardinalities_must_be_positive_integers(card):
+    """A JSON ``true`` is a bool, not the cardinality 1."""
+    message = r"\[0\]\.cardinality must be a positive integer"
+    vertex = {"name": "A", "kind": "observed", "cardinality": card}
+    with pytest.raises(FileFormatError, match="^vertices" + message):
+        graph_from_dict({"vertices": [vertex], "edges": []})
+    a = {"name": "A", "cardinality": 2}
+    for outcomes, index, field in (
+        ([{**a, "cardinality": card}], [], "variables"),
+        ([a], [{"name": "X", "cardinality": card}], "index_variables"),
+    ):
+        doc = {"variables": outcomes, "index_variables": index, "table": {}}
+        with pytest.raises(FileFormatError, match=f"^{field}" + message):
+            kernel_from_dict(doc)
 
 
 def test_mistyped_fields_are_named():
@@ -95,6 +116,8 @@ def test_bad_table_keys_and_values():
         kernel_from_dict({**base, "table": {"0,0": "1"}})
     with pytest.raises(FileFormatError, match="out of range"):
         kernel_from_dict({**base, "table": {"2": "1"}})
+    with pytest.raises(FileFormatError, match="table key 'a' is not an integer assignment"):
+        kernel_from_dict({**base, "table": {"a": "1"}})
     with pytest.raises(FileFormatError, match="rational"):
         kernel_from_dict({**base, "table": {"0": "x"}})
     with pytest.raises(FileFormatError, match="sums"):

@@ -553,6 +553,16 @@ def test_certificate_rejected_when_it_violates_independences():
     assert verdict.reason.startswith("certificate violates ")
 
 
+def test_certificate_rejected_when_it_projects_elsewhere():
+    """The uniform joint satisfies every independence of the swapping graph,
+    which is its own lift, but it is not the swapping joint."""
+    g = swapping_graph()
+    joint = join_inputs(swapping_box(), uniform_table((("X", 2), ("Z", 2))))
+    verdict = ps_member(joint, g, certificate=uniform_table(joint.outcome_vars))
+    assert verdict.status == "not_member"
+    assert verdict.reason == "certificate does not project to the target"
+
+
 def test_certificate_must_be_a_joint_over_the_lifted_vertices():
     """A certificate of another shape is an input error, not a verdict: the
     conditional box the LP returns, and a joint missing the copies."""

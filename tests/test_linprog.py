@@ -102,6 +102,11 @@ def test_undeclared_variable_rejected():
         system.add_equality({"q": Fraction(1)}, Fraction(0))
 
 
+def test_duplicate_variable_names_rejected():
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        LinearSystem(("x", "y", "x"))
+
+
 def test_constructor_equalities_are_checked():
     with pytest.raises(ValueError, match="equality"):
         LinearSystem(("x",), [({"y": 1}, 1)])

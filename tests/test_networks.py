@@ -46,6 +46,30 @@ def test_observed_cpt_of_another_cardinality_is_rejected():
         ClassicalNetwork(dag, cpts)
 
 
+_HALF = Kernel((("X", 2),), (), (Fraction(1, 2), Fraction(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "cpts, match",
+    [
+        ({"X": _HALF}, "missing CPT for A"),
+        (
+            {"X": _HALF, "A": Kernel((("X", 2),), (("A", 2),), (1, 0, 0, 1))},
+            "CPT for A must have A as its only outcome",
+        ),
+        (
+            {"X": _HALF, "A": Kernel((("A", 2),), (), (1, 0))},
+            "CPT for A must be indexed by its sorted parents",
+        ),
+    ],
+    ids=["missing", "outcome", "parents"],
+)
+def test_cpts_must_match_the_graph(cpts, match):
+    dag = CausalDag([("X", OBSERVED, 2), ("A", OBSERVED, 2)], [("X", "A")])
+    with pytest.raises(ValueError, match=match):
+        ClassicalNetwork(dag, cpts)
+
+
 def test_joint_of_tiny_network_by_hand():
     dag = CausalDag([("X", OBSERVED, 2), ("A", OBSERVED, 2)], [("X", "A")])
     cpts = {

@@ -340,6 +340,11 @@ def test_chsh_bounds_over_vertex_sets():
     assert value == 1
 
 
+def test_maximize_over_no_vertex_is_an_error():
+    with pytest.raises(ValueError, match="vertex list is empty"):
+        maximize_functional({}, [])
+
+
 def test_gyni_win_matches_bruteforce():
     vertices = enumerate_h_vertices(build_hypergraph(tripartite_bell_graph()))
     functional = functional_from_indicator(
@@ -488,6 +493,12 @@ def test_signalling_box_rejected():
     )
     with pytest.raises(NotNoSignallingError):
         decompose_ns_box(signalling)
+
+
+def test_non_binary_box_rejected():
+    box = Kernel((("A", 3), ("B", 2)), (("X", 2), ("Y", 2)), (Fraction(1, 6),) * 24)
+    with pytest.raises(NotNoSignallingError, match=r"not binary A, B \| X, Y"):
+        decompose_ns_box(box)
 
 
 # -- one LP per decomposition, against the eight-LP reference -------------------------

@@ -52,6 +52,30 @@ def test_kernel_validates_rows():
         Kernel((("A", 2),), (("X", 2),), (half, half, half, quarter))
 
 
+@pytest.mark.parametrize(
+    "outcome_vars, entries, error, match",
+    [
+        ((("A", 2), ("A", 2)), (Fraction(1, 4),) * 4, ValueError, "duplicate variable names"),
+        ((("A", 0),), (), CardinalityMismatchError, "cardinalities must be positive"),
+        ((("A", 2),), (Fraction(1),), ValueError, "expected 2 entries, got 1"),
+        ((("A", 4),), (0.1, 0.2, 0.3, 0.4), TypeError, "entry is a float"),
+        ((("A", 2),), (True, False), TypeError, "entry is a bool"),
+        ((("A", 2),), ("1/2", "1/2"), TypeError, "entry is a str"),
+    ],
+    ids=["duplicate", "cardinality", "count", "float", "bool", "str"],
+)
+def test_kernel_rejects_malformed_construction(outcome_vars, entries, error, match):
+    with pytest.raises(error, match=match):
+        Kernel(outcome_vars, (), entries)
+
+
+def test_kernel_stores_int_entries_as_fractions():
+    kernel = Kernel((("A", 2),), (), (1, 0))
+    assert kernel.entries == (1, 0)
+    assert all(type(e) is Fraction for e in kernel.entries)
+    assert kernel == Kernel((("A", 2),), (), (Fraction(1), Fraction(0)))
+
+
 def test_value_rejects_values_outside_the_cardinality():
     """X = 2 would read the cell of (A, X) = (1, 0), and A = -1 the cell
     entries[-2]."""
