@@ -19,7 +19,6 @@ finds a Verma witness or builds a :func:`district_kernel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -53,7 +52,7 @@ from .recipes import (
     simplify,
     sum_over,
 )
-from .tables import Kernel, ZeroConditioningError, _check_joint, assignments, ci_violation
+from .tables import Kernel, Record, ZeroConditioningError, _check_joint, assignments, ci_violation
 
 __all__ = [
     "VermaConstraint",
@@ -69,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VermaConstraint:
+class VermaConstraint(Record):
     """A derived kernel that must not depend on some of its index variables."""
 
     recipe: Expr
@@ -320,8 +318,7 @@ def _enumerate_constraints_cached(dag: CausalDag) -> tuple[ConstraintRecord, ...
 # -- membership ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     record: ConstraintRecord
     witness: dict
 
@@ -329,8 +326,7 @@ class Violation:
         return f"{self.record}  violated at {self.witness}"
 
 
-@dataclass(frozen=True)
-class NestedVerdict:
+class NestedVerdict(Record):
     member: bool
     violations: tuple[Violation, ...] = ()
     indeterminate: tuple[ConstraintRecord, ...] = ()

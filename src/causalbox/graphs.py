@@ -14,10 +14,11 @@ has its outgoing edges rerouted through fresh root copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import combinations
 from typing import Iterable, Mapping
+
+from .tables import Record, _set
 
 __all__ = [
     "OBSERVED",
@@ -73,19 +74,18 @@ class MultiLatentError(ValueError):
     """Operation requires at most one latent vertex."""
 
 
-@dataclass(frozen=True)
-class VertexSpec:
+class VertexSpec(Record):
     name: str
     kind: str
-    cardinality: int | None = None
+    cardinality: int | None
 
-    def __post_init__(self):
-        if self.kind not in (OBSERVED, LATENT):
+    def __init__(self, name, kind, cardinality=None):
+        if kind not in (OBSERVED, LATENT):
             raise ValueError(f"kind must be {OBSERVED!r} or {LATENT!r}")
+        super().__init__(name, kind, cardinality)
 
 
-@dataclass(frozen=True)
-class CausalDag:
+class CausalDag(Record):
     """Directed graph over observed and latent vertices.
 
     The constructor does not enforce the model invariants; use
@@ -107,8 +107,8 @@ class CausalDag:
                 specs.append(v)
             else:
                 specs.append(VertexSpec(*v))
-        object.__setattr__(self, "vertices", tuple(specs))
-        object.__setattr__(self, "edges", frozenset((str(a), str(b)) for a, b in edges))
+        _set(self, "vertices", tuple(specs))
+        _set(self, "edges", frozenset((str(a), str(b)) for a, b in edges))
 
     # -- lookups -----------------------------------------------------------
 
@@ -219,8 +219,7 @@ def topological_order(dag: CausalDag) -> list[str]:
     return order
 
 
-@dataclass(frozen=True)
-class MDag:
+class MDag(Record):
     """Marginal DAG: directed edges over random and fixed vertices plus a
     simplicial complex of bidirected faces, stored by its maximal faces.
 
@@ -250,10 +249,10 @@ class MDag:
         for v in rnd:
             if v not in covered:
                 maximal.add(frozenset([v]))
-        object.__setattr__(self, "random_vertices", rnd)
-        object.__setattr__(self, "fixed_vertices", fixed)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "faces", frozenset(maximal))
+        _set(self, "random_vertices", rnd)
+        _set(self, "fixed_vertices", fixed)
+        _set(self, "edges", edges)
+        _set(self, "faces", frozenset(maximal))
         fset = set(fixed)
         if rset & fset:
             raise ValueError("random and fixed vertices overlap")
@@ -419,10 +418,11 @@ def d_separated(
     return True
 
 
-@dataclass(frozen=True, order=True)
-class CiConstraint:
+@total_ordering
+class CiConstraint(Record):
     """Conditional independence statement ``a`` independent of ``b`` given
-    ``given``, with singleton a < b lexicographically."""
+    ``given``, with singleton a < b lexicographically.  Statements are
+    ordered by :meth:`sort_key`."""
 
     a: str
     b: str
@@ -430,6 +430,11 @@ class CiConstraint:
 
     def sort_key(self):
         return (self.a, self.b, tuple(sorted(self.given)))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key() < other.sort_key()
 
     def __str__(self):
         if self.given:
@@ -463,8 +468,7 @@ def _ci_constraints_cached(dag: CausalDag) -> tuple[CiConstraint, ...]:
 # -- hypergraph lift -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperDag:
+class HyperDag(Record):
     """Bell-type lift of a causal DAG.
 
     ``copy_map`` sends each added root vertex to its ``(source, child)``

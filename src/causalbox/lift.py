@@ -26,7 +26,6 @@ for those the function verifies caller-supplied lift certificates instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -42,6 +41,7 @@ from .graphs import (
 from .linprog import LinearSystem, lp_solve
 from .tables import (
     Kernel,
+    Record,
     _check_joint,
     _index_map,
     _numerators,
@@ -133,8 +133,7 @@ def instrumental_score(k: Kernel) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class PsVerdict:
+class PsVerdict(Record):
     status: str  # "member" | "not_member" | "unsupported"
     certificate: Kernel | None = None
     scale: Fraction | None = None  # probability of the diagonal event, in (0, 1]

@@ -21,37 +21,46 @@ polytope LPs) build the same rows themselves and call the core directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
+
+from .tables import Record
 
 __all__ = ["LinearSystem", "LpResult", "lp_solve"]
 
 
-@dataclass
 class LinearSystem:
     """max objective . x  subject to  equalities, x >= 0.  Coefficients,
     right-hand sides and objective values are rationals (``Fraction`` or
-    ``int``); anything else, a float included, raises ``TypeError``."""
+    ``int``); anything else, a float included, raises ``TypeError``.
+    ``equalities`` lists ``(coeffs, rhs)`` pairs and grows through
+    :meth:`add_equality`."""
 
-    variables: tuple[str, ...]
-    equalities: list[tuple[dict[str, Fraction], Fraction]] = field(default_factory=list)
-    objective: dict[str, Fraction] | None = None
-
-    def __post_init__(self):
-        self.variables = tuple(self.variables)
+    def __init__(
+        self,
+        variables: Sequence[str],
+        equalities: Iterable[tuple[Mapping[str, Fraction], Fraction]] = (),
+        objective: dict[str, Fraction] | None = None,
+    ):
+        self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
-        unknown = set(self.objective or ()) - set(self.variables)
+        unknown = set(objective or ()) - set(self.variables)
         if unknown:
             raise ValueError(f"objective references undeclared variables {sorted(unknown)}")
-        for v, c in (self.objective or {}).items():
+        for v, c in (objective or {}).items():
             if not isinstance(c, _RATIONAL):
                 raise _not_rational(f"objective coefficient of {v}", c)
-        equalities, self.equalities = self.equalities, []
+        self.objective = objective
+        self.equalities: list[tuple[dict[str, Fraction], Fraction]] = []
         for coeffs, rhs in equalities:
             self.add_equality(coeffs, rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def add_equality(self, coeffs: Mapping[str, Fraction], rhs) -> None:
         known = set(self.variables)
@@ -73,8 +82,7 @@ def _not_rational(what: str, value) -> TypeError:
     return TypeError(f"{what} is a {type(value).__name__}, not an int or Fraction")
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(Record):
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
     assignment: dict[str, Fraction] | None = None

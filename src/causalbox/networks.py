@@ -14,7 +14,6 @@ the diagonal event recovers the original observed joint exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Mapping
@@ -23,6 +22,7 @@ from .graphs import OBSERVED, CausalDag, HyperDag, topological_order
 from .tables import (
     CardinalityMismatchError,
     Kernel,
+    Record,
     _index_map,
     _sums,
     assignments,
@@ -33,8 +33,7 @@ from .tables import (
 __all__ = ["ClassicalNetwork", "random_network", "lift_network"]
 
 
-@dataclass(frozen=True)
-class ClassicalNetwork:
+class ClassicalNetwork(Record):
     """A DAG plus one CPT per vertex.
 
     Each CPT is a kernel with the vertex as single outcome variable and its
@@ -46,7 +45,8 @@ class ClassicalNetwork:
     dag: CausalDag
     cpts: Mapping[str, Kernel]
 
-    def __post_init__(self):
+    def __init__(self, dag, cpts):
+        super().__init__(dag, cpts)
         for v in self.dag.names():
             if v not in self.cpts:
                 raise ValueError(f"missing CPT for {v}")

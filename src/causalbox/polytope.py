@@ -22,7 +22,6 @@ of :mod:`causalbox.tables`.  The CHSH lift's NS rows are built once too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iterproduct
@@ -40,7 +39,7 @@ from .graphs import (
     topological_order,
 )
 from .linprog import _lowest, _solve
-from .tables import Kernel, _numerators, _position, assignments
+from .tables import Kernel, Record, _numerators, _position, assignments
 
 __all__ = [
     "Vertex",
@@ -66,8 +65,7 @@ class DecompositionNotFoundError(RuntimeError):
     bug."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Record):
     """Deterministic strategy with its induced conditional table.
 
     ``responses`` maps every output vertex to a tuple listing its value for
@@ -126,8 +124,7 @@ def enumerate_h_vertices(h: HyperDag) -> list[Vertex]:
     return enumerate_classical_vertices(h.base)
 
 
-@dataclass(frozen=True)
-class MemberVerdict:
+class MemberVerdict(Record):
     member: bool
     weights: tuple[Fraction, ...] | None = None
 

@@ -24,12 +24,11 @@ a cell is indeterminate where a conditioning event has probability zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
-from .tables import Kernel, Var, _index_map, _position, marginalize
+from .tables import Kernel, Record, Var, _index_map, _position, _set, marginalize
 
 __all__ = [
     "Expr",
@@ -50,33 +49,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FactorExpr:
+class FactorExpr(Record):
     """Conditional p(outcomes | given) of the base observed joint."""
 
     outcomes: tuple[str, ...]
     given: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(sorted(self.outcomes)))
-        object.__setattr__(self, "given", tuple(sorted(self.given)))
-        if set(self.outcomes) & set(self.given):
+    def __init__(self, outcomes, given):
+        outcomes, given = tuple(sorted(outcomes)), tuple(sorted(given))
+        if set(outcomes) & set(given):
             raise ValueError("outcomes and given overlap")
+        _set(self, "outcomes", outcomes)
+        _set(self, "given", given)
 
 
-@dataclass(frozen=True)
-class ProductExpr:
+class ProductExpr(Record):
     factors: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class SumExpr:
+class SumExpr(Record):
     var: str
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class QuotientExpr:
+class QuotientExpr(Record):
     num: "Expr"
     den: "Expr"
 

@@ -24,14 +24,17 @@ of entries, or hands them to the integer simplex, reads them through
 matches a target to a layout by name, cardinality and side, and gives its
 integer numerators over their lcm in that layout, computed per call and
 never cached on the kernel.
+
+The module also holds :class:`Record`, the base of every immutable value
+class in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _product
 from math import lcm, prod
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -41,6 +44,7 @@ Var = tuple[str, int]
 Assignment = Mapping[str, int]
 
 __all__ = [
+    "Record",
     "Var",
     "Kernel",
     "UnknownVariableError",
@@ -92,6 +96,70 @@ class CardinalityMismatchError(ValueError):
     """Variables do not have the expected cardinalities."""
 
 
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value with named fields, the base of the package's records.
+
+    A subclass's fields are the names annotated in its class body, in
+    order, and a class attribute of the same name is that field's default.
+    ``__init__`` takes the fields by position or keyword.  A record is
+    read-only after ``__init__``, equals only a record of its own class
+    with equal fields, and hashes and reprs as its field tuple.
+
+    Records are not ``dataclasses``: importing that module loads
+    ``inspect`` and compiles generated methods for every class, which was
+    the largest cost of a one-request CLI process after the interpreter.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if fields:
+            cls._fields = fields
+            # one name gives the bare value, which compares and hashes alike
+            cls._values = attrgetter(*fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(args)}")
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                _set(self, name, kwargs.pop(name))
+            elif not hasattr(type(self), name):
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unexpected or repeated fields {sorted(kwargs)}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        values = self._values(self)
+        if len(self._fields) == 1:
+            values = (values,)
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, values))
+        return f"{type(self).__qualname__}({shown})"
+
+
 def _as_fraction(value) -> Fraction:
     """A kernel entry as a ``Fraction``: an ``int`` is converted, and anything
     but an ``int`` or ``Fraction`` (a float or a bool included) raises
@@ -108,8 +176,7 @@ def assignments(variables: Sequence[Var]) -> Iterator[tuple[int, ...]]:
     return _product(*(range(card) for _, card in variables))
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Record):
     """Dense exact table q(outcomes | index).
 
     Entries are stored flat in mixed-radix order over
@@ -123,7 +190,9 @@ class Kernel:
     index_vars: tuple[Var, ...]
     entries: tuple[Fraction, ...]
 
-    def __post_init__(self):
+    def __init__(self, outcome_vars, index_vars, entries):
+        _set(self, "outcome_vars", outcome_vars)
+        _set(self, "index_vars", index_vars)
         names = self.var_names()
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
@@ -131,14 +200,14 @@ class Kernel:
             if card < 1:
                 raise CardinalityMismatchError("cardinalities must be positive")
         size = prod(c for _, c in self.variables)
-        if len(self.entries) != size:
-            raise ValueError(f"expected {size} entries, got {len(self.entries)}")
-        entries = tuple(map(_as_fraction, self.entries))
+        if len(entries) != size:
+            raise ValueError(f"expected {size} entries, got {len(entries)}")
+        entries = tuple(map(_as_fraction, entries))
         if any(e.numerator < 0 for e in entries):
             raise ValueError("negative entry in kernel")
-        object.__setattr__(self, "entries", entries)
-        width = prod(c for _, c in self.index_vars)
-        for j, idx in enumerate(assignments(self.index_vars)):
+        _set(self, "entries", entries)
+        width = prod(c for _, c in index_vars)
+        for j, idx in enumerate(assignments(index_vars)):
             row = sum(entries[j::width])
             if row != 1:
                 raise ValueError(
@@ -423,8 +492,12 @@ def project(table: Kernel, copies: Mapping[str, str]) -> Kernel:
         return table
     names = set(table.var_names())
     for copy, source in copies.items():
-        if copy not in names or source not in names:
-            raise UnknownVariableError(f"projection references unknown variable")
+        if copy not in names:
+            raise UnknownVariableError(f"projection copy {copy} is not a table variable")
+        if source not in names:
+            raise UnknownVariableError(
+                f"projection source {source} of copy {copy} is not a table variable"
+            )
         if table.cardinality(copy) != table.cardinality(source):
             raise CardinalityMismatchError(
                 f"copy {copy} and source {source} differ in cardinality"

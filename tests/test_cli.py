@@ -47,6 +47,22 @@ def test_graph_subcommands(files, capsys):
     assert payload["faces"] == [["A", "C"], ["B"], ["X"]]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["graph", "dsep", "--a", "A", "--b", "Q"], "unknown vertices ['Q']"),
+        (["graph", "mdag", "--fixed", "Q"], "fixed vertex Q is not observed"),
+    ],
+    ids=["dsep", "mdag"],
+)
+def test_key_errors_print_their_message_unquoted(files, capsys, argv, message):
+    emit, _ = files
+    gpath = emit("mediation-graph", "med.json")
+    capsys.readouterr()
+    assert dispatch([*argv, "--graph", gpath]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_invalid_graph_exits_two(files, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(

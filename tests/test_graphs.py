@@ -1,11 +1,12 @@
 """Graph core: validation, orders, mDAGs, districts, d-separation, lift."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from causalbox import (
     CausalDag,
+    CiConstraint,
     CycleError,
     FixedNotParentlessError,
     LATENT,
@@ -265,6 +266,19 @@ def test_instrumental_has_no_ci():
 
 def test_triangle_has_no_ci():
     assert ci_constraints(triangle_graph()) == []
+
+
+def test_ci_order_is_the_sort_key_whatever_the_input_order():
+    """Subset order on ``given`` is partial; the sort key is total."""
+    records = [
+        CiConstraint("A", "B", frozenset(given))
+        for given in ({"C"}, {"D"}, set(), {"C", "D"}, {"E"})
+    ] + [CiConstraint("A", "C", frozenset({"B"})), CiConstraint("B", "C", frozenset())]
+    expected = sorted(records, key=CiConstraint.sort_key)
+    for perm in permutations(records):
+        assert sorted(perm) == expected
+    a, b = records[:2]
+    assert a < b and not b < a and a <= a and b > a and b >= a
 
 
 def test_swapping_ci_includes_expected_pairs():
