@@ -74,6 +74,9 @@ class VermaConstraint(Record):
     recipe: Expr
     independent_of: frozenset[str]
 
+    def __init__(self, recipe, independent_of):
+        super().__init__(recipe, frozenset(independent_of))
+
     def sort_key(self):
         return (tuple(sorted(self.independent_of)), str(canonical(self.recipe)))
 

@@ -428,6 +428,9 @@ class CiConstraint(Record):
     b: str
     given: frozenset[str] = frozenset()
 
+    def __init__(self, a, b, given=frozenset()):
+        super().__init__(a, b, frozenset(given))
+
     def sort_key(self):
         return (self.a, self.b, tuple(sorted(self.given)))
 

@@ -4,14 +4,17 @@ A :class:`LinearSystem` holds named non-negative unknowns, linear equalities
 and an optional linear objective to maximize.  :func:`lp_solve` runs a
 two-phase simplex with Bland's anti-cycling rule, so its verdicts are
 proofs.  The simplex pivots on integers, fraction-free (Edmonds 1967;
-Bareiss 1968): each row ``[A | b]`` is a primitive integer vector that
-stands for itself divided by a positive integer, the coefficient of the
-row's basic variable, and the reduced-cost row carries one integer
-denominator.  Pivots read only signs and cross-multiplied ratios, so the
-pivot sequence is the one the same simplex takes on ``Fraction`` rows;
-``Fraction`` appears only where the input is read and where the
-:class:`LpResult` is built.  Phase 1's artificial variables have no
-columns: they are tracked by basis id and, while basic, by their integer
+Bareiss 1968): each row ``[A | b]`` is an integer vector that stands for
+itself divided by a positive integer, the coefficient of the row's basic
+variable, and the reduced-cost row carries one integer denominator.  A row
+need not be primitive: a pivot whose entry divides a row's entry in its
+column subtracts an integer multiple of the pivot row at the pivot row's
+nonzeros and leaves the rest of the row and its denominator alone.  Pivots
+read only signs and cross-multiplied ratios, which scaling a row leaves
+unchanged, so the pivot sequence is the one the same simplex takes on
+``Fraction`` rows; ``Fraction`` appears only where the input is read and
+where the :class:`LpResult` is built.  Phase 1's artificial variables have
+no columns: they are tracked by basis id and, while basic, by their integer
 coefficient in their row.
 
 :func:`lp_solve` reads a system into those rows and hands them to the
@@ -104,8 +107,12 @@ def _pivot(rows, dens, basis, r, c):
     """Make column c basic in row r.  Row i stands for ``rows[i] / dens[i]``;
     the last row is z, updated as one more row.
 
-    The pivot row is made primitive with a positive pivot p.  Every other row
-    with f = row[c] != 0 becomes p*row - f*prow over the denominator p*den.
+    The pivot row is made primitive with a positive pivot p, its
+    denominator.  A row with f = row[c] != 0 becomes s*row - k*prow over
+    s*den, where s = p/g and k = f/g for g = gcd(p, f).  When p divides f,
+    s is 1: only the pivot row's nonzero positions change, in place, and
+    the denominator is kept, so the row need not stay primitive.
+    Otherwise the new row is reduced by :func:`_lowest`.
     """
     prow = rows[r]
     g = gcd(*prow)
@@ -114,10 +121,17 @@ def _pivot(rows, dens, basis, r, c):
     if g != 1:
         prow = rows[r] = [v // g for v in prow]
     p = dens[r] = prow[c]
+    nonzero = [(j, v) for j, v in enumerate(prow) if v]
     for i, row in enumerate(rows):
         f = row[c]
         if f and i != r:
-            rows[i], dens[i] = _lowest([p * a - f * b for a, b in zip(row, prow)], p * dens[i])
+            g = gcd(p, f)
+            s, k = p // g, f // g
+            if s == 1:
+                for j, v in nonzero:
+                    row[j] -= k * v
+            else:
+                rows[i], dens[i] = _lowest([s * a - k * b for a, b in zip(row, prow)], s * dens[i])
     basis[r] = c
 
 
@@ -190,8 +204,9 @@ def _solve(rows, dens, costs):
 
     Each row has a non-negative right-hand side and is reduced with its
     denominator by :func:`_lowest`; ``costs`` holds one rational per
-    column.  The lists are consumed.  Returns ``(status, value, x)``, the
-    last two ``None`` unless the status is ``"optimal"``.
+    column.  The lists and the rows in them are consumed: pivots update
+    rows in place.  Returns ``(status, value, x)``, the last two ``None``
+    unless the status is ``"optimal"``.
     """
     n, m = len(costs), len(rows)
     # phase 1 maximizes minus the sum of the artificials: z is minus the column sums

@@ -191,7 +191,8 @@ class Kernel(Record):
     entries: tuple[Fraction, ...]
 
     def __init__(self, outcome_vars, index_vars, entries):
-        _set(self, "outcome_vars", outcome_vars)
+        index_vars = tuple(index_vars)
+        _set(self, "outcome_vars", tuple(outcome_vars))
         _set(self, "index_vars", index_vars)
         names = self.var_names()
         if len(set(names)) != len(names):

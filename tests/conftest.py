@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import causalbox
 from causalbox import (
     CausalDag,
     LATENT,
@@ -33,6 +37,21 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line("acceptance criteria:")
     for name in sorted(ACCEPTANCE_RESULTS):
         terminalreporter.write_line(f"  {name}: {ACCEPTANCE_RESULTS[name]}")
+
+
+def run_fresh(code: str, *argv: str) -> str:
+    """stdout of ``code`` run in a new interpreter with ``argv``.  It
+    imports the ``causalbox`` this process imported, installed or not."""
+    src = os.path.dirname(os.path.dirname(causalbox.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout
 
 
 def all_test_graphs():

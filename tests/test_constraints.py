@@ -146,6 +146,15 @@ def test_mediation_constraints_exact():
     assert str(vermas[0]) == "VERMA: sum_{A} p(A|X) p(C|A,B,X) _||_ X"
 
 
+def test_verma_independent_of_is_a_frozenset_whatever_the_input():
+    records = enumerate_constraints(mediation_graph())
+    (verma,) = [r for r in records if isinstance(r, VermaConstraint)]
+    record = VermaConstraint(verma.recipe, {"X"})
+    assert type(record.independent_of) is frozenset
+    assert record == verma and hash(record) == hash(verma)
+    assert VermaConstraint(verma.recipe, ["X"]) == verma
+
+
 def test_instrumental_constraints_empty():
     assert enumerate_constraints(instrumental_graph()) == []
 

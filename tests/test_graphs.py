@@ -281,6 +281,15 @@ def test_ci_order_is_the_sort_key_whatever_the_input_order():
     assert a < b and not b < a and a <= a and b > a and b >= a
 
 
+def test_ci_given_is_a_frozenset_whatever_the_input():
+    record = CiConstraint("A", "B", {"C"})
+    assert type(record.given) is frozenset
+    assert record == CiConstraint("A", "B", frozenset({"C"}))
+    assert hash(record) == hash(CiConstraint("A", "B", frozenset({"C"})))
+    assert CiConstraint("A", "B", ["C", "D"]) == CiConstraint("A", "B", given={"D", "C"})
+    assert CiConstraint("A", "B").given == frozenset()
+
+
 def test_swapping_ci_includes_expected_pairs():
     records = ci_constraints(swapping_graph())
     pairs = {(r.a, r.b) for r in records if not r.given}

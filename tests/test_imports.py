@@ -7,13 +7,12 @@ slowing every request.
 """
 
 import importlib
-import subprocess
-import sys
 
 import pytest
 
 import causalbox
 from causalbox.cli import dispatch
+from conftest import run_fresh
 
 # the 87 names the package exported when it imported every module eagerly
 EXPORTS = {
@@ -56,14 +55,6 @@ EXPORTS = {
 NAMES = [name for names in EXPORTS.values() for name in names]
 
 
-def _fresh(code: str, *argv: str) -> str:
-    """stdout of ``code`` run in a new interpreter with ``argv``."""
-    out = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
-    )
-    return out.stdout
-
-
 def test_exports_are_the_pinned_names():
     assert len(NAMES) == len(set(NAMES)) == 87
     assert sorted(causalbox.__all__) == sorted(NAMES)
@@ -96,7 +87,7 @@ def test_bare_import_loads_no_submodule():
         "loaded = lambda: sorted(m for m in sys.modules if m.partition('.')[0] == 'causalbox'); "
         "print(*loaded()); print(causalbox.recipes.Evaluator.__name__, *loaded())"
     )
-    bare, attribute = _fresh(probe).splitlines()
+    bare, attribute = run_fresh(probe).splitlines()
     assert bare == "causalbox"
     assert attribute == "Evaluator causalbox causalbox.recipes causalbox.tables"
 
@@ -148,7 +139,7 @@ def fixture_files(tmp_path_factory):
     ids=["N", "I", "C", "PS", "decompose-ns", "constraints"],
 )
 def test_each_command_loads_only_its_modules(fixture_files, argv, code, modules):
-    got, dataclasses_loaded, *loaded = _fresh(_PROBE, *argv.format(**fixture_files).split()).split()
+    got, dataclasses_loaded, *loaded = run_fresh(_PROBE, *argv.format(**fixture_files).split()).split()
     assert int(got) == code
     assert set(loaded) == modules
     # records are not dataclasses: importing that module costs a request ~12 ms

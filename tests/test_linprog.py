@@ -1,9 +1,11 @@
 """Exact simplex: optimality, infeasibility, unboundedness, degeneracy."""
 
 from fractions import Fraction
+from math import gcd
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalbox import (
@@ -19,8 +21,11 @@ from causalbox import (
     ns_box_vertices,
     pr_box,
     ps_system,
+    random_network,
+    tripartite_bell_graph,
     uniform_table,
 )
+from causalbox.linprog import _pivot
 import lp_reference
 from conftest import polytope_lps, score2_table
 
@@ -153,6 +158,61 @@ def test_unbounded_phase_one_raises(monkeypatch):
         lp_solve(system)
 
 
+# -- one pivot against a Fraction Gauss-Jordan step ---------------------------
+
+
+@st.composite
+def pivot_steps(draw):
+    """Integer rows over positive denominators, the last one z, with a
+    pivot row r and column c.  The pivot row is drawn times a common factor,
+    its pivot entry is negative at times (as in the drive-out of an
+    artificial), and the other rows' entries in column c are 0, multiples
+    of the pivot entry or anything."""
+    width, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    r, c = draw(st.integers(0, m - 2)), draw(st.integers(0, width - 2))
+    entry = st.integers(-12, 12)
+    pivot = draw(st.sampled_from([1, 2, 3, 4, 6, -1, -2, -4, -6]))
+    rows = []
+    for i in range(m):
+        row = draw(st.lists(entry, min_size=width, max_size=width))
+        if i == r:
+            row[c] = pivot
+            factor = draw(st.sampled_from([1, 2, 3]))
+            row = [factor * v for v in row]
+        else:
+            row[c] = draw(st.just(0) | entry.map(lambda k: pivot * k) | entry)
+        rows.append(row)
+    dens = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    return rows, dens, r, c
+
+
+# p = 4 over a pivot row of gcd 2, against f = 0, 8, 6, 3 and -4 in z
+@example(
+    ([[1, 0, 2], [6, 8, 2], [3, 8, 1], [6, 6, 0], [9, 3, 3], [5, -4, 1]], [1, 3, 2, 5, 7, 1], 1, 1)
+)
+# a negative pivot entry, -4 over a pivot row of gcd 2, against f = 6 and -3 in z
+@example(([[-6, -4, 2], [1, 6, 3], [2, -3, 5]], [2, 1, 4], 0, 1))
+@given(pivot_steps())
+@settings(max_examples=300, deadline=None)
+def test_pivot_is_one_gauss_jordan_step(step):
+    """After ``_pivot``, every row over its denominator is the row that one
+    ``Fraction`` Gauss-Jordan step gives; denominators stay positive, and
+    the pivot row is primitive with its pivot entry as its denominator."""
+    rows, dens, r, c = step
+    table = [[Fraction(v, d) for v in row] for row, d in zip(rows, dens)]
+    prow = [v / table[r][c] for v in table[r]]
+    want = [
+        prow if i == r else [a - row[c] * b for a, b in zip(row, prow)]
+        for i, row in enumerate(table)
+    ]
+    basis = list(range(len(rows) - 1))
+    _pivot(rows, dens, basis, r, c)
+    assert [[Fraction(v, d) for v in row] for row, d in zip(rows, dens)] == want
+    assert all(d > 0 for d in dens)
+    assert gcd(*rows[r]) == 1 and rows[r][c] == dens[r]
+    assert basis[r] == c
+
+
 # -- differential tests: sparse simplex against the dense reference -----------
 
 
@@ -243,7 +303,7 @@ def test_lp_solve_matches_reference(system):
 
 
 @pytest.mark.parametrize(
-    "fixture", ["gyni", "instrumental", "chsh", "ns-decompose", "gyni-C", "chsh-C"]
+    "fixture", ["gyni", "instrumental", "chsh", "ns-decompose", "gyni-C", "chsh-C", "tripartite-C"]
 )
 def test_fixture_lps_match_reference(fixture):
     if fixture == "gyni":
@@ -258,6 +318,11 @@ def test_fixture_lps_match_reference(fixture):
         systems = polytope_lps(lambda: [decompose_ns_box(box) for box in ns_box_vertices()])
     elif fixture == "gyni-C":
         systems = polytope_lps(lambda: classical_member(gyni_projected(), gyni_graph()))
+    elif fixture == "tripartite-C":
+        # 64 weights and 65 rows: a long pivot sequence
+        g = tripartite_bell_graph()
+        joint = random_network(g, Random(0), latent_cardinality=3).joint_observed()
+        systems = polytope_lps(lambda: classical_member(joint, g))
     else:
         systems = polytope_lps(lambda: classical_member(pr_box(), chsh_graph()))
     for system in systems:

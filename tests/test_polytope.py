@@ -48,7 +48,7 @@ from causalbox import (
 
 import causalbox.polytope
 import ns_reference
-from conftest import polytope_lps, rng, score2_table, ternary_x_chsh_box  # noqa: F401
+from conftest import polytope_lps, rng, run_fresh, score2_table, ternary_x_chsh_box  # noqa: F401
 
 
 def _chsh_functional(template):
@@ -474,15 +474,11 @@ def test_decompose_reads_each_box_once_and_builds_no_lift(monkeypatch):
 
 
 def test_ns_lift_rows_and_vertex_matrices_are_built_on_first_use():
-    import subprocess
-    import sys
-
     probe = (
         "import causalbox.polytope as p; "
         "print(p._chsh_ns_rows.cache_info().currsize, p._ns_vertex_matrix.cache_info().currsize)"
     )
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0"]
+    assert run_fresh(probe).split() == ["0", "0"]
 
 
 def test_signalling_box_rejected():

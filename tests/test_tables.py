@@ -76,6 +76,16 @@ def test_kernel_stores_int_entries_as_fractions():
     assert kernel == Kernel((("A", 2),), (), (Fraction(1), Fraction(0)))
 
 
+def test_kernel_stores_its_layouts_as_tuples():
+    """A kernel built from lists is the kernel built from tuples."""
+    listed = Kernel([("A", 2), ("B", 2)], [("X", 2)], (1, 1, 0, 0, 0, 0, 0, 0))
+    kernel = Kernel((("A", 2), ("B", 2)), (("X", 2),), (1, 1, 0, 0, 0, 0, 0, 0))
+    assert type(listed.outcome_vars) is tuple and type(listed.index_vars) is tuple
+    assert listed == kernel and hash(listed) == hash(kernel)
+    assert marginalize(listed, ["A"]) == marginalize(kernel, ["A"])
+    assert Kernel([("A", 2)], (), (1, 0)).variables == (("A", 2),)
+
+
 def test_value_rejects_values_outside_the_cardinality():
     """X = 2 would read the cell of (A, X) = (1, 0), and A = -1 the cell
     entries[-2]."""
