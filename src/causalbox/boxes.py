@@ -170,6 +170,24 @@ def chsh_score(box: Kernel) -> Fraction:
     return Fraction(_chsh_scores(num)[0, 0, 0], 4 * den)
 
 
+_GYNI_OUTCOMES = (("A", 2), ("B", 2), ("C", 2))
+_GYNI_INPUTS = (("X", 2), ("Y", 2), ("Z", 2))
+
+
+def _gyni_score(box: Kernel) -> Fraction:
+    """Probability that every party outputs its neighbour's input under
+    uniform inputs: the sum over x, y, z of q(a = y, b = z, c = x | x, y, z)
+    / 8, for the binary box q(A, B, C | X, Y, Z) with its variables matched
+    by name and side."""
+    try:
+        num, den = _numerators(box, _GYNI_OUTCOMES, _GYNI_INPUTS)
+    except ValueError:
+        raise ValueError("gyni score expects a binary box q(A, B, C | X, Y, Z)") from None
+    # cell (a, b, c, x, y, z) sits at 32a + 16b + 8c + 4x + 2y + z
+    won = (num[32 * y + 16 * z + 8 * x + 4 * x + 2 * y + z] for x, y, z in product(_BIT, repeat=3))
+    return Fraction(sum(won), 8 * den)
+
+
 # the parity xy + alpha x + beta y + gamma (mod 2) of each CHSH variant
 # (alpha, beta, gamma) at (x, y) = (0, 0), (0, 1), (1, 0), (1, 1)
 _CHSH_PARITIES = {

@@ -22,7 +22,9 @@ than most verdicts, so this module imports only ``fileio``, ``graphs`` and
 runs.  ``member --model N|I`` and ``constraints enumerate`` add
 ``constraints`` and ``recipes``; ``member --model C`` adds ``polytope`` and
 ``linprog``; ``member --model PS`` adds ``lift`` and ``linprog``;
-``decompose-ns`` adds ``polytope``, ``linprog``, ``lift`` and ``boxes``.
+``decompose-ns`` adds ``polytope``, ``linprog``, ``lift`` and ``boxes``;
+``score`` adds ``boxes``, or ``lift`` and ``linprog`` for the instrumental
+functional; ``optimize`` adds ``polytope``, ``linprog`` and ``boxes``.
 
 For the same reason the library's records (kernels, graphs, verdicts,
 constraint records, recipe nodes) derive from
@@ -30,8 +32,8 @@ constraint records, recipe nodes) derive from
 ``dataclasses`` loads ``inspect``, ``dis``, ``ast`` and ``tokenize``, and
 each dataclass compiles its generated methods when its module is imported.
 Without a bytecode cache, ``import causalbox.cli`` takes about 41 ms of a
-request (60-67 ms with dataclasses) and a command's own modules 8-16 ms
-more (12-22 ms); README.md has the full split.
+request and a command's own modules 8-16 ms more; README.md has the full
+split.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .fileio import (
     FileFormatError,
@@ -274,62 +275,32 @@ def _cmd_member(args) -> int:
     return EXIT_OK if member else EXIT_REJECTED
 
 
-def _functional_for(name: str, template: Kernel):
-    from .polytope import functional_from_indicator
+def _scorer(name: str):
+    """The library's one scorer of the functional ``name``."""
+    if name == "instrumental":
+        from .lift import instrumental_score
 
-    if name == "chsh":
-        weight = Fraction(1, 4)
-        return functional_from_indicator(
-            template,
-            lambda v: weight if (v["A"] ^ v["B"]) == (v["X"] & v["Y"]) else 0,
-        )
-    weight = Fraction(1, 8)
-    return functional_from_indicator(
-        template,
-        lambda v: weight
-        if v["A"] == v["Y"] and v["B"] == v["Z"] and v["C"] == v["X"]
-        else 0,
-    )
+        return instrumental_score
+    from .boxes import _gyni_score, chsh_score
+
+    return chsh_score if name == "chsh" else _gyni_score
 
 
 def _cmd_score(args) -> int:
     dist = _load(args.dist, "dist", "distribution", load_kernel)
-    if args.functional == "chsh":
-        from .boxes import chsh_score
-
-        value = chsh_score(dist)
-    elif args.functional == "instrumental":
-        from .lift import instrumental_score
-
-        value = instrumental_score(dist)
-    else:
-        names = set(dist.var_names())
-        if not {"A", "B", "C", "X", "Y", "Z"} <= names:
-            raise ValueError("gyni score expects variables A,B,C,X,Y,Z")
-        value = Fraction(0)
-        for x in range(2):
-            for y in range(2):
-                for z in range(2):
-                    value += Fraction(1, 8) * dist.value(
-                        {"A": y, "B": z, "C": x, "X": x, "Y": y, "Z": z}
-                    )
+    value = _scorer(args.functional)(dist)
     _emit(args, {"score": str(value)}, f"{value}")
     return EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
-    from .polytope import enumerate_classical_vertices, maximize_functional
+    from .polytope import enumerate_classical_vertices
 
+    score = _scorer(args.functional)
     vertices = enumerate_classical_vertices(_load_graph(args.graph))
-    try:
-        functional = _functional_for(args.functional, vertices[0].table)
-    except KeyError as exc:
-        raise ValueError(
-            f"functional {args.functional} needs a vertex named {exc}; "
-            "use a graph with the standard variable names (A,B|X,Y for chsh, "
-            "A,B,C|X,Y,Z for gyni)"
-        )
-    value, best = maximize_functional(functional, vertices)
+    # a linear functional attains its maximum over a polytope at a vertex;
+    # max keeps the first vertex that attains it
+    value, best = max(((score(v.table), v) for v in vertices), key=lambda pair: pair[0])
     payload = {
         "value": str(value),
         "argmax": kernel_to_dict(best.table),
@@ -414,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("check", "mdag", "districts", "dsep"):
         p = gsub.add_parser(name, parents=[fmt])
         common(p)
-        p.add_argument("--fixed", help="comma-separated vertex names")
+        if name != "check":
+            p.add_argument("--fixed", help="comma-separated vertex names")
         if name == "dsep":
             p.add_argument("--a", help="first vertex")
             p.add_argument("--b", help="second vertex")

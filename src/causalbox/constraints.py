@@ -295,7 +295,8 @@ def _enumerate_constraints_cached(dag: CausalDag) -> tuple[ConstraintRecord, ...
     while stack:
         m, k = stack.pop()
         k = reduce_expr(k, dag)
-        key = (m.canonical(), canonical(k))
+        # an MDag keeps sorted tuples and frozensets, so it is its own key
+        key = (m, canonical(k))
         if key in visited:
             continue
         visited.add(key)

@@ -269,15 +269,6 @@ class MDag(Record):
         group = set(group)
         return {a for a, b in self.edges if b in group} - group
 
-    def canonical(self) -> tuple:
-        """Hashable canonical form, used for memoization."""
-        return (
-            self.random_vertices,
-            self.fixed_vertices,
-            tuple(sorted(self.edges)),
-            tuple(sorted(tuple(sorted(f)) for f in self.faces)),
-        )
-
 
 def to_mdag(dag: CausalDag, fixed: Iterable[str] = ()) -> MDag:
     """Marginal DAG of ``dag``: latent vertices abstracted into faces.

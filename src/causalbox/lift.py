@@ -124,13 +124,12 @@ def instrumental_score(k: Kernel) -> Fraction:
     if outcomes != ["A", "B"] or [n for n, _ in k.index_vars] != ["X"]:
         raise ValueError("instrumental score expects a kernel p(A, B | X)")
     card = dict(k.variables)
-    return max(
-        sum(
-            max(k.value({"A": a, "B": b, "X": x}) for x in range(card["X"]))
-            for b in range(card["B"])
-        )
-        for a in range(card["A"])
-    )
+    num, den = _numerators(k, (("A", card["A"]), ("B", card["B"])), k.index_vars)
+    # cell (a, b, x) sits at (a |B| + b) |X| + x, so tracked[a |B| + b] is
+    # den times the max over x of p(a, b | x)
+    tracked = [max(num[i : i + card["X"]]) for i in range(0, len(num), card["X"])]
+    width = card["B"]
+    return Fraction(max(sum(tracked[i : i + width]) for i in range(0, len(tracked), width)), den)
 
 
 class PsVerdict(Record):

@@ -24,6 +24,7 @@ from causalbox import (
     uniform_table,
     Kernel,
 )
+from causalbox.boxes import _gyni_score
 
 
 def test_pr_box_reference_entries():
@@ -104,6 +105,28 @@ def test_gyni_box_support_is_one_third():
         ]
         assert sorted(set(values)) == [0, Fraction(1, 3)]
         assert values.count(Fraction(1, 3)) == 3
+
+
+def test_gyni_score_reads_its_box_by_name():
+    """Each party guesses its neighbour's input: a = y, b = z, c = x."""
+    box = gyni_box()
+    assert _gyni_score(box) == Fraction(1, 6)
+    assert _gyni_score(reorder(box, box.outcome_vars[::-1], box.index_vars[::-1])) == Fraction(1, 6)
+    guess = Kernel.from_function(
+        box.outcome_vars, box.index_vars,
+        lambda v: int((v["A"], v["B"], v["C"]) == (v["Y"], v["Z"], v["X"])),
+    )
+    assert _gyni_score(guess) == 1
+
+
+@pytest.mark.parametrize(
+    "box",
+    [pr_box(0, 0, 0), join_inputs(gyni_box(), uniform_table(gyni_box().index_vars))],
+    ids=["bipartite", "joint"],
+)
+def test_gyni_score_rejects_other_boxes(box):
+    with pytest.raises(ValueError, match="expects a binary box q\\(A, B, C \\| X, Y, Z\\)"):
+        _gyni_score(box)
 
 
 def test_gyni_projected_support():

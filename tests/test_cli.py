@@ -193,14 +193,31 @@ def test_decompose_ns(files, capsys):
 
 
 def test_gyni_score_rejects_values_outside_the_cardinality(tmp_path, capsys):
-    """The gyni functional reads Z = 1, which a unary Z does not have."""
+    """The gyni functional reads a binary box, which a unary Z does not match."""
     from causalbox import uniform_table
     from causalbox.fileio import dump_kernel
 
     names = ("A", "B", "C", "X", "Y")
     dump_kernel(uniform_table([*((n, 2) for n in names), ("Z", 1)]), tmp_path / "box.json")
     assert dispatch(["score", "--functional", "gyni", "--dist", str(tmp_path / "box.json")]) == 1
-    assert capsys.readouterr().err.startswith("error: Z = 1 is outside 0..0")
+    assert capsys.readouterr().err.startswith("error: gyni score expects a binary box")
+
+
+def test_gyni_score_refuses_a_joint(tmp_path, capsys):
+    """A joint's cells are not the box's conditional probabilities, so the
+    GYNI box joined with uniform inputs is an input error, as for chsh."""
+    from causalbox import gyni_box, join_inputs, uniform_table
+    from causalbox.fileio import dump_kernel
+
+    box = gyni_box()
+    dump_kernel(box, tmp_path / "box.json")
+    dump_kernel(join_inputs(box, uniform_table(box.index_vars)), tmp_path / "joint.json")
+    assert dispatch(["score", "--functional", "gyni", "--dist", str(tmp_path / "box.json")]) == 0
+    assert capsys.readouterr().out.strip() == "1/6"
+    for functional in ("gyni", "chsh"):
+        argv = ["score", "--functional", functional, "--dist", str(tmp_path / "joint.json")]
+        assert dispatch(argv) == 1, functional
+        assert capsys.readouterr().err.startswith("error: "), functional
 
 
 def test_instrumental_score_reads_variables_by_name(tmp_path, capsys):
@@ -365,7 +382,7 @@ def test_unwritable_out_is_an_input_error(argv, files, tmp_path, capsys):
 
 # every option of every command; a new option changes this test on purpose
 OPTIONS = {
-    "graph check": ["--fixed", "--format", "--graph"],
+    "graph check": ["--format", "--graph"],
     "graph mdag": ["--fixed", "--format", "--graph"],
     "graph districts": ["--fixed", "--format", "--graph"],
     "graph dsep": ["--a", "--b", "--fixed", "--format", "--graph"],

@@ -13,6 +13,7 @@ from causalbox import (
     CausalDag,
     CiConstraint,
     VermaConstraint,
+    ZeroConditioningError,
     build_hypergraph,
     check_nested,
     chsh_graph,
@@ -87,6 +88,17 @@ def test_mediation_district_kernel_values(rng):
             / p_xab.value({"X": x, "A": a, "B": b})
         )
         assert q.value({"A": a, "C": c, "B": b, "X": x}) == direct
+
+
+def test_district_kernel_names_the_first_undefined_conditional():
+    """With B a copy of A, p(c | a, b, x) is undefined wherever b != a."""
+    p = prob_table(
+        (("A", 2), ("B", 2), ("C", 2), ("X", 2)),
+        lambda v: Fraction(1, 8) if v["B"] == v["A"] else Fraction(0),
+    )
+    with pytest.raises(ZeroConditioningError) as info:
+        district_kernel(p, mediation_graph(), frozenset({"A", "C"}))
+    assert info.value.assignment == {"A": 0, "C": 0, "B": 1, "X": 0}
 
 
 def test_district_factorization_reproduces_table(rng):

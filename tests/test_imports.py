@@ -135,8 +135,14 @@ def fixture_files(tmp_path_factory):
             _COMMON | {"causalbox.boxes", "causalbox.lift", "causalbox.linprog", "causalbox.polytope"},
         ),
         ("constraints enumerate --graph {med}", 0, _NESTED),
+        ("score --functional chsh --dist {pr}", 0, _COMMON | {"causalbox.boxes"}),
+        (
+            "optimize --functional chsh --graph {chsh}",
+            0,
+            _COMMON | {"causalbox.boxes", "causalbox.linprog", "causalbox.polytope"},
+        ),
     ],
-    ids=["N", "I", "C", "PS", "decompose-ns", "constraints"],
+    ids=["N", "I", "C", "PS", "decompose-ns", "constraints", "score", "optimize"],
 )
 def test_each_command_loads_only_its_modules(fixture_files, argv, code, modules):
     got, dataclasses_loaded, *loaded = run_fresh(_PROBE, *argv.format(**fixture_files).split()).split()
