@@ -7,6 +7,9 @@ over every random vertex is 1).  Whenever a derived kernel still
 references a conditioning variable that the graph no longer licenses, and no
 chain of conditional-independence rewrites removes that reference, the
 kernel together with the offending variables is emitted as a Verma record.
+One walker (``_rewrite``) applies both rewrite rules, each justified by
+d-separation: dropping a conditioning variable, and merging a chain
+p(O1|G) p(O2|G,O1) into p(O1,O2|G).
 Conditional-independence statements themselves are enumerated directly by
 d-separation and merged into the record list.
 
@@ -24,6 +27,7 @@ from math import prod
 
 from .graphs import (
     _GRAPH_CACHE_SIZE,
+    _restrict,
     CausalDag,
     CiConstraint,
     MDag,
@@ -32,7 +36,6 @@ from .graphs import (
     d_separated,
     districts,
     marginal_mdag,
-    subgraph,
     to_mdag,
     topological_order,
 )
@@ -106,51 +109,28 @@ def _reduce_factor(f: Expr, dag: CausalDag) -> Expr:
     return factor(f.outcomes, given)
 
 
-def _expandable(f: FactorExpr, extra: set[str], dag: CausalDag) -> FactorExpr | None:
-    """Conditioning set extension p(O|G) -> p(O|G, extra), justified by
-    d-separation, or None if some variable cannot be added."""
-    given = set(f.given)
-    for e in sorted(extra):
-        if e in given or e in f.outcomes:
-            return None
-        if not d_separated(dag, set(f.outcomes), {e}, given):
-            return None
-        given.add(e)
-    return FactorExpr(f.outcomes, tuple(given))
-
-
-def _merge_in_products(e: Expr, dag: CausalDag) -> Expr:
-    """Try one chain merge p(O1|G) p(O2|G,O1) -> p(O1,O2|G) somewhere,
-    extending conditioning sets by d-separated variables where needed."""
-    if isinstance(e, ProductExpr):
-        parts = list(e.factors)
-        for j, fj in enumerate(parts):
-            if not isinstance(fj, FactorExpr):
+def _merge_chain(e: Expr, dag: CausalDag) -> Expr:
+    """One chain merge p(O1|G) p(O2|G,O1,E) -> p(O1,O2|G,E) among the factors
+    of a product, where each variable of E in turn is d-separated from O1
+    given G and the variables of E before it."""
+    if not isinstance(e, ProductExpr):
+        return e
+    parts = e.factors
+    for j, fj in enumerate(parts):
+        if not isinstance(fj, FactorExpr):
+            continue
+        for i, fi in enumerate(parts):
+            if i == j or not isinstance(fi, FactorExpr):
                 continue
-            for i, fi in enumerate(parts):
-                if i == j or not isinstance(fi, FactorExpr):
-                    continue
-                if not set(fi.outcomes) <= set(fj.given):
-                    continue
-                if not set(fi.given) <= set(fj.given):
-                    continue
-                extra = set(fj.given) - set(fi.given) - set(fi.outcomes)
-                expanded = _expandable(fi, extra, dag) if extra else fi
-                if expanded is None:
-                    continue
-                merged = factor(
-                    fi.outcomes + fj.outcomes,
-                    tuple(set(fj.given) - set(fi.outcomes)),
-                )
-                rest = [p for k, p in enumerate(parts) if k not in (i, j)]
-                return product(rest + [merged])
-        return product(
-            [_merge_in_products(p, dag) for p in e.factors]
-        )
-    if isinstance(e, SumExpr):
-        return SumExpr(e.var, _merge_in_products(e.body, dag))
-    if isinstance(e, QuotientExpr):
-        return quotient(_merge_in_products(e.num, dag), _merge_in_products(e.den, dag))
+            if not set(fi.outcomes) | set(fi.given) <= set(fj.given):
+                continue
+            extra = sorted(set(fj.given) - set(fi.given) - set(fi.outcomes))
+            if all(
+                d_separated(dag, fi.outcomes, {v}, set(fi.given) | set(extra[:k]))
+                for k, v in enumerate(extra)
+            ):
+                merged = factor(fi.outcomes + fj.outcomes, set(fj.given) - set(fi.outcomes))
+                return product([p for k, p in enumerate(parts) if k not in (i, j)] + [merged])
     return e
 
 
@@ -169,15 +149,17 @@ def reduce_expr(e: Expr, dag: CausalDag) -> Expr:
     """Normalize a recipe modulo the graph's conditional independences.
 
     Alternates structural simplification with d-separation justified
-    rewrites (conditioning-set reduction, chain merges) until a fixed
-    point.  Sound for every distribution satisfying the CI constraints of
-    the graph, which are checked alongside the Verma records.
+    rewrites until a fixed point: one bottom-up walk drops conditioning
+    variables (:func:`_reduce_factor`), the next merges chains
+    (:func:`_merge_chain`).  Sound for every distribution satisfying the
+    CI constraints of the graph, which are checked alongside the Verma
+    records.
     """
     e = simplify(e)
     seen = {canonical(e)}
     while True:
         e2 = simplify(_rewrite(e, _reduce_factor, dag))
-        e2 = simplify(_merge_in_products(e2, dag))
+        e2 = simplify(_rewrite(e2, _merge_chain, dag))
         key = canonical(e2)
         if key in seen:
             return e2
@@ -308,9 +290,8 @@ def _enumerate_constraints_cached(dag: CausalDag) -> tuple[ConstraintRecord, ...
         parts = districts(m)
         if len(parts) > 1:
             for d in parts:
-                sub = subgraph(m, d)
                 kd = product([_kernel_conditional(k, v, present) for v in present if v in d])
-                stack.append((sub, kd))
+                stack.append((_restrict(m, d), kd))
         for v in present:  # the kernel summed over every random vertex is 1
             if not m.children(v) and len(present) > 1:
                 stack.append((marginal_mdag(m, v), simplify(SumExpr(v, k))))

@@ -148,8 +148,18 @@ def _qname(out_values, in_values) -> str:
     return "q[" + ",".join(map(str, out_values)) + "|" + ",".join(map(str, in_values)) + "]"
 
 
+def _in_lp_scope(dag: CausalDag) -> bool:
+    """Whether the PS LP decides membership on the lift ``dag``: its one
+    latent parents every output, or it has no latent and at most one output."""
+    latents, outputs = dag.latent(), bell_outputs(dag)
+    if latents:
+        return len(latents) == 1 and set(outputs) <= dag.children(latents[0])
+    return len(outputs) <= 1
+
+
 def ps_system(p: Kernel, g: CausalDag) -> tuple[LinearSystem, HyperDag, list, list]:
-    """The post-selection membership LP for a supported graph.
+    """The post-selection membership LP for a supported graph; raises
+    ``ValueError`` for others (``MultiLatentError`` for several latents).
 
     Unknowns are the box entries q(outputs | inputs) of the hypergraph plus
     a scalar t; constraints are normalization, the no-signalling equalities
@@ -170,6 +180,12 @@ def ps_system(p: Kernel, g: CausalDag) -> tuple[LinearSystem, HyperDag, list, li
     dag = h.base
     inputs = bell_inputs(dag)
     outputs = bell_outputs(dag)
+    if len(dag.latent()) <= 1 and not _in_lp_scope(dag):  # _ns_rows rejects several
+        loose = [o for o in outputs if not dag.parents(o) & set(dag.latent())]
+        raise ValueError(
+            f"outputs without a latent parent: {', '.join(loose)};"
+            " the PS LP needs one latent parenting every output"
+        )
     in_vars = [(i, dag.cardinality(i)) for i in inputs]
     out_vars = [(o, dag.cardinality(o)) for o in outputs]
 
@@ -238,15 +254,7 @@ def ps_member(p: Kernel, g: CausalDag, certificate: Kernel | None = None) -> PsV
     h = build_hypergraph(g)
     if certificate is not None:
         return _certificate_check(p, h, certificate)
-    latents = h.base.latent()
-    supported = len(latents) <= 1
-    if supported and latents:
-        lam = latents[0]
-        children = h.base.children(lam)
-        supported = all(o in children for o in bell_outputs(h.base))
-    elif supported:
-        supported = len(bell_outputs(h.base)) <= 1
-    if not supported:
+    if not _in_lp_scope(h.base):
         return PsVerdict(
             "unsupported",
             reason="hypergraph independence model is not a linear no-signalling"

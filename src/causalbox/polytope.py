@@ -142,7 +142,10 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     The verdict is exact only when the latent parents every output vertex.
     The strategies let the latent drive every output, so on a graph such as
     ``mediation_graph`` a joint that breaks a conditional independence of
-    the graph can be accepted.
+    the graph can be accepted.  A latent-free graph is no exception: the
+    mixture still acts as a hidden common cause, so on X -> A, Y -> B the
+    box (``local_box(0)`` + ``local_box(5)``) / 2, where A = B is a fair
+    coin, is accepted although it breaks A _||_ B.
     """
     outcome_vars, index_vars, matrix, vden = _vertex_matrix(
         [v.table for v in enumerate_classical_vertices(g)]

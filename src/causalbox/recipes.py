@@ -179,33 +179,20 @@ def simplify(e: Expr) -> Expr:
         return product(simplify(f) for f in e.factors)
     if isinstance(e, SumExpr):
         bound, core = _split_sum_nest(e)
-        core = simplify(core)
-        inner_bound, inner_core = _split_sum_nest(core)
-        bound += inner_bound
-        core = inner_core
-        bound, core = _collapse_sums(bound, core)
+        inner_bound, core = _split_sum_nest(simplify(core))
+        bound, core = _collapse_sums(bound + inner_bound, core)
         if not bound:
             return core
         # pull factors not mentioning any bound variable out of the sum
         parts = list(core.factors) if isinstance(core, ProductExpr) else [core]
         outside = [p for p in parts if not (free_vars(p) & set(bound))]
         inside = [p for p in parts if free_vars(p) & set(bound)]
-        if outside and inside:
-            return product(outside + [sum_over(bound, product(inside))])
-        if not inside:
-            # bound variables vanished without a collapse; keep the sum to
-            # preserve the expression's value (cannot happen for recipes
-            # built by this library, sums are only introduced over free
-            # variables)
-            return sum_over(bound, core)
-        return sum_over(bound, product(inside))
+        return product(outside + [sum_over(bound, product(inside))])
     # quotient
     num = simplify(e.num)
     den = simplify(e.den)
     if den == UNIT:
         return num
-    if canonical(num) == canonical(den):
-        return UNIT
     num_parts = list(num.factors) if isinstance(num, ProductExpr) else [num]
     den_parts = list(den.factors) if isinstance(den, ProductExpr) else [den]
     # cancel identical factors
@@ -218,10 +205,7 @@ def simplify(e: Expr) -> Expr:
                 changed = True
                 break
     if changed:
-        return simplify(
-            quotient(product(num_parts) if num_parts else UNIT,
-                     product(den_parts) if den_parts else UNIT)
-        )
+        return simplify(quotient(product(num_parts), product(den_parts)))
     # quotient of nested conditionals: p(O, O' | G) / p(O | G) = p(O' | G, O)
     if (
         len(num_parts) == 1
@@ -277,7 +261,6 @@ class Evaluator:
         if not table.is_prob_table:
             raise ValueError("recipes evaluate against a joint probability table")
         self._table = table
-        self._names = set(table.var_names())
         self._margins: dict[frozenset[str], Kernel] = {}
         self._tables: dict[Expr, list[Fraction | None]] = {}
 
@@ -303,9 +286,6 @@ class Evaluator:
 
     def _cells(self, e: Expr, layout: tuple[Var, ...]) -> list[Fraction | None]:
         if isinstance(e, FactorExpr):
-            unknown = set(e.outcomes + e.given) - self._names
-            if unknown:
-                raise KeyError(f"recipe references unknown variables {sorted(unknown)}")
             joint = self._margin(e.outcomes + e.given, layout)
             if not e.given:
                 return joint

@@ -1,5 +1,6 @@
 """Nested Markov machinery: district kernels, enumeration, membership."""
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -30,11 +31,29 @@ from causalbox import (
     swapping_graph,
     to_mdag,
 )
+from causalbox import constraints
 from causalbox.networks import random_network
-from causalbox.recipes import Evaluator, QuotientExpr, free_vars, render
-from causalbox.tables import Kernel, assignments, conditional, marginalize
+from causalbox.recipes import (
+    UNIT,
+    Evaluator,
+    FactorExpr,
+    ProductExpr,
+    QuotientExpr,
+    SumExpr,
+    free_vars,
+    render,
+)
+from causalbox.recipes import product as product_expr
+from causalbox.tables import (
+    Kernel,
+    UnknownVariableError,
+    assignments,
+    conditional,
+    marginalize,
+)
 
-from conftest import random_rational_table
+import recipes_reference
+from conftest import all_test_graphs, district_demo_graph, random_rational_table
 from recipes_reference import Evaluator as ReferenceEvaluator
 
 
@@ -193,6 +212,52 @@ def test_lifted_graphs_have_no_verma(graph):
     assert vermas == []
     cis = [r for r in records if isinstance(r, CiConstraint)]
     assert cis == ci_constraints(hyper.base)
+
+
+def _chain_graph():
+    """The benchmark's graph: V0 -> ... -> V5, L0 -> {V0, V2}, L1 -> {V3, V5}."""
+    names = [f"V{i}" for i in range(6)]
+    return CausalDag(
+        [(v, OBSERVED, 2) for v in names] + [("L0", LATENT), ("L1", LATENT)],
+        list(zip(names, names[1:])) + [("L0", "V0"), ("L0", "V2"), ("L1", "V3"), ("L1", "V5")],
+    )
+
+
+def _random_dag(seed):
+    """Three to seven binary observed vertices with forward edges, and one
+    to three latents with two or three observed children each."""
+    rng = random.Random(seed)
+    names = [f"V{i}" for i in range(rng.randint(3, 7))]
+    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < 0.4]
+    latents = [sorted(rng.sample(names, rng.randint(2, 3))) for _ in range(rng.randint(1, 3))]
+    return CausalDag(
+        [(v, OBSERVED, 2) for v in names] + [(f"L{k}", LATENT) for k in range(len(latents))],
+        edges + [(f"L{k}", c) for k, kids in enumerate(latents) for c in kids],
+    )
+
+
+def _records(graphs):
+    constraints._enumerate_constraints_cached.cache_clear()
+    return [[str(r) for r in enumerate_constraints(g)] for g in graphs]
+
+
+def test_records_match_the_reference_normalizer(monkeypatch):
+    """The one-walker normalizer gives every record of the earlier
+    normalizer, in order and byte for byte: on the fixture graphs, the
+    benchmark's chain graph and a seeded corpus of random DAGs."""
+    graphs = list(all_test_graphs().values()) + [
+        district_demo_graph(), _quotient_graph(), _shadowing_graph(), _chain_graph()
+    ]
+    graphs += [_random_dag(seed) for seed in range(40)]
+    try:
+        library = _records(graphs)
+        monkeypatch.setattr(constraints, "reduce_expr", recipes_reference.reduce_expr)
+        monkeypatch.setattr(constraints, "simplify", recipes_reference.simplify)
+        reference = _records(graphs)
+    finally:
+        constraints._enumerate_constraints_cached.cache_clear()
+    assert library == reference
+    assert sum(r.startswith("VERMA") for records in library for r in records) >= 30
 
 
 # -- membership -------------------------------------------------------------------
@@ -355,6 +420,39 @@ def test_evaluator_rejects_values_outside_the_cardinality(env, rng):
     ]
     with pytest.raises(ValueError, match="C = "):
         Evaluator(_mediation_table(rng)).evaluate(recipe, env)
+
+
+def test_factor_rejects_overlapping_outcomes_and_given():
+    with pytest.raises(ValueError, match="overlap"):
+        FactorExpr(("A", "B"), ("B",))
+
+
+def test_product_flattens_nested_products():
+    a, b, c = FactorExpr(("A",), ()), FactorExpr(("B",), ("A",)), FactorExpr(("C",), ())
+    assert product_expr([product_expr([a, b]), c]) == ProductExpr((a, b, c))
+    assert product_expr([product_expr([a])]) == a
+    assert product_expr([]) == UNIT
+
+
+def test_evaluator_needs_a_joint_table():
+    q = Kernel.from_function((("A", 2),), (("X", 2),), lambda v: Fraction(1, 2))
+    with pytest.raises(ValueError, match="joint probability table"):
+        Evaluator(q)
+
+
+def test_evaluator_table_names_missing_and_unknown_variables(rng):
+    """Every variable of a layout, and every bound variable, has its
+    cardinality read off the table, so an unknown one raises there."""
+    ev = Evaluator(_mediation_table(rng))
+    with pytest.raises(KeyError, match=r"misses free variables \['X'\]"):
+        ev.table(FactorExpr(("A",), ("X",)), ["A"])
+    for recipe, names in (
+        (FactorExpr(("A",), ("Q",)), ["A", "Q"]),
+        (SumExpr("Q", FactorExpr(("A",), ("Q",))), ["A"]),
+    ):
+        with pytest.raises(UnknownVariableError, match="Q"):
+            ev.table(recipe, names)
+
 
 @st.composite
 def _latent_root_graphs(draw):

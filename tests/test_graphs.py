@@ -20,12 +20,14 @@ from causalbox import (
     gyni_graph,
     instrumental_graph,
     is_bell_type,
+    marginal_mdag,
     mediation_graph,
     subgraph,
     swapping_graph,
     to_mdag,
     topological_order,
     triangle_graph,
+    UnknownVertexError,
     validate,
 )
 
@@ -156,6 +158,15 @@ def test_mediation_subgraphs():
     assert mid.fixed_vertices == ("A",)
     with pytest.raises(NotADistrictError):
         subgraph(m, frozenset({"A", "B"}))
+
+
+def test_marginal_mdag_drops_only_a_childless_random_vertex():
+    m = to_mdag(mediation_graph())
+    assert marginal_mdag(m, "C").random_vertices == ("A", "B", "X")
+    with pytest.raises(UnknownVertexError):
+        marginal_mdag(m, "Q")
+    with pytest.raises(ValueError, match="B is not childless"):
+        marginal_mdag(m, "B")
 
 
 # -- d-separation ---------------------------------------------------------------

@@ -587,6 +587,24 @@ def test_latent_free_graphs_decided_by_lp_only_with_one_outcome(rng):
     assert ps_member(random_network(g2, rng).joint_observed(), g2).status == "unsupported"
 
 
+def test_ps_system_refuses_lifts_outside_the_lp_scope():
+    """ps_system builds no LP where ps_member says unsupported: a latent-free
+    graph with two outputs, and mediation, whose output B has no latent
+    parent.  Both LPs used to be optimal, with t = 1 and t = 1/4."""
+    g = CausalDag([(v, OBSERVED, 2) for v in "XAYB"], [("X", "A"), ("Y", "B")])
+    pr_joint = join_inputs(pr_box(), uniform_table((("X", 2), ("Y", 2))))
+    district_pr = Kernel.from_function(  # 1/4 PR(a, c | x, b), B uniform
+        (("A", 2), ("B", 2), ("C", 2), ("X", 2)),
+        (),
+        lambda v: Fraction(1, 8) if v["A"] ^ v["C"] == v["X"] & v["B"] else Fraction(0),
+    )
+    for graph, joint, loose in ((g, pr_joint, "A, B"), (mediation_graph(), district_pr, "B")):
+        assert ps_member(joint, graph).status == "unsupported"
+        with pytest.raises(ValueError, match=f"without a latent parent: {loose};") as info:
+            ps_system(joint, graph)
+        assert not isinstance(info.value, MultiLatentError)
+
+
 def test_mediation_unsupported_but_lift_certificate_verifies(rng):
     """The mediation hypergraph has an outcome vertex untouched by the
     latent, so the LP route declines; the explicit network lift serves as a
