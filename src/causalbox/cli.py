@@ -92,8 +92,7 @@ def _emit(args, payload: dict, text: str) -> None:
 def _parse_fixed(raw: str | None) -> set[str]:
     if not raw:
         return set()
-    # tolerate name=value tokens; only the names matter for conditioning sets
-    return {token.split("=")[0].strip() for token in raw.split(",") if token.strip()}
+    return {token.strip() for token in raw.split(",") if token.strip()}
 
 
 def _load(path: str | None, flag: str, what: str, loader):

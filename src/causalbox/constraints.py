@@ -199,14 +199,16 @@ def _kernel_conditional(k: Expr, v: str, present: list[str]) -> Expr:
 def district_kernel_recipe(
     dag: CausalDag, district: frozenset[str], order=None
 ) -> Expr:
-    """Symbolic recipe of a top-level district kernel: the ordered product
-    of chain conditionals, normalized modulo conditional independences."""
+    """Symbolic recipe of a top-level district kernel.
+
+    Tian's district factorization: the product of the district's chain
+    factors p(v | observed predecessors of v), reduced modulo the graph's
+    conditional independences (:func:`reduce_expr`).
+    """
     order = _observed_order(dag, order)
-    m = to_mdag(dag)
-    if district not in districts(m):
+    if district not in districts(to_mdag(dag)):
         raise NotADistrictError(f"{sorted(district)} is not a district")
-    k = _chain_expr(order)
-    parts = [_kernel_conditional(k, v, order) for v in order if v in district]
+    parts = [factor((v,), order[:i]) for i, v in enumerate(order) if v in district]
     return reduce_expr(product(parts), dag)
 
 

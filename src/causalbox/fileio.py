@@ -5,8 +5,9 @@ and, for observed vertices, ``cardinality``) and ``edges`` (list of
 ``[from, to]`` pairs).  Distribution documents carry ``variables`` and
 ``index_variables`` (ordered lists of ``{name, cardinality}``) plus
 ``table``, a mapping from comma-joined assignment strings to rational
-strings such as ``"1/3"`` or ``"1"``.  Parsing and printing round-trip
-exactly; zero entries may be omitted.
+strings such as ``"1/3"`` or ``"1"`` (integers are read too; a float is
+rejected).  Parsing and printing round-trip exactly; zero entries may be
+omitted.
 """
 
 from __future__ import annotations
@@ -102,17 +103,11 @@ def graph_from_dict(doc: dict) -> CausalDag:
     return CausalDag(specs, edges)
 
 
-def _format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def kernel_to_dict(kernel: Kernel) -> dict:
     table = {}
     for values, v in zip(assignments(kernel.variables), kernel.entries):
         if v:
-            table[",".join(map(str, values))] = _format_rational(v)
+            table[",".join(map(str, values))] = str(v)
     return {
         "variables": [{"name": n, "cardinality": c} for n, c in kernel.outcome_vars],
         "index_variables": [
@@ -154,6 +149,8 @@ def kernel_from_dict(doc: dict) -> Kernel:
         if values in keys:
             raise FileFormatError(f"table keys '{keys[values]}' and '{key}' name one cell")
         keys[values] = key
+        if isinstance(raw, float):
+            raise FileFormatError(f"table value {raw} at '{key}' is a float, not a rational")
         try:
             table[values] = Fraction(str(raw))
         except (ValueError, ZeroDivisionError):

@@ -196,26 +196,20 @@ def topological_order(dag: CausalDag) -> list[str]:
     for a, b in dag.edges:
         if a not in known or b not in known:
             raise UnknownVertexError(f"edge ({a}, {b}) references unknown vertex")
-    remaining = dict.fromkeys(names)
-    for n in remaining:
-        remaining[n] = len(dag.parents(n))
+    indegree = {n: len(dag.parents(n)) for n in names}
+    ready = {n for n, deg in indegree.items() if deg == 0}
     order = []
-    ready = sorted(n for n, deg in remaining.items() if deg == 0)
     while ready:
-        v = ready.pop(0)
+        v = min(ready)
+        ready.remove(v)
         order.append(v)
-        del remaining[v]
-        changed = False
+        del indegree[v]
         for c in dag.children(v):
-            if c in remaining:
-                remaining[c] -= 1
-                if remaining[c] == 0:
-                    ready.append(c)
-                    changed = True
-        if changed:
-            ready.sort()
-    if remaining:
-        raise CycleError(f"cycle detected among {sorted(remaining)}")
+            indegree[c] -= 1
+            if indegree[c] == 0:
+                ready.add(c)
+    if indegree:
+        raise CycleError(f"cycle detected among {sorted(indegree)}")
     return order
 
 

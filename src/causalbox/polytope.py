@@ -234,17 +234,15 @@ def maximize_functional(
     """
     if not vertices:
         raise ValueError("vertex list is empty")
-    best = None
-    best_v = None
-    for v in vertices:
+
+    def score(v) -> Fraction:
         table = v.table if isinstance(v, Vertex) else v
         names = table.var_names()
-        score = Fraction(0)
-        for values, coeff in functional.items():
-            score += coeff * table.value(dict(zip(names, values)))
-        if best is None or score > best:
-            best, best_v = score, v
-    return best, best_v
+        cells = (c * table.value(dict(zip(names, x))) for x, c in functional.items())
+        return sum(cells, Fraction(0))
+
+    # max keeps the first vertex that attains the maximum
+    return max(((score(v), v) for v in vertices), key=lambda pair: pair[0])
 
 
 def decompose_ns_box(q: Kernel):

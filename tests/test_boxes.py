@@ -15,6 +15,7 @@ from causalbox import (
     gyni_projected,
     join_inputs,
     local_box,
+    local_responses,
     marginalize,
     ns_box_vertices,
     ns_member,
@@ -48,6 +49,8 @@ def test_local_box_zero_is_constant():
 def test_local_box_index_range():
     with pytest.raises(IndexError):
         local_box(16)
+    with pytest.raises(IndexError, match="0..15"):
+        local_responses(16)
 
 
 def test_all_ns_vertices_are_no_signalling():

@@ -52,8 +52,10 @@ def test_graph_subcommands(files, capsys):
     [
         (["graph", "dsep", "--a", "A", "--b", "Q"], "unknown vertices ['Q']"),
         (["graph", "mdag", "--fixed", "Q"], "fixed vertex Q is not observed"),
+        # --fixed takes vertex names only: a name=value token is no vertex
+        (["graph", "dsep", "--a", "X", "--b", "B", "--fixed", "A=0"], "unknown vertices ['A=0']"),
     ],
-    ids=["dsep", "mdag"],
+    ids=["dsep", "mdag", "dsep-fixed-value"],
 )
 def test_key_errors_print_their_message_unquoted(files, capsys, argv, message):
     emit, _ = files

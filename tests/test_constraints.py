@@ -13,6 +13,7 @@ from causalbox import (
     OBSERVED,
     CausalDag,
     CiConstraint,
+    NotADistrictError,
     VermaConstraint,
     ZeroConditioningError,
     build_hypergraph,
@@ -88,6 +89,13 @@ def test_mediation_district_recipe_is_the_verma_kernel():
     assert render(recipe) == "p(A|X) p(C|A,B,X)"
     assert render(district_kernel_recipe(mediation_graph(), frozenset({"X"}))) == "p(X)"
     assert render(district_kernel_recipe(mediation_graph(), frozenset({"B"}))) == "p(B|A)"
+
+
+def test_district_recipe_refuses_bad_orders_and_non_districts():
+    with pytest.raises(ValueError, match="order must cover all observed vertices"):
+        district_kernel_recipe(mediation_graph(), frozenset({"X"}), ["X", "A", "B"])
+    with pytest.raises(NotADistrictError, match=r"\['A'\] is not a district"):
+        district_kernel_recipe(mediation_graph(), frozenset({"A"}))
 
 
 def test_mediation_district_kernel_values(rng):
@@ -432,6 +440,7 @@ def test_product_flattens_nested_products():
     assert product_expr([product_expr([a, b]), c]) == ProductExpr((a, b, c))
     assert product_expr([product_expr([a])]) == a
     assert product_expr([]) == UNIT
+    assert render(UNIT) == "1"
 
 
 def test_evaluator_needs_a_joint_table():
@@ -482,6 +491,20 @@ def _graphs_with_joints(draw):
                    .filter(any))
     table = {c: Fraction(w, sum(weights)) for c, w in zip(cells, weights)}
     return dag, Kernel.from_mapping(variables, (), table)
+
+
+@given(_latent_root_graphs())
+@settings(max_examples=60, deadline=None)
+def test_district_recipe_is_the_reduced_product_of_chain_factors(dag):
+    """Each chain factor p(v | pre(v)) is the chain kernel's conditional on
+    v's predecessors, so the district's product of them reduces to the same
+    recipe as the product of those conditionals, for every order."""
+    for order in _all_topological_orders(dag):
+        chain = constraints._chain_expr(order)
+        for d in districts(to_mdag(dag)):
+            parts = [constraints._kernel_conditional(chain, v, order) for v in order if v in d]
+            expected = constraints.reduce_expr(product_expr(parts), dag)
+            assert district_kernel_recipe(dag, d, order) == expected, (sorted(d), order)
 
 
 def _outcome(evaluate, recipe, env):

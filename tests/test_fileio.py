@@ -1,6 +1,7 @@
 """Text formats: exact round trips and named-field errors."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +123,22 @@ def test_bad_table_keys_and_values():
         kernel_from_dict({**base, "table": {"0": "x"}})
     with pytest.raises(FileFormatError, match="sums"):
         kernel_from_dict({**base, "table": {"0": "1/3"}})
+
+
+@pytest.mark.parametrize("value", [0.1, 0.30000000000000004])
+def test_float_table_values_are_rejected(value):
+    # 0.1 would read as 1/10 through its decimal repr, and 0.30000000000000004
+    # would fail only at the row-sum check
+    doc = {
+        "variables": [{"name": "A", "cardinality": 2}],
+        "index_variables": [],
+        "table": {"0": value, "1": "9/10"},
+    }
+    with pytest.raises(FileFormatError, match=f"^table value {value} at '0' is a float"):
+        kernel_from_dict(doc)
+    read = kernel_from_dict({**doc, "table": {"0": "1/10", "1": "9/10"}})
+    assert read.value({"A": 0}) == Fraction(1, 10)
+    assert kernel_from_dict({**doc, "table": {"0": 1}}).value({"A": 0}) == 1
 
 
 def test_zero_entries_may_be_omitted():

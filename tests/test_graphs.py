@@ -3,6 +3,8 @@
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalbox import (
     CausalDag,
@@ -28,6 +30,7 @@ from causalbox import (
     topological_order,
     triangle_graph,
     UnknownVertexError,
+    VertexSpec,
     validate,
 )
 
@@ -57,6 +60,28 @@ def test_cycle_reported():
         topological_order(dag)
 
 
+@pytest.mark.parametrize(
+    "vertices, line",
+    [
+        ([("A", OBSERVED, 2), ("A", OBSERVED, 2)], "duplicate vertex names"),
+        ([("A", OBSERVED)], "observed vertex A needs a positive cardinality"),
+        ([("L", LATENT, 2), ("A", OBSERVED, 2)], "latent vertex L must not carry a cardinality"),
+    ],
+    ids=["duplicate", "observed-without-cardinality", "latent-with-cardinality"],
+)
+def test_vertex_invariants_reported(vertices, line):
+    assert line in validate(CausalDag(vertices))
+
+
+def test_vertex_lookups_reject_bad_input():
+    with pytest.raises(ValueError, match="kind must be 'observed' or 'latent'"):
+        VertexSpec("A", "hidden")
+    with pytest.raises(UnknownVertexError, match="Q"):
+        mediation_graph().spec("Q")
+    with pytest.raises(ValueError, match="latent vertex Lambda carries no cardinality"):
+        mediation_graph().cardinality("Lambda")
+
+
 def test_unknown_edge_endpoint_reported():
     dag = CausalDag([("A", OBSERVED, 2)], [("A", "Q")])
     assert any("unknown" in line for line in validate(dag))
@@ -84,6 +109,40 @@ def test_mediation_order_tie_break_puts_latent_first():
 
 def test_empty_graph_order():
     assert topological_order(CausalDag([], [])) == []
+
+
+def _reference_order(dag):
+    """Brute force: place the smallest name whose parents are all placed."""
+    names, order = set(dag.names()), []
+    while len(order) < len(names):
+        ready = [v for v in names - set(order) if dag.parents(v) <= set(order)]
+        if not ready:
+            raise CycleError(f"cycle detected among {sorted(names - set(order))}")
+        order.append(min(ready))
+    return order
+
+
+def _order_outcome(order_of, dag):
+    try:
+        return order_of(dag)
+    except CycleError as exc:
+        return str(exc)
+
+
+@st.composite
+def _directed_graphs(draw):
+    """One to six vertices with any edges among them, self-loops and cycles
+    included."""
+    names = draw(st.lists(st.sampled_from(["A", "A1", "B", "C", "L", "X", "Y"]),
+                          min_size=1, max_size=6, unique=True))
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    return CausalDag([(v, OBSERVED, 2) for v in names], draw(st.lists(pairs, max_size=9)))
+
+
+@given(_directed_graphs())
+@settings(max_examples=300, deadline=None)
+def test_topological_order_matches_brute_force(dag):
+    assert _order_outcome(topological_order, dag) == _order_outcome(_reference_order, dag)
 
 
 # -- mDAG and districts --------------------------------------------------------
@@ -216,6 +275,8 @@ def test_mediation_dsep_examples():
     assert d_separated(g, {"X"}, {"B"}, {"A"})
     assert not d_separated(g, {"X"}, {"B"}, set())
     assert not d_separated(g, {"X"}, {"B"}, {"A", "C"})
+    assert d_separated(g, set(), {"B"}, {"A"})
+    assert d_separated(g, {"X"}, [], set())
 
 
 def test_chsh_dsep_examples():
@@ -290,6 +351,9 @@ def test_ci_order_is_the_sort_key_whatever_the_input_order():
         assert sorted(perm) == expected
     a, b = records[:2]
     assert a < b and not b < a and a <= a and b > a and b >= a
+    assert a.__lt__(("A", "B")) is NotImplemented
+    with pytest.raises(TypeError):
+        a < ("A", "B")
 
 
 def test_ci_given_is_a_frozenset_whatever_the_input():

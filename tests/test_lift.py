@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from causalbox import (
     CausalDag,
+    HyperDag,
     Kernel,
     LATENT,
     MultiLatentError,
@@ -112,6 +113,14 @@ def test_multi_latent_ns_rejected():
             ns(box, build_hypergraph(g))
         with pytest.raises(MultiLatentError):
             ps(joint, g)
+
+
+def test_non_bell_type_hypergraph_rejected():
+    h = HyperDag(mediation_graph(), {})
+    with pytest.raises(ValueError, match="hypergraph base is not Bell-type"):
+        ns_member(pr_box(), h)
+    with pytest.raises(ValueError, match="hypergraph base is not Bell-type"):
+        enumerate_h_vertices(h)
 
 
 def test_ns_member_rejects_boxes_over_other_cardinalities():

@@ -107,6 +107,13 @@ def test_undeclared_variable_rejected():
         system.add_equality({"q": Fraction(1)}, Fraction(0))
 
 
+def test_system_equals_only_a_system():
+    system = LinearSystem(("x",), [({"x": 1}, 1)])
+    assert system == LinearSystem(("x",), [({"x": 1}, 1)])
+    assert system.__eq__(("x",)) is NotImplemented
+    assert system != ("x",)
+
+
 def test_duplicate_variable_names_rejected():
     with pytest.raises(ValueError, match="duplicate variable names"):
         LinearSystem(("x", "y", "x"))

@@ -340,6 +340,15 @@ def test_chsh_bounds_over_vertex_sets():
     assert value == 1
 
 
+def test_maximize_keeps_the_first_of_tied_maxima():
+    vertices = enumerate_classical_vertices(chsh_graph())
+    functional = _chsh_functional(vertices[0].table)
+    value, best = maximize_functional(functional, vertices)
+    tied = [v for v in vertices if maximize_functional(functional, [v])[0] == value]
+    assert len(tied) == 8 and best is tied[0]
+    assert maximize_functional(functional, vertices[::-1]) == (value, tied[-1])
+
+
 def test_maximize_over_no_vertex_is_an_error():
     with pytest.raises(ValueError, match="vertex list is empty"):
         maximize_functional({}, [])

@@ -35,7 +35,7 @@ from causalbox import (
     uniform_table,
 )
 from causalbox.networks import random_network
-from causalbox.tables import Record, _numerators
+from causalbox.tables import Record, _check_joint, _numerators
 
 import table_reference as ref
 from conftest import random_rational_table
@@ -109,6 +109,8 @@ def test_marginalize_pr_box_is_uniform():
 def test_marginalize_nothing_is_identity():
     box = pr_box()
     assert marginalize(box, []) == box
+    assert condition(box, {}) is box
+    assert conditional(box, []) is box
 
 
 def test_gyni_box_output_marginal():
@@ -205,6 +207,21 @@ def test_ci_agrees_with_bruteforce(rng):
         uniform_table((("B", 2),)),
     )
     assert ci_holds(q, {"A"}, {"B"}, set()) and _ci_bruteforce(q, {"A"}, {"B"}, set())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda k: ci_violation(k, {"A"}, {"B"}, set()), "CI test expects a probability table"),
+        (lambda k: project(k, {"X": "A"}), "project expects a probability table"),
+        (lambda k: _check_joint(k, mediation_graph(), "check_nested"),
+         "check_nested expects a joint probability table"),
+    ],
+    ids=["ci_violation", "project", "check_joint"],
+)
+def test_joint_only_operations_refuse_a_conditional_kernel(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(pr_box())
 
 
 def test_project_empty_copy_map_is_identity():
@@ -511,6 +528,10 @@ class _Twin(Record):
     right: tuple = ()
 
 
+class _Single(Record):
+    x: int
+
+
 def test_record_takes_fields_by_position_keyword_and_default():
     assert _Pair(1, (2,)).right == (2,)
     assert _Pair(right=(2,), left=1) == _Pair(1, (2,))
@@ -549,6 +570,7 @@ def test_record_equality_and_hash_follow_class_and_fields():
 
 def test_record_repr_names_class_and_every_field():
     assert repr(_Pair(1, ("x",))) == "_Pair(left=1, right=('x',))"
+    assert repr(_Single((1, 2))) == "_Single(x=(1, 2))"
     assert repr(uniform_table((("A", 2),))) == (
         "Kernel(outcome_vars=(('A', 2),), index_vars=(), "
         "entries=(Fraction(1, 2), Fraction(1, 2)))"
