@@ -193,7 +193,7 @@ def topological_order(dag: CausalDag) -> list[str]:
     """
     names = dag.names()
     known = set(names)
-    for a, b in dag.edges:
+    for a, b in sorted(dag.edges):
         if a not in known or b not in known:
             raise UnknownVertexError(f"edge ({a}, {b}) references unknown vertex")
     indegree = {n: len(dag.parents(n)) for n in names}

@@ -15,7 +15,9 @@ unchanged, so the pivot sequence is the one the same simplex takes on
 ``Fraction`` rows; ``Fraction`` appears only where the input is read and
 where the :class:`LpResult` is built.  Phase 1's artificial variables have
 no columns: they are tracked by basis id and, while basic, by their integer
-coefficient in their row.
+coefficient in their row.  A system with a zero objective ends at phase 1's
+point; the drive-out of zero-level artificials and the drop of redundant
+rows happen only before a phase 2.
 
 :func:`lp_solve` reads a system into those rows and hands them to the
 private core ``_solve``.  Callers that hold integer data already (the
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .tables import Record
@@ -137,13 +140,16 @@ def _pivot(rows, dens, basis, r, c):
 
 def _zrow(rows, dens, basis, costs, n):
     """Reduced-cost row z_j - c_j over the n columns, objective value last,
-    as integers over one positive denominator."""
+    as integers over one positive denominator: one weighted sum down each
+    column of the basic rows with a nonzero cost, less the costs."""
     terms = [(costs[b], row, d) for row, b, d in zip(rows, basis, dens) if costs[b]]
     den = lcm(*(c.denominator for c in costs[:n]), *(c.denominator * d for c, _, d in terms))
-    z = [-c.numerator * (den // c.denominator) for c in costs[:n]] + [0]
-    for c, row, d in terms:
-        k = c.numerator * (den // (c.denominator * d))
-        z = [a + k * v for a, v in zip(z, row)]
+    weights = [c.numerator * (den // (c.denominator * d)) for c, _, d in terms]
+    z = [sum(map(mul, weights, col)) for col in zip(*(row for _, row, _ in terms))]
+    z = z or [0] * (n + 1)
+    for j, c in enumerate(costs[:n]):
+        if c:
+            z[j] -= c.numerator * (den // c.denominator)
     return _lowest(z, den)
 
 
@@ -172,9 +178,10 @@ def _run_simplex(rows, dens, basis):
 def lp_solve(system: LinearSystem) -> LpResult:
     """Two-phase exact simplex over the rationals.
 
-    Phase 1 finds a basic feasible point and drops redundant equality rows;
-    phase 2 maximizes the objective.  Bland's pivot rule guarantees
-    termination on degenerate systems.
+    Phase 1 finds a basic feasible point.  With a zero objective that point
+    is the answer; otherwise zero-level artificials are driven out,
+    redundant equality rows dropped, and phase 2 maximizes the objective.
+    Bland's pivot rule guarantees termination on degenerate systems.
     """
     names = system.variables
     n = len(names)
@@ -207,6 +214,12 @@ def _solve(rows, dens, costs):
     column.  The lists and the rows in them are consumed: pivots update
     rows in place.  Returns ``(status, value, x)``, the last two ``None``
     unless the status is ``"optimal"``.
+
+    When every cost is zero, phase 1's point is the answer, with value 0:
+    the drive-out of zero-level artificials, the drop of redundant rows
+    and phase 2 run only when some cost is nonzero.  Skipping them changes
+    no result, since a drive-out pivot is on a row whose right-hand side
+    is 0 and so moves no basic value.
     """
     n, m = len(costs), len(rows)
     # phase 1 maximizes minus the sum of the artificials: z is minus the column sums
@@ -218,22 +231,25 @@ def _solve(rows, dens, costs):
         raise RuntimeError("phase 1 is bounded by construction but ended unbounded")
     if rows[-1][-1] != 0:
         return "infeasible", None, None
-    # drive zero-level artificials out; a row left on one is a redundant equality
-    for i in range(m):
-        if basis[i] >= n:
-            entering = next((j for j in range(n) if rows[i][j]), None)
-            if entering is not None:
-                _pivot(rows, dens, basis, i, entering)
-    kept = [i for i, b in enumerate(basis) if b < n]
-    rows, dens, basis = [rows[i] for i in kept], [dens[i] for i in kept], [basis[i] for i in kept]
+    if any(costs):
+        # drive zero-level artificials out; a row left on one is a redundant equality
+        for i in range(m):
+            if basis[i] >= n:
+                entering = next((j for j in range(n) if rows[i][j]), None)
+                if entering is not None:
+                    _pivot(rows, dens, basis, i, entering)
+        kept = [i for i, b in enumerate(basis) if b < n]
+        rows, dens = [rows[i] for i in kept], [dens[i] for i in kept]
+        basis = [basis[i] for i in kept]
 
-    # phase 2 on the same rows
-    z, zden = _zrow(rows, dens, basis, costs, n)
-    rows.append(z)
-    dens.append(zden)
-    if _run_simplex(rows, dens, basis) == "unbounded":
-        return "unbounded", None, None
+        # phase 2 on the same rows
+        z, zden = _zrow(rows, dens, basis, costs, n)
+        rows.append(z)
+        dens.append(zden)
+        if _run_simplex(rows, dens, basis) == "unbounded":
+            return "unbounded", None, None
     x = [Fraction(0)] * n
     for row, bi, d in zip(rows, basis, dens):
-        x[bi] = Fraction(row[-1], d)
+        if bi < n:  # an artificial left basic after phase 1 is at 0
+            x[bi] = Fraction(row[-1], d)
     return "optimal", Fraction(rows[-1][-1], dens[-1]), x

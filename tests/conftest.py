@@ -39,14 +39,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"  {name}: {ACCEPTANCE_RESULTS[name]}")
 
 
-def run_fresh(code: str, *argv: str) -> str:
-    """stdout of ``code`` run in a new interpreter with ``argv``.  It
-    imports the ``causalbox`` this process imported, installed or not."""
+def run_fresh(code: str, *argv: str, **env: str) -> str:
+    """stdout of ``code`` run in a new interpreter with ``argv`` and the
+    extra environment variables ``env``.  It imports the ``causalbox`` this
+    process imported, installed or not."""
     src = os.path.dirname(os.path.dirname(causalbox.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code, *argv],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
         text=True,
         check=True,

@@ -34,7 +34,7 @@ from causalbox import (
     validate,
 )
 
-from conftest import all_test_graphs, district_demo_graph
+from conftest import all_test_graphs, district_demo_graph, run_fresh
 
 
 # -- validation --------------------------------------------------------------
@@ -109,6 +109,22 @@ def test_mediation_order_tie_break_puts_latent_first():
 
 def test_empty_graph_order():
     assert topological_order(CausalDag([], [])) == []
+
+
+_UNKNOWN_EDGE_PROBE = """
+from causalbox import OBSERVED, CausalDag, UnknownVertexError, topological_order
+try:
+    topological_order(CausalDag([("A", OBSERVED, 2)], [("A", "P"), ("Q", "A"), ("A", "R")]))
+except UnknownVertexError as exc:
+    print(exc.args[0])
+"""
+
+
+def test_unknown_edge_named_independent_of_hash_seed():
+    """The first unknown edge in sorted order is named, whatever order the
+    edges' frozenset iterates in under each hash seed."""
+    messages = {run_fresh(_UNKNOWN_EDGE_PROBE, PYTHONHASHSEED=str(seed)) for seed in range(1, 6)}
+    assert messages == {"edge (A, P) references unknown vertex\n"}
 
 
 def _reference_order(dag):

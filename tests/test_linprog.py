@@ -25,7 +25,8 @@ from causalbox import (
     tripartite_bell_graph,
     uniform_table,
 )
-from causalbox.linprog import _pivot
+from causalbox import linprog
+from causalbox.linprog import _pivot, _zrow
 import lp_reference
 from conftest import polytope_lps, score2_table
 
@@ -218,6 +219,87 @@ def test_pivot_is_one_gauss_jordan_step(step):
     assert all(d > 0 for d in dens)
     assert gcd(*rows[r]) == 1 and rows[r][c] == dens[r]
     assert basis[r] == c
+
+
+@st.composite
+def zrow_steps(draw):
+    """Integer rows over positive denominators, a basis of distinct column
+    or artificial ids, and one ``Fraction`` cost per id, many of them 0."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    entry = st.integers(-12, 12)
+    rows = [draw(st.lists(entry, min_size=n + 1, max_size=n + 1)) for _ in range(m)]
+    dens = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    basis = draw(st.permutations(range(n + m)))[:m]
+    cost = st.just(Fraction(0)) | st.builds(Fraction, entry, st.integers(1, 12))
+    costs = draw(st.lists(cost, min_size=n + m, max_size=n + m))
+    return rows, dens, basis, costs, n
+
+
+@given(zrow_steps())
+@settings(max_examples=300, deadline=None)
+def test_zrow_is_the_fraction_reduced_cost_row(step):
+    """``_zrow`` over its denominator is z_j - c_j for each of the n
+    columns, the objective value last, summed in ``Fraction``; the row and
+    its positive denominator come back in lowest terms."""
+    rows, dens, basis, costs, n = step
+    table = [[Fraction(v, d) for v in row] for row, d in zip(rows, dens)]
+    want = [
+        sum((costs[b] * row[j] for row, b in zip(table, basis)), Fraction(0))
+        - (costs[j] if j < n else 0)
+        for j in range(n + 1)
+    ]
+    z, den = _zrow(rows, dens, basis, costs, n)
+    assert [Fraction(v, den) for v in z] == want
+    assert den > 0 and gcd(den, *z) == 1
+
+
+# -- zero objectives end at phase 1 --------------------------------------------
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Counts ``_pivot`` calls: ``total``, and ``phase_ends``, the count at
+    the end of each ``_run_simplex``."""
+    counts = {"total": 0, "phase_ends": []}
+    pivot, run_simplex = linprog._pivot, linprog._run_simplex
+
+    def counting_pivot(*args):
+        counts["total"] += 1
+        pivot(*args)
+
+    def recording_run_simplex(*args):
+        status = run_simplex(*args)
+        counts["phase_ends"].append(counts["total"])
+        return status
+
+    monkeypatch.setattr(linprog, "_pivot", counting_pivot)
+    monkeypatch.setattr(linprog, "_run_simplex", recording_run_simplex)
+    return counts
+
+
+def test_ns_vertex_decomposition_makes_no_pivot_after_phase_one(pivots):
+    """Each NS vertex's decomposition is one zero-objective LP that ends
+    with phase 1; the PR box's takes a single pivot."""
+    for box in ns_box_vertices():
+        pivots["total"], pivots["phase_ends"] = 0, []
+        decompose_ns_box(box)
+        assert pivots["phase_ends"] == [pivots["total"]]
+    pivots["total"] = 0
+    decompose_ns_box(pr_box())
+    assert pivots["total"] == 1
+
+
+def test_zero_objective_with_artificials_left_basic(pivots):
+    """x = 1 is met by phase 1's first pivot on x + y = 1; that pivot leaves
+    the artificials of x = 1 (now -y = 0) and the scaled duplicate
+    2x + 2y = 2 (now 0 = 0) basic at zero.  The point is phase 1's, with no
+    further pivot, and equals the reference solver's."""
+    system = LinearSystem(("x", "y"))
+    system.add_equality({"x": 1, "y": 1}, 1)
+    system.add_equality({"x": 1}, 1)
+    system.add_equality({"x": 2, "y": 2}, 2)
+    _assert_matches_reference(system)
+    assert pivots["phase_ends"] == [1] and pivots["total"] == 1
 
 
 # -- differential tests: sparse simplex against the dense reference -----------
