@@ -223,6 +223,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    if args.certificate and args.model != "PS":
+        raise ValueError("--certificate applies only to --model PS")
     dag = _load_graph(args.graph)
     dist = _load(args.dist, "dist", "distribution", load_kernel)
     model = args.model
@@ -293,13 +295,11 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    from .polytope import enumerate_classical_vertices
+    from .polytope import _argmax, enumerate_classical_vertices
 
     score = _scorer(args.functional)
     vertices = enumerate_classical_vertices(_load_graph(args.graph))
-    # a linear functional attains its maximum over a polytope at a vertex;
-    # max keeps the first vertex that attains it
-    value, best = max(((score(v.table), v) for v in vertices), key=lambda pair: pair[0])
+    value, best = _argmax(lambda v: score(v.table), vertices)
     payload = {
         "value": str(value),
         "argmax": kernel_to_dict(best.table),

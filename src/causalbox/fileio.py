@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any
 
 from .graphs import LATENT, OBSERVED, CausalDag, VertexSpec
-from .tables import Kernel, assignments
+from .tables import Kernel, _is_cardinality, assignments
 
 __all__ = [
     "FileFormatError",
@@ -87,7 +87,7 @@ def graph_from_dict(doc: dict) -> CausalDag:
             )
         cardinality = entry.get("cardinality")
         if kind == OBSERVED:
-            if type(cardinality) is not int or cardinality < 1:  # a bool is no cardinality
+            if not _is_cardinality(cardinality):
                 raise FileFormatError(
                     f"vertices[{i}].cardinality must be a positive integer"
                 )
@@ -121,7 +121,7 @@ def _parse_vars(entries: list, field: str) -> tuple[tuple[str, int], ...]:
     out = []
     for i, entry in enumerate(entries):
         card = _entry(entry, f"{field}[{i}]").get("cardinality")
-        if type(card) is not int or card < 1:
+        if not _is_cardinality(card):
             raise FileFormatError(f"{field}[{i}].cardinality must be a positive integer")
         out.append((entry["name"], card))
     return tuple(out)

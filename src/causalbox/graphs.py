@@ -18,7 +18,7 @@ from functools import lru_cache, total_ordering
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .tables import Record, _set
+from .tables import Record, _is_cardinality, _set
 
 __all__ = [
     "OBSERVED",
@@ -166,7 +166,7 @@ def validate(dag: CausalDag) -> list[str]:
         if a not in known or b not in known:
             report.append(f"edge ({a}, {b}) references unknown vertex")
     for v in dag.vertices:
-        if v.kind == OBSERVED and (v.cardinality is None or v.cardinality < 1):
+        if v.kind == OBSERVED and not _is_cardinality(v.cardinality):
             report.append(f"observed vertex {v.name} needs a positive cardinality")
         if v.kind == LATENT and v.cardinality is not None:
             report.append(f"latent vertex {v.name} must not carry a cardinality")

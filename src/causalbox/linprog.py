@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .tables import Record
+from .tables import Record, _rational
 
 __all__ = ["LinearSystem", "LpResult", "lp_solve"]
 
@@ -39,7 +39,7 @@ __all__ = ["LinearSystem", "LpResult", "lp_solve"]
 class LinearSystem:
     """max objective . x  subject to  equalities, x >= 0.  Coefficients,
     right-hand sides and objective values are rationals (``Fraction`` or
-    ``int``); anything else, a float included, raises ``TypeError``.
+    ``int``); anything else, a float or a bool included, raises ``TypeError``.
     ``equalities`` lists ``(coeffs, rhs)`` pairs and grows through
     :meth:`add_equality`."""
 
@@ -56,8 +56,7 @@ class LinearSystem:
         if unknown:
             raise ValueError(f"objective references undeclared variables {sorted(unknown)}")
         for v, c in (objective or {}).items():
-            if not isinstance(c, _RATIONAL):
-                raise _not_rational(f"objective coefficient of {v}", c)
+            _rational(c, f"objective coefficient of {v}")
         self.objective = objective
         self.equalities: list[tuple[dict[str, Fraction], Fraction]] = []
         for coeffs, rhs in equalities:
@@ -74,18 +73,9 @@ class LinearSystem:
         if unknown:
             raise ValueError(f"equality references undeclared variables {sorted(unknown)}")
         for v, c in coeffs.items():
-            if not isinstance(c, _RATIONAL):
-                raise _not_rational(f"coefficient of {v}", c)
-        if not isinstance(rhs, _RATIONAL):
-            raise _not_rational(f"right-hand side of the equality over {sorted(coeffs)}", rhs)
-        self.equalities.append((dict(coeffs), Fraction(rhs)))
-
-
-_RATIONAL = (int, Fraction)
-
-
-def _not_rational(what: str, value) -> TypeError:
-    return TypeError(f"{what} is a {type(value).__name__}, not an int or Fraction")
+            _rational(c, f"coefficient of {v}")
+        rhs = _rational(rhs, f"right-hand side of the equality over {sorted(coeffs)}")
+        self.equalities.append((dict(coeffs), rhs))
 
 
 class LpResult(Record):

@@ -39,7 +39,7 @@ from .graphs import (
     topological_order,
 )
 from .linprog import _lowest, _solve
-from .tables import Kernel, Record, _numerators, _position, assignments
+from .tables import Kernel, Record, _laid_out, _numerators, _position, assignments
 
 __all__ = [
     "Vertex",
@@ -227,21 +227,26 @@ def functional_from_indicator(
 def maximize_functional(
     functional: Mapping[tuple[int, ...], Fraction], vertices: Sequence[Vertex | Kernel]
 ) -> tuple[Fraction, Vertex | Kernel]:
-    """Maximize a linear functional over a finite vertex list.
-
-    The maximum of a linear functional over a polytope is attained at a
-    vertex, so this is exact polytope optimization.
-    """
+    """Maximize a linear functional over a finite vertex list, exactly.  Keys
+    of ``functional`` are assignments in the first vertex's variable order,
+    and every vertex is read by name in that layout."""
     if not vertices:
         raise ValueError("vertex list is empty")
+    first = vertices[0].table if isinstance(vertices[0], Vertex) else vertices[0]
+    names = first.var_names()
+    terms = [(_position(first.variables, dict(zip(names, x))), c) for x, c in functional.items()]
 
     def score(v) -> Fraction:
         table = v.table if isinstance(v, Vertex) else v
-        names = table.var_names()
-        cells = (c * table.value(dict(zip(names, x))) for x, c in functional.items())
-        return sum(cells, Fraction(0))
+        cells = _laid_out(table, first.outcome_vars, first.index_vars)
+        return sum((c * cells[p] for p, c in terms), Fraction(0))
 
-    # max keeps the first vertex that attains the maximum
+    return _argmax(score, vertices)
+
+
+def _argmax(score, vertices):
+    """``(score(v), v)`` for the first vertex ``v`` of highest score.  A linear
+    functional attains its maximum over a polytope at a vertex."""
     return max(((score(v), v) for v in vertices), key=lambda pair: pair[0])
 
 

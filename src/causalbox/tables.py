@@ -17,13 +17,13 @@ diagonals and products over the table are read through such maps.
 :mod:`causalbox.lift`.
 
 Entries are :class:`fractions.Fraction`, so equality constraints on tables
-are decidable: two kernels are equal iff every entry is equal.  The ops
-that build tables compute in ``Fraction``.  Code that only compares sums
-of entries, or hands them to the integer simplex, reads them through
-``_numerators(kernel, outcome_vars, index_vars)``: the one step that
-matches a target to a layout by name, cardinality and side, and gives its
-integer numerators over their lcm in that layout, computed per call and
-never cached on the kernel.
+are decidable: two kernels are equal iff every entry is equal.  Each input
+rule has one check here: ``_rational`` reads kernel entries and linear-system
+data, ``_is_cardinality`` accepts a positive ``int`` only, and
+``_laid_out(kernel, outcome_vars, index_vars)`` reads a kernel in another
+layout, matched by name, cardinality and side.  :func:`reorder` reads
+through it, and so does ``_numerators``, which gives integer numerators
+over their lcm, per call, to code that compares sums or runs the simplex.
 
 The module also holds :class:`Record`, the base of every immutable value
 class in the package.
@@ -160,15 +160,20 @@ class Record:
         return f"{type(self).__qualname__}({shown})"
 
 
-def _as_fraction(value) -> Fraction:
-    """A kernel entry as a ``Fraction``: an ``int`` is converted, and anything
-    but an ``int`` or ``Fraction`` (a float or a bool included) raises
-    ``TypeError``."""
+def _rational(value, what: str = "kernel entry") -> Fraction:
+    """``value`` as a ``Fraction``: an ``int`` is converted, and anything but
+    an ``int`` or ``Fraction`` (a float or a bool included) raises
+    ``TypeError`` naming it as ``what``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise TypeError(f"kernel entry is a {type(value).__name__}, not an int or Fraction")
+    raise TypeError(f"{what} is a {type(value).__name__}, not an int or Fraction")
+
+
+def _is_cardinality(value) -> bool:
+    """True iff ``value`` is a positive ``int``: not a bool, float or string."""
+    return type(value) is int and value > 0
 
 
 def assignments(variables: Sequence[Var]) -> Iterator[tuple[int, ...]]:
@@ -197,13 +202,12 @@ class Kernel(Record):
         names = self.var_names()
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
-        for _, card in self.variables:
-            if card < 1:
-                raise CardinalityMismatchError("cardinalities must be positive")
+        if not all(_is_cardinality(card) for _, card in self.variables):
+            raise CardinalityMismatchError(f"cardinalities must be positive ints: {self.variables}")
         size = prod(c for _, c in self.variables)
         if len(entries) != size:
             raise ValueError(f"expected {size} entries, got {len(entries)}")
-        entries = tuple(map(_as_fraction, entries))
+        entries = tuple(map(_rational, entries))
         if any(e.numerator < 0 for e in entries):
             raise ValueError("negative entry in kernel")
         _set(self, "entries", entries)
@@ -354,15 +358,21 @@ def _index_map(variables: Sequence[Var], onto: Sequence[Var]) -> list[int]:
     return positions
 
 
-def _numerators(kernel: Kernel, outcome_vars: Sequence[Var], index_vars: Sequence[Var]):
-    """``kernel`` laid out over ``outcome_vars`` indexed by ``index_vars``, as
-    integer numerators over their lcm ``den``: cell i is ``num[i] / den``.
-    The layout must list the kernel's variables by name and cardinality,
-    each on its side, or ``ValueError``.  Computed on every call."""
+def _laid_out(kernel: Kernel, outcome_vars: Sequence[Var], index_vars: Sequence[Var]):
+    """The entries of ``kernel`` laid out over ``outcome_vars`` indexed by
+    ``index_vars``.  The layout must list the kernel's variables by name and
+    cardinality, each on its side, or ``ValueError``."""
     layout = tuple(outcome_vars) + tuple(index_vars)
     if sorted(layout) != sorted(kernel.variables) or set(outcome_vars) != set(kernel.outcome_vars):
-        raise ValueError(f"cannot lay out {kernel.variables} as {layout}")
-    cells = [kernel.entries[p] for p in _index_map(layout, kernel.variables)]
+        raise ValueError(f"cannot lay out {kernel.outcome_vars} | {kernel.index_vars} as "
+                         f"{tuple(outcome_vars)} | {tuple(index_vars)}")
+    return [kernel.entries[p] for p in _index_map(layout, kernel.variables)]
+
+
+def _numerators(kernel: Kernel, outcome_vars: Sequence[Var], index_vars: Sequence[Var]):
+    """``kernel`` read through :func:`_laid_out`, as integer numerators over
+    their lcm ``den``: cell i is ``num[i] / den``.  Computed on every call."""
+    cells = _laid_out(kernel, outcome_vars, index_vars)
     den = lcm(*(e.denominator for e in cells))
     return [e.numerator * (den // e.denominator) for e in cells], den
 
@@ -375,11 +385,8 @@ def _sums(entries: Sequence[Fraction], variables: Sequence[Var], kept: Sequence[
 
 def reorder(kernel: Kernel, outcome_vars: Sequence[Var], index_vars: Sequence[Var]) -> Kernel:
     """The same kernel laid out over ``outcome_vars`` indexed by ``index_vars``,
-    which together must be a permutation of the kernel's variables."""
-    layout = tuple(outcome_vars) + tuple(index_vars)
-    if sorted(layout) != sorted(kernel.variables):
-        raise ValueError(f"cannot lay out {kernel.variables} as {layout}")
-    entries = tuple(kernel.entries[p] for p in _index_map(layout, kernel.variables))
+    each variable on its side; see :func:`_laid_out`."""
+    entries = tuple(_laid_out(kernel, outcome_vars, index_vars))
     return Kernel(tuple(outcome_vars), tuple(index_vars), entries)
 
 
@@ -406,9 +413,7 @@ def condition(kernel: Kernel, event: Assignment) -> Kernel:
     for name, card in pinned:
         if not 0 <= event[name] < card:
             raise CardinalityMismatchError(f"value {event[name]} out of range for {name}")
-    offset = 0
-    for name, card in kernel.variables:
-        offset = offset * card + event.get(name, 0)
+    offset = _position(kernel.variables, {**dict.fromkeys(kernel.var_names(), 0), **event})
     index = kernel.index_vars
     cells = [
         kernel.entries[offset + p] for p in _index_map(kept + index, kernel.variables)

@@ -556,6 +556,17 @@ def test_certificate_file_errors_name_the_file(files, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: bad certificate file {broken}: Expecting")
 
 
+@pytest.mark.parametrize("model", ["C", "N", "I", "NS"])
+def test_certificate_applies_only_to_ps(files, capsys, model):
+    emit, _ = files
+    gpath = emit("chsh-graph", "chsh.json")
+    dpath = emit("pr-box", "pr.json")
+    capsys.readouterr()
+    argv = ["member", "--model", model, "--graph", gpath, "--dist", dpath, "--certificate", dpath]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr() == ("", "error: --certificate applies only to --model PS\n")
+
+
 def _instrumental_joint(x_prior, path):
     """A seeded classical joint of the instrumental graph with X drawn by
     ``x_prior``, written to ``path``."""

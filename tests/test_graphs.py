@@ -65,9 +65,13 @@ def test_cycle_reported():
     [
         ([("A", OBSERVED, 2), ("A", OBSERVED, 2)], "duplicate vertex names"),
         ([("A", OBSERVED)], "observed vertex A needs a positive cardinality"),
+        ([("A", OBSERVED, True)], "observed vertex A needs a positive cardinality"),
+        ([("A", OBSERVED, 2.0)], "observed vertex A needs a positive cardinality"),
+        ([("A", OBSERVED, "2")], "observed vertex A needs a positive cardinality"),
         ([("L", LATENT, 2), ("A", OBSERVED, 2)], "latent vertex L must not carry a cardinality"),
     ],
-    ids=["duplicate", "observed-without-cardinality", "latent-with-cardinality"],
+    ids=["duplicate", "observed-without-cardinality", "bool-cardinality", "float-cardinality",
+         "str-cardinality", "latent-with-cardinality"],
 )
 def test_vertex_invariants_reported(vertices, line):
     assert line in validate(CausalDag(vertices))

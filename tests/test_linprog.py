@@ -126,6 +126,13 @@ def test_constructor_equalities_are_checked():
     system = LinearSystem(("x",), [({"x": 2}, 4)])
     assert system.equalities == [({"x": 2}, Fraction(4))]
     assert type(system.equalities[0][1]) is Fraction
+    # a bool is no rational
+    with pytest.raises(TypeError, match="coefficient of x is a bool"):
+        LinearSystem(("x",), [({"x": True}, 1)])
+    with pytest.raises(TypeError, match=r"right-hand side of the equality over \['x'\] is a bool"):
+        LinearSystem(("x",), [({"x": 1}, True)])
+    with pytest.raises(TypeError, match="objective coefficient of x is a bool"):
+        LinearSystem(("x",), objective={"x": True})
 
 
 def test_undeclared_objective_variable_rejected():

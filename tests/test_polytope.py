@@ -349,6 +349,18 @@ def test_maximize_keeps_the_first_of_tied_maxima():
     assert maximize_functional(functional, vertices[::-1]) == (value, tied[-1])
 
 
+def test_maximize_reads_each_vertex_by_name():
+    """Keys follow the first vertex's layout; a later vertex in another
+    layout is read by name."""
+    box = local_box(8)  # a = x, b = 0
+    functional = functional_from_indicator(
+        box, lambda v: Fraction(1, 4) if v["A"] == v["X"] and v["B"] == 0 else 0
+    )
+    swapped = reorder(box, (("B", 2), ("A", 2)), box.index_vars)
+    assert maximize_functional(functional, [box]) == (1, box)
+    assert maximize_functional(functional, [local_box(0), swapped]) == (1, swapped)
+
+
 def test_maximize_over_no_vertex_is_an_error():
     with pytest.raises(ValueError, match="vertex list is empty"):
         maximize_functional({}, [])

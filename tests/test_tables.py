@@ -57,12 +57,15 @@ def test_kernel_validates_rows():
     [
         ((("A", 2), ("A", 2)), (Fraction(1, 4),) * 4, ValueError, "duplicate variable names"),
         ((("A", 0),), (), CardinalityMismatchError, "cardinalities must be positive"),
+        ((("A", True),), (1,), CardinalityMismatchError, "cardinalities must be positive"),
+        ((("A", 2.0),), (1, 0), CardinalityMismatchError, "cardinalities must be positive"),
         ((("A", 2),), (Fraction(1),), ValueError, "expected 2 entries, got 1"),
         ((("A", 4),), (0.1, 0.2, 0.3, 0.4), TypeError, "entry is a float"),
         ((("A", 2),), (True, False), TypeError, "entry is a bool"),
         ((("A", 2),), ("1/2", "1/2"), TypeError, "entry is a str"),
     ],
-    ids=["duplicate", "cardinality", "count", "float", "bool", "str"],
+    ids=["duplicate", "cardinality", "bool-cardinality", "float-cardinality", "count", "float",
+         "bool", "str"],
 )
 def test_kernel_rejects_malformed_construction(outcome_vars, entries, error, match):
     with pytest.raises(error, match=match):
@@ -491,6 +494,12 @@ def test_reorder_round_trip(kernel, data):
     assert reorder(moved, kernel.outcome_vars, kernel.index_vars) == kernel
     with pytest.raises(ValueError):
         reorder(kernel, outcome + [("Q", 2)], index)
+    # each variable stays on its side
+    var = data.draw(st.sampled_from(kernel.variables))
+    sides = [v for v in outcome if v != var], [v for v in index if v != var]
+    sides[var in kernel.outcome_vars].append(var)
+    with pytest.raises(ValueError, match="cannot lay out"):
+        reorder(kernel, *sides)
 
 
 @given(shuffled_kernels(), st.data())
