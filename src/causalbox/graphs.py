@@ -53,6 +53,8 @@ LATENT = "latent"
 # Graphs whose CI and constraint records stay cached in one process.
 _GRAPH_CACHE_SIZE = 64
 
+_EMPTY: frozenset[str] = frozenset()
+
 
 class CycleError(ValueError):
     """The graph contains a directed cycle."""
@@ -107,8 +109,21 @@ class CausalDag(Record):
                 specs.append(v)
             else:
                 specs.append(VertexSpec(*v))
+        edges = frozenset((str(a), str(b)) for a, b in edges)
         _set(self, "vertices", tuple(specs))
-        _set(self, "edges", frozenset((str(a), str(b)) for a, b in edges))
+        _set(self, "edges", edges)
+        # Lookup maps, built once; they are not fields, so equality, hash
+        # and repr stay those of ``vertices`` and ``edges``.
+        by_name = {}
+        for v in specs:
+            by_name.setdefault(v.name, v)  # the first spec of a name wins
+        parents, children = {}, {}
+        for a, b in edges:
+            parents.setdefault(b, set()).add(a)
+            children.setdefault(a, set()).add(b)
+        _set(self, "_spec", by_name)
+        _set(self, "_parents", {v: frozenset(ps) for v, ps in parents.items()})
+        _set(self, "_children", {v: frozenset(cs) for v, cs in children.items()})
 
     # -- lookups -----------------------------------------------------------
 
@@ -116,13 +131,13 @@ class CausalDag(Record):
         return [v.name for v in self.vertices]
 
     def spec(self, name: str) -> VertexSpec:
-        for v in self.vertices:
-            if v.name == name:
-                return v
-        raise UnknownVertexError(name)
+        try:
+            return self._spec[name]
+        except KeyError:
+            raise UnknownVertexError(name) from None
 
     def has_vertex(self, name: str) -> bool:
-        return any(v.name == name for v in self.vertices)
+        return name in self._spec
 
     def observed(self) -> list[str]:
         return [v.name for v in self.vertices if v.kind == OBSERVED]
@@ -136,11 +151,11 @@ class CausalDag(Record):
             raise ValueError(f"latent vertex {name} carries no cardinality")
         return spec.cardinality
 
-    def parents(self, name: str) -> set[str]:
-        return {a for a, b in self.edges if b == name}
+    def parents(self, name: str) -> frozenset[str]:
+        return self._parents.get(name, _EMPTY)
 
-    def children(self, name: str) -> set[str]:
-        return {b for a, b in self.edges if a == name}
+    def children(self, name: str) -> frozenset[str]:
+        return self._children.get(name, _EMPTY)
 
     def descendants(self, name: str) -> set[str]:
         """All vertices reachable by directed paths, including ``name``."""
@@ -171,10 +186,10 @@ def validate(dag: CausalDag) -> list[str]:
         if v.kind == LATENT and v.cardinality is not None:
             report.append(f"latent vertex {v.name} must not carry a cardinality")
     for v in dag.vertices:
-        if v.kind == LATENT and v.name in known:
-            if any(b == v.name for a, b in dag.edges):
+        if v.kind == LATENT:
+            if dag.parents(v.name):
                 report.append(f"latent vertex {v.name} has incoming edge")
-            if not any(a == v.name for a, b in dag.edges):
+            if not dag.children(v.name):
                 report.append(f"latent vertex {v.name} has no outgoing edge")
     try:
         topological_order(dag)
@@ -358,48 +373,41 @@ def d_separated(
     states, linear in the size of the graph.
     """
     a, b, z = set(a), set(b), set(z)
-    known = set(dag.names())
     for group in (a, b, z):
-        unknown = group - known
+        unknown = group - dag._spec.keys()
         if unknown:
             raise UnknownVertexError(f"unknown vertices {sorted(unknown)}")
     if (a & b) or (a & z) or (b & z):
         raise ValueError("a, b, z must be pairwise disjoint")
     if not a or not b:
         return True
+    parents, children = dag._parents, dag._children
     # vertices with a descendant in z (including z itself)
-    anc_of_z = set()
+    anc_of_z = set(z)
     frontier = list(z)
-    anc_of_z |= z
     while frontier:
-        v = frontier.pop()
-        for p in dag.parents(v):
+        for p in parents.get(frontier.pop(), _EMPTY):
             if p not in anc_of_z:
                 anc_of_z.add(p)
                 frontier.append(p)
-    # states: (vertex, "up") approaching from a child, (vertex, "down")
-    # approaching from a parent
-    start = [(v, "up") for v in a]
-    seen = set(start)
-    frontier = list(start)
+    # states: (vertex, True) approaching from a child, (vertex, False)
+    # approaching from a parent; one visited set per direction
+    up, down = set(a), set()
+    frontier = [(v, True) for v in a]
     while frontier:
-        v, direction = frontier.pop()
+        v, from_child = frontier.pop()
         if v in b:
             return False
-        moves = []
-        if direction == "up":
-            if v not in z:
-                moves += [(p, "up") for p in dag.parents(v)]
-                moves += [(c, "down") for c in dag.children(v)]
-        else:
-            if v not in z:
-                moves += [(c, "down") for c in dag.children(v)]
-            if v in anc_of_z:
-                moves += [(p, "up") for p in dag.parents(v)]
-        for state in moves:
-            if state not in seen:
-                seen.add(state)
-                frontier.append(state)
+        if v not in z:
+            for c in children.get(v, _EMPTY):
+                if c not in down:
+                    down.add(c)
+                    frontier.append((c, False))
+        if (v not in z) if from_child else (v in anc_of_z):
+            for p in parents.get(v, _EMPTY):
+                if p not in up:
+                    up.add(p)
+                    frontier.append((p, True))
     return True
 
 

@@ -39,7 +39,7 @@ from .graphs import (
     topological_order,
 )
 from .linprog import _lowest, _solve
-from .tables import Kernel, Record, _laid_out, _numerators, _position, assignments
+from .tables import Kernel, Record, _laid_out, _numerators, _position, _rational, assignments
 
 __all__ = [
     "Vertex",
@@ -214,11 +214,13 @@ def _convex_member(vertices, num: list[int], den: int) -> MemberVerdict:
 def functional_from_indicator(
     template: Kernel, indicator: Callable[[Mapping[str, int]], Fraction]
 ) -> dict[tuple[int, ...], Fraction]:
-    """Coefficient map over table cells from a callable on assignments."""
+    """Coefficient map over table cells from a callable on assignments.  The
+    callable returns an ``int`` or ``Fraction``; anything else raises
+    ``TypeError``."""
     out = {}
     for values in assignments(template.variables):
         env = dict(zip(template.var_names(), values))
-        c = Fraction(indicator(env))
+        c = _rational(indicator(env), "indicator value")
         if c:
             out[values] = c
     return out
@@ -229,12 +231,16 @@ def maximize_functional(
 ) -> tuple[Fraction, Vertex | Kernel]:
     """Maximize a linear functional over a finite vertex list, exactly.  Keys
     of ``functional`` are assignments in the first vertex's variable order,
-    and every vertex is read by name in that layout."""
+    and every vertex is read by name in that layout.  Values are ``int`` or
+    ``Fraction``; anything else raises ``TypeError``."""
     if not vertices:
         raise ValueError("vertex list is empty")
     first = vertices[0].table if isinstance(vertices[0], Vertex) else vertices[0]
     names = first.var_names()
-    terms = [(_position(first.variables, dict(zip(names, x))), c) for x, c in functional.items()]
+    terms = [
+        (_position(first.variables, dict(zip(names, x))), _rational(c, "functional value"))
+        for x, c in functional.items()
+    ]
 
     def score(v) -> Fraction:
         table = v.table if isinstance(v, Vertex) else v

@@ -1,5 +1,6 @@
 """Graph core: validation, orders, mDAGs, districts, d-separation, lift."""
 
+import pickle
 from itertools import combinations, permutations
 
 import pytest
@@ -34,7 +35,9 @@ from causalbox import (
     validate,
 )
 
+from causalbox import graphs
 from conftest import all_test_graphs, district_demo_graph, run_fresh
+import graphs_reference as ref
 
 
 # -- validation --------------------------------------------------------------
@@ -84,6 +87,45 @@ def test_vertex_lookups_reject_bad_input():
         mediation_graph().spec("Q")
     with pytest.raises(ValueError, match="latent vertex Lambda carries no cardinality"):
         mediation_graph().cardinality("Lambda")
+
+
+def test_lookup_maps_are_not_part_of_the_record():
+    """Two graphs built alike are one value: the adjacency maps built in
+    ``__init__`` take no part in equality, hash, repr or the CI cache key,
+    and they survive a pickle round trip."""
+    def build():
+        return CausalDag([("P", OBSERVED, 2), ("Q", OBSERVED, 3), ("M", LATENT)],
+                         [("M", "P"), ("M", "Q"), ("P", "Q")])
+
+    g, h = build(), build()
+    assert g is not h and g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    ci_constraints(g)
+    before = graphs._ci_constraints_cached.cache_info()
+    assert ci_constraints(h) == ci_constraints(g)
+    after = graphs._ci_constraints_cached.cache_info()
+    assert (after.hits, after.currsize) == (before.hits + 2, before.currsize)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g)
+    assert vars(back).keys() == vars(g).keys()
+    for v in ("P", "Q", "M", "unknown"):
+        assert back.parents(v) == g.parents(v) and back.children(v) == g.children(v)
+    assert back.spec("Q") == g.spec("Q") and back.cardinality("Q") == 3
+    assert not d_separated(back, {"P"}, {"Q"}, set())
+
+
+def test_parents_and_children_are_frozensets():
+    g = mediation_graph()
+    assert g.parents("C") == frozenset({"B", "Lambda"})
+    assert g.children("Lambda") == frozenset({"A", "C"})
+    for v in g.names() + ["unknown"]:
+        assert type(g.parents(v)) is frozenset and type(g.children(v)) is frozenset
+    assert g.parents("unknown") == g.children("C") == frozenset()
+
+
+def test_first_spec_of_a_repeated_name_wins():
+    g = CausalDag([("A", OBSERVED, 2), ("A", OBSERVED, 3), ("B", LATENT), ("B", OBSERVED, 4)])
+    assert g.spec("A") == VertexSpec("A", OBSERVED, 2) and g.cardinality("A") == 2
+    assert g.spec("B").kind == LATENT and g.has_vertex("B") and not g.has_vertex("C")
 
 
 def test_unknown_edge_endpoint_reported():
@@ -347,6 +389,52 @@ def test_dsep_monotone_without_colliders():
                         if extra in given:
                             continue
                         assert d_separated(dag, {u}, {v}, set(given) | {extra})
+
+
+_NAMES = ["A", "B", "C", "D", "E", "F", "G"]
+
+
+@st.composite
+def _latent_root_dags(draw):
+    """3-7 observed vertices with edges forward in a drawn order, and 0-3
+    latent roots with 1-3 observed children each.  Sometimes one name is
+    repeated, with another kind or cardinality, or one edge points to a
+    vertex that does not exist."""
+    order = draw(st.permutations(_NAMES[: draw(st.integers(3, 7))]))
+    forward = [(u, v) for i, u in enumerate(order) for v in order[i + 1:]]
+    edges = draw(st.sets(st.sampled_from(forward)))
+    latents = [f"L{k}" for k in range(draw(st.integers(0, 3)))]
+    for lam in latents:
+        edges |= {(lam, v) for v in draw(st.sets(st.sampled_from(order), min_size=1, max_size=3))}
+    vertices = [(v, OBSERVED, 2) for v in order] + [(lam, LATENT) for lam in latents]
+    for name, kind in draw(st.lists(st.tuples(st.sampled_from(order + latents),
+                                              st.sampled_from([OBSERVED, LATENT])), max_size=1)):
+        vertices.insert(draw(st.integers(0, len(vertices))),
+                        (name, kind, 3) if kind == OBSERVED else (name, kind))
+    edges |= set(draw(st.lists(st.tuples(st.sampled_from(order), st.just("Q")), max_size=1)))
+    return CausalDag(vertices, edges)
+
+
+def _outcome(query, *args):
+    try:
+        return query(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(_latent_root_dags(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_graph_queries_match_edge_scanning_reference(dag, data):
+    """d-separation, CI enumeration and topological order read the adjacency
+    maps and give the edge-scanning reference's booleans, records in the
+    same order, orders, and exception types and messages."""
+    names = sorted(set(dag.names()) | {"Q", "Z"})
+    groups = st.lists(st.sampled_from(names), max_size=3)
+    for _ in range(8):
+        a, b, z = data.draw(groups), data.draw(groups), data.draw(groups)
+        assert _outcome(d_separated, dag, a, b, z) == _outcome(ref.d_separated, dag, a, b, z)
+    assert _outcome(ci_constraints, dag) == _outcome(lambda g: list(ref.ci_constraints(g)), dag)
+    assert _outcome(topological_order, dag) == _outcome(ref.topological_order, dag)
 
 
 # -- conditional independence enumeration ---------------------------------------

@@ -47,6 +47,7 @@ from causalbox import (
 )
 
 import causalbox.polytope
+from causalbox.tables import assignments
 import ns_reference
 from conftest import polytope_lps, rng, run_fresh, score2_table, ternary_x_chsh_box  # noqa: F401
 
@@ -359,6 +360,23 @@ def test_maximize_reads_each_vertex_by_name():
     swapped = reorder(box, (("B", 2), ("A", 2)), box.index_vars)
     assert maximize_functional(functional, [box]) == (1, box)
     assert maximize_functional(functional, [local_box(0), swapped]) == (1, swapped)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.25, True], ids=["float", "exact-float", "bool"])
+def test_functional_values_must_be_rational(value):
+    """A float or bool is refused, never read as a binary fraction: 0.1 is
+    not 3602879701896397/36028797018963968, and 0.25 would turn the
+    exact maximum into a float."""
+    box = local_box(8)
+    kind = type(value).__name__
+    with pytest.raises(TypeError, match=f"indicator value is a {kind}, not an int or Fraction"):
+        functional_from_indicator(box, lambda v: value if v["A"] == v["X"] else 0)
+    functional = {x: value for x in assignments(box.variables)}
+    with pytest.raises(TypeError, match=f"functional value is a {kind}, not an int or Fraction"):
+        maximize_functional(functional, [box])
+    assert functional_from_indicator(box, lambda v: 1 if v["A"] == v["X"] else 0) == {
+        x: 1 for x in assignments(box.variables) if x[0] == x[2]
+    }
 
 
 def test_maximize_over_no_vertex_is_an_error():
