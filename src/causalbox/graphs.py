@@ -176,10 +176,7 @@ def validate(dag: CausalDag) -> list[str]:
     names = dag.names()
     if len(set(names)) != len(names):
         report.append("duplicate vertex names")
-    known = set(names)
-    for a, b in sorted(dag.edges):
-        if a not in known or b not in known:
-            report.append(f"edge ({a}, {b}) references unknown vertex")
+    report += _unknown_edges(dag)
     for v in dag.vertices:
         if v.kind == OBSERVED and not _is_cardinality(v.cardinality):
             report.append(f"observed vertex {v.name} needs a positive cardinality")
@@ -206,12 +203,10 @@ def topological_order(dag: CausalDag) -> list[str]:
     Deterministic: among vertices whose parents are all placed, the
     lexicographically smallest name comes next.
     """
-    names = dag.names()
-    known = set(names)
-    for a, b in sorted(dag.edges):
-        if a not in known or b not in known:
-            raise UnknownVertexError(f"edge ({a}, {b}) references unknown vertex")
-    indegree = {n: len(dag.parents(n)) for n in names}
+    unknown = _unknown_edges(dag)
+    if unknown:
+        raise UnknownVertexError(unknown[0])
+    indegree = {n: len(dag.parents(n)) for n in dag.names()}
     ready = {n for n, deg in indegree.items() if deg == 0}
     order = []
     while ready:
@@ -226,6 +221,12 @@ def topological_order(dag: CausalDag) -> list[str]:
     if indegree:
         raise CycleError(f"cycle detected among {sorted(indegree)}")
     return order
+
+
+def _unknown_edges(dag: CausalDag) -> list[str]:
+    """One message per edge with an endpoint that is no vertex, in sorted edge order."""
+    return [f"edge ({a}, {b}) references unknown vertex" for a, b in sorted(dag.edges)
+            if not (dag.has_vertex(a) and dag.has_vertex(b))]
 
 
 class MDag(Record):
@@ -247,17 +248,11 @@ class MDag(Record):
         fixed = tuple(sorted(fixed_vertices))
         edges = frozenset(edges)
         rset = set(rnd)
-        # normalize: keep only maximal faces over random vertices, add
-        # singletons for uncovered vertices
-        cleaned = {frozenset(f) & rset for f in faces}
-        cleaned = {f for f in cleaned if f}
-        maximal = {
-            f for f in cleaned if not any(f < g for g in cleaned)
-        }
-        covered = set().union(*maximal) if maximal else set()
-        for v in rnd:
-            if v not in covered:
-                maximal.add(frozenset([v]))
+        # normalize: keep the maximal nonempty faces over random vertices,
+        # add a singleton for each vertex in none of them
+        cleaned = {frozenset(f) & rset for f in faces} - {_EMPTY}
+        maximal = {f for f in cleaned if not any(f < g for g in cleaned)}
+        maximal |= {frozenset([v]) for v in rset.difference(*maximal)}
         _set(self, "random_vertices", rnd)
         _set(self, "fixed_vertices", fixed)
         _set(self, "edges", edges)
@@ -282,8 +277,8 @@ class MDag(Record):
 def to_mdag(dag: CausalDag, fixed: Iterable[str] = ()) -> MDag:
     """Marginal DAG of ``dag``: latent vertices abstracted into faces.
 
-    Each latent vertex's set of observed children becomes a maximal face.
-    ``fixed`` must be parentless observed vertices.
+    Each latent vertex's children form a face, which :class:`MDag`
+    normalizes.  ``fixed`` must be parentless observed vertices.
     """
     fixed = set(fixed)
     observed = set(dag.observed())
@@ -298,12 +293,7 @@ def to_mdag(dag: CausalDag, fixed: Iterable[str] = ()) -> MDag:
         for a, b in dag.edges
         if a in observed and b in random_vertices
     }
-    faces = set()
-    for lam in dag.latent():
-        face = frozenset(dag.children(lam) & random_vertices)
-        if face:
-            faces.add(face)
-    return MDag(random_vertices, fixed, edges, faces)
+    return MDag(random_vertices, fixed, edges, [dag.children(lam) for lam in dag.latent()])
 
 
 def districts(m: MDag) -> list[frozenset[str]]:
@@ -312,22 +302,17 @@ def districts(m: MDag) -> list[frozenset[str]]:
     Two vertices share a district iff they are connected through a chain of
     bidirected faces.  Districts are returned sorted by smallest member.
     """
-    parent = {v: v for v in m.random_vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for face in m.faces:
-        members = sorted(face)
-        for u, v in zip(members, members[1:]):
-            parent[find(u)] = find(v)
-    groups: dict[str, set[str]] = {}
-    for v in m.random_vertices:
-        groups.setdefault(find(v), set()).add(v)
-    return sorted((frozenset(g) for g in groups.values()), key=lambda d: min(d))
+    found, faces = [], set(m.faces)
+    for v in m.random_vertices:  # sorted, so each district starts at its smallest member
+        if any(v in d for d in found):
+            continue
+        district, meeting = {v}, True
+        while meeting:
+            meeting = {f for f in faces if not district.isdisjoint(f)}
+            faces -= meeting
+            district.update(*meeting)
+        found.append(frozenset(district))
+    return found
 
 
 def subgraph(m: MDag, district: frozenset[str]) -> MDag:
@@ -498,16 +483,11 @@ def build_hypergraph(dag: CausalDag) -> HyperDag:
     and observed children.
     """
     observed = set(dag.observed())
-    targets = [
-        v
-        for v in sorted(observed)
-        if dag.parents(v) and (dag.children(v) & observed)
-    ]
     vertices = list(dag.vertices)
     edges = set(dag.edges)
     taken = set(dag.names())
     copy_map: dict[str, tuple[str, str]] = {}
-    for v in targets:
+    for v in _mediators(dag):
         for child in sorted(dag.children(v) & observed):
             edges.discard((v, child))
             u = _fresh_name(f"{v}_{child}", taken)
@@ -520,10 +500,13 @@ def build_hypergraph(dag: CausalDag) -> HyperDag:
 
 def is_bell_type(dag: CausalDag) -> bool:
     """No observed vertex has both incoming edges and observed children."""
+    return not _mediators(dag)
+
+
+def _mediators(dag: CausalDag) -> list[str]:
+    """Sorted observed vertices with parents and observed children: the ones the lift reroutes."""
     observed = set(dag.observed())
-    return not any(
-        dag.parents(v) and (dag.children(v) & observed) for v in observed
-    )
+    return [v for v in sorted(observed) if dag.parents(v) and dag.children(v) & observed]
 
 
 def bell_inputs(dag: CausalDag) -> list[str]:

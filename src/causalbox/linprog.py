@@ -36,36 +36,35 @@ from .tables import Record, _rational
 __all__ = ["LinearSystem", "LpResult", "lp_solve"]
 
 
-class LinearSystem:
+class LinearSystem(Record):
     """max objective . x  subject to  equalities, x >= 0.  Coefficients,
     right-hand sides and objective values are rationals (``Fraction`` or
     ``int``); anything else, a float or a bool included, raises ``TypeError``.
     ``equalities`` lists ``(coeffs, rhs)`` pairs and grows through
-    :meth:`add_equality`."""
+    :meth:`add_equality`, so a system is not hashable.  An absent
+    ``objective`` is the empty dict."""
+
+    variables: tuple[str, ...]
+    equalities: list[tuple[dict[str, Fraction], Fraction]]
+    objective: dict[str, Fraction]
 
     def __init__(
         self,
         variables: Sequence[str],
         equalities: Iterable[tuple[Mapping[str, Fraction], Fraction]] = (),
-        objective: dict[str, Fraction] | None = None,
+        objective: Mapping[str, Fraction] | None = None,
     ):
-        self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables):
+        variables, objective = tuple(variables), dict(objective or {})
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        unknown = set(objective or ()) - set(self.variables)
+        unknown = set(objective) - set(variables)
         if unknown:
             raise ValueError(f"objective references undeclared variables {sorted(unknown)}")
-        for v, c in (objective or {}).items():
+        for v, c in objective.items():
             _rational(c, f"objective coefficient of {v}")
-        self.objective = objective
-        self.equalities: list[tuple[dict[str, Fraction], Fraction]] = []
+        super().__init__(variables, [], objective)
         for coeffs, rhs in equalities:
             self.add_equality(coeffs, rhs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     def add_equality(self, coeffs: Mapping[str, Fraction], rhs) -> None:
         known = set(self.variables)
@@ -187,7 +186,7 @@ def lp_solve(system: LinearSystem) -> LpResult:
         rows.append(row)
         dens.append(d)
     costs = [Fraction(0)] * n
-    for v, c in (system.objective or {}).items():
+    for v, c in system.objective.items():
         costs[pos[v]] = Fraction(c)
     status, value, x = _solve(rows, dens, costs)
     if x is None:

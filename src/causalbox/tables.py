@@ -106,7 +106,8 @@ class Record:
     order, and a class attribute of the same name is that field's default.
     ``__init__`` takes the fields by position or keyword.  A record is
     read-only after ``__init__``, equals only a record of its own class
-    with equal fields, and hashes and reprs as its field tuple.
+    with equal fields, and hashes and reprs as its field tuple; a frozenset
+    field reprs with its elements sorted, so equal records repr alike.
 
     Records are not ``dataclasses``: importing that module loads
     ``inspect`` and compiles generated methods for every class, which was
@@ -156,8 +157,17 @@ class Record:
         values = self._values(self)
         if len(self._fields) == 1:
             values = (values,)
-        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, values))
+        shown = ", ".join(f"{n}={_canonical_repr(v)}" for n, v in zip(self._fields, values))
         return f"{type(self).__qualname__}({shown})"
+
+
+def _canonical_repr(value) -> str:
+    """``repr(value)``, but a nonempty frozenset lists its elements sorted by
+    their own canonical reprs instead of in its iteration order, which
+    depends on the set's insertion history."""
+    if isinstance(value, frozenset) and value:
+        return f"frozenset({{{', '.join(sorted(map(_canonical_repr, value)))}}})"
+    return repr(value)
 
 
 def _rational(value, what: str = "kernel entry") -> Fraction:

@@ -12,7 +12,9 @@ from causalbox import (
     CiConstraint,
     CycleError,
     FixedNotParentlessError,
+    HyperDag,
     LATENT,
+    MDag,
     NotADistrictError,
     OBSERVED,
     build_hypergraph,
@@ -434,6 +436,48 @@ def test_graph_queries_match_edge_scanning_reference(dag, data):
         a, b, z = data.draw(groups), data.draw(groups), data.draw(groups)
         assert _outcome(d_separated, dag, a, b, z) == _outcome(ref.d_separated, dag, a, b, z)
     assert _outcome(ci_constraints, dag) == _outcome(lambda g: list(ref.ci_constraints(g)), dag)
+    assert _outcome(topological_order, dag) == _outcome(ref.topological_order, dag)
+
+
+def _mdag_fields(m):
+    return m.random_vertices, m.fixed_vertices, m.edges, m.faces
+
+
+@st.composite
+def _face_families(draw):
+    """A random and a disjoint fixed vertex set, and raw faces: empty,
+    repeated and nested ones, and ones naming vertices outside the random
+    set or outside the graph."""
+    rnd = draw(st.sets(st.sampled_from(_NAMES), max_size=6))
+    fixed = draw(st.sets(st.sampled_from(_NAMES), max_size=3)) - rnd
+    faces = draw(st.lists(st.sets(st.sampled_from(_NAMES + ["Q", "Z"]), max_size=4), max_size=6))
+    faces += [f - {min(f)} for f in faces[:2] if f] + faces[-1:]
+    return rnd, fixed, faces
+
+
+@given(_latent_root_dags(), _face_families(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_graph_rules_match_the_reference(dag, family, data):
+    """MDag's one face normalization, districts as a closure over faces, the
+    shared mediator test and the shared unknown-edge check give the earlier
+    per-site rules' MDags, districts in the same order, Bell-type verdicts,
+    lifts, validation reports and orders or exceptions."""
+    roots = sorted(v for v in dag.observed() if not dag.parents(v))
+    fixed = data.draw(st.sets(st.sampled_from(roots))) if roots else set()
+    mdags = [MDag(*family[:2], (), family[2])]
+    assert _mdag_fields(mdags[0]) == ref.mdag_fields(*family[:2], (), family[2])
+    for fix in ((), fixed):
+        m = to_mdag(dag, fix)
+        assert _mdag_fields(m) == ref.to_mdag_fields(dag, fix)
+        mdags.append(m)
+    for m in mdags:
+        assert districts(m) == ref.districts(m)
+    assert is_bell_type(dag) == ref.is_bell_type(dag)
+    lift = _outcome(build_hypergraph, dag)
+    assert lift == _outcome(ref.build_hypergraph, dag)
+    if isinstance(lift, HyperDag):
+        assert is_bell_type(lift.base) == ref.is_bell_type(lift.base)
+    assert validate(dag) == ref.validate(dag)
     assert _outcome(topological_order, dag) == _outcome(ref.topological_order, dag)
 
 

@@ -115,6 +115,17 @@ def test_system_equals_only_a_system():
     assert system != ("x",)
 
 
+def test_system_is_a_record_whose_absent_objective_is_empty():
+    assert LinearSystem(("x",)) == LinearSystem(("x",), objective={})
+    system = LinearSystem(("x",), [({"x": 1}, 2)], {"x": Fraction(1)})
+    assert repr(system) == (
+        "LinearSystem(variables=('x',), equalities=[({'x': 1}, Fraction(2, 1))], "
+        "objective={'x': Fraction(1, 1)})"
+    )
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(system)
+
+
 def test_duplicate_variable_names_rejected():
     with pytest.raises(ValueError, match="duplicate variable names"):
         LinearSystem(("x", "y", "x"))
