@@ -6,8 +6,10 @@ and, for observed vertices, ``cardinality``) and ``edges`` (list of
 ``index_variables`` (ordered lists of ``{name, cardinality}``) plus
 ``table``, a mapping from comma-joined assignment strings to rational
 strings such as ``"1/3"`` or ``"1"`` (integers are read too; a float is
-rejected).  Parsing and printing round-trip exactly; zero entries may be
-omitted.
+rejected).  Exact decimal strings such as ``"0.25"`` or ``"1e0"`` are read
+exactly; a string with ``_`` or a non-ASCII character is rejected, so a
+value reads alike on every supported Python.  Parsing and printing
+round-trip exactly; zero entries may be omitted.
 """
 
 from __future__ import annotations
@@ -152,7 +154,10 @@ def kernel_from_dict(doc: dict) -> Kernel:
         if isinstance(raw, float):
             raise FileFormatError(f"table value {raw} at '{key}' is a float, not a rational")
         try:
-            table[values] = Fraction(str(raw))
+            text = str(raw)
+            if "_" in text or not text.isascii():  # Fraction reads these by Python version
+                raise ValueError(text)
+            table[values] = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise FileFormatError(f"table value '{raw}' is not a rational")
     try:

@@ -44,11 +44,11 @@ from .tables import (
     Record,
     _check_joint,
     _index_map,
+    _laid_out,
     _numerators,
     _sums,
     assignments,
     project,
-    reorder,
 )
 
 __all__ = [
@@ -230,7 +230,7 @@ def _certificate_check(p: Kernel, h: HyperDag, certificate: Kernel) -> PsVerdict
             "not_member", reason=f"certificate violates {verdict.violations[0].record}"
         )
     projected = project(certificate, h.copies)  # over the observed vertices of p
-    if reorder(p, projected.outcome_vars, ()) != projected:
+    if tuple(_laid_out(p, projected.outcome_vars, ())) != projected.entries:
         return PsVerdict("not_member", reason="certificate does not project to the target")
     return PsVerdict("member", certificate=certificate, scale=None)
 

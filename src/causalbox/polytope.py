@@ -39,7 +39,16 @@ from .graphs import (
     topological_order,
 )
 from .linprog import _lowest, _solve
-from .tables import Kernel, Record, _laid_out, _numerators, _position, _rational, assignments
+from .tables import (
+    Kernel,
+    Record,
+    _key_position,
+    _laid_out,
+    _numerators,
+    _position,
+    _rational,
+    assignments,
+)
 
 __all__ = [
     "Vertex",
@@ -231,14 +240,14 @@ def maximize_functional(
 ) -> tuple[Fraction, Vertex | Kernel]:
     """Maximize a linear functional over a finite vertex list, exactly.  Keys
     of ``functional`` are assignments in the first vertex's variable order,
-    and every vertex is read by name in that layout.  Values are ``int`` or
-    ``Fraction``; anything else raises ``TypeError``."""
+    checked as in ``Kernel.from_mapping``, and every vertex is read by name
+    in that layout.  Values are ``int`` or ``Fraction``; anything else
+    raises ``TypeError``."""
     if not vertices:
         raise ValueError("vertex list is empty")
     first = vertices[0].table if isinstance(vertices[0], Vertex) else vertices[0]
-    names = first.var_names()
     terms = [
-        (_position(first.variables, dict(zip(names, x))), _rational(c, "functional value"))
+        (_key_position(first.variables, x), _rational(c, "functional value"))
         for x, c in functional.items()
     ]
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
-from .tables import Kernel, Record, Var, _index_map, _position, _set, marginalize
+from .tables import Kernel, Record, Var, _index_map, _position, _set, _sums
 
 __all__ = [
     "Expr",
@@ -261,20 +261,19 @@ class Evaluator:
         if not table.is_prob_table:
             raise ValueError("recipes evaluate against a joint probability table")
         self._table = table
-        self._margins: dict[frozenset[str], Kernel] = {}
+        self._margins: dict[tuple[Var, ...], list[Fraction]] = {}
         self._tables: dict[Expr, list[Fraction | None]] = {}
 
     def cardinality(self, name: str) -> int:
         return self._table.cardinality(name)
 
-    def _margin(self, keep: Iterable[str], layout: tuple[Var, ...]) -> list[Fraction]:
+    def _margin(self, keep: Sequence[str], layout: tuple[Var, ...]) -> list[Fraction]:
         """The (cached) margin over ``keep``, read out over ``layout``."""
-        keep = frozenset(keep)
-        if keep not in self._margins:
-            drop = [n for n in self._table.var_names() if n not in keep]
-            self._margins[keep] = marginalize(self._table, drop)
-        m = self._margins[keep]
-        return [m.entries[p] for p in _index_map(layout, m.variables)]
+        kept = tuple(v for v in self._table.variables if v[0] in keep)
+        margin = self._margins.get(kept)
+        if margin is None:
+            margin = self._margins[kept] = _sums(self._table.entries, self._table.variables, kept)
+        return [margin[p] for p in _index_map(layout, kept)]
 
     def table(self, e: Expr, names: Sequence[str]) -> list[Fraction | None]:
         """Values of ``e`` at every assignment of ``names``, which must cover

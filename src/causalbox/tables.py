@@ -19,7 +19,8 @@ diagonals and products over the table are read through such maps.
 Entries are :class:`fractions.Fraction`, so equality constraints on tables
 are decidable: two kernels are equal iff every entry is equal.  Each input
 rule has one check here: ``_rational`` reads kernel entries and linear-system
-data, ``_is_cardinality`` accepts a positive ``int`` only, and
+data, ``_is_cardinality`` accepts a positive ``int`` only, ``_key_position``
+reads an assignment tuple of the right length and range, and
 ``_laid_out(kernel, outcome_vars, index_vars)`` reads a kernel in another
 layout, matched by name, cardinality and side.  :func:`reorder` reads
 through it, and so does ``_numerators``, which gives integer numerators
@@ -256,15 +257,14 @@ class Kernel(Record):
     ) -> "Kernel":
         """Build a kernel from a sparse mapping of full assignment tuples.
 
-        Keys are assignments of ``outcome_vars + index_vars`` in order;
-        missing cells are zero.
+        Keys are assignments of ``outcome_vars + index_vars`` in order, each
+        checked by ``_key_position``; missing cells are zero.
         """
-        outcome_vars = tuple(outcome_vars)
-        index_vars = tuple(index_vars)
-        entries = []
-        for values in assignments(outcome_vars + index_vars):
-            entries.append(table.get(values, Fraction(0)))
-        return cls(outcome_vars, index_vars, tuple(entries))
+        variables = tuple(outcome_vars) + tuple(index_vars)
+        entries = [Fraction(0)] * prod(c for _, c in variables)
+        for key, value in table.items():
+            entries[_key_position(variables, key)] = value
+        return cls(outcome_vars, index_vars, entries)
 
     # -- access ------------------------------------------------------------
 
@@ -345,6 +345,18 @@ def _position(variables: Sequence[Var], assignment: Assignment) -> int:
             raise CardinalityMismatchError(f"{name} = {value} is outside 0..{card - 1}")
         pos = pos * card + value
     return pos
+
+
+def _key_position(variables: Sequence[Var], key: Sequence[int]) -> int:
+    """Flat position in ``variables``' layout of an assignment tuple ``key``.
+
+    Raises ``ValueError`` for a key of the wrong length and
+    :class:`CardinalityMismatchError` for a value outside its range.
+    """
+    if len(key) != len(variables):
+        raise ValueError(f"assignment {tuple(key)} has {len(key)} values, "
+                         f"expected {len(variables)}")
+    return _position(variables, dict(zip((n for n, _ in variables), key)))
 
 
 def _index_map(variables: Sequence[Var], onto: Sequence[Var]) -> list[int]:
@@ -473,16 +485,17 @@ def ci_violation(
         raise ValueError("a, b, z must be disjoint")
     for group in (a, b, z):  # raises UnknownVariableError, group by group
         _partition_vars(table.variables, group)
-    p_abz = marginalize(table, set(table.var_names()) - a - b - z)
-    p_az = marginalize(p_abz, b)
-    p_bz = marginalize(p_abz, a)
-    p_z = marginalize(p_az, a)
-    abz = p_abz.variables
-    at_az, at_bz, at_z = (_index_map(abz, m.variables) for m in (p_az, p_bz, p_z))
+    abz = tuple(v for v in table.variables if v[0] in a | b | z)
+    p_abz = _sums(table.entries, table.variables, abz)
+
+    def at_abz(keep):  # the margin of p_abz over ``keep``, read at every cell of abz
+        kept = tuple(v for v in abz if v[0] in keep)
+        margin = _sums(p_abz, abz, kept)
+        return [margin[p] for p in _index_map(abz, kept)]
+
+    p_az, p_bz, p_z = at_abz(a | z), at_abz(b | z), at_abz(z)
     for i, values in enumerate(assignments(abz)):
-        v_z = p_z.entries[at_z[i]]
-        v_az, v_bz = p_az.entries[at_az[i]], p_bz.entries[at_bz[i]]
-        if v_z != 0 and p_abz.entries[i] * v_z != v_az * v_bz:
+        if p_z[i] != 0 and p_abz[i] * p_z[i] != p_az[i] * p_bz[i]:
             return dict(zip([n for n, _ in abz], values))
     return None
 

@@ -543,6 +543,26 @@ def test_i_member_matches_ci_records(rng):
 
 
 @pytest.mark.parametrize("member", [i_member, check_nested])
+def test_membership_builds_no_kernel(member, rng, monkeypatch):
+    """The CI test and the recipe evaluator read margins as flat lists, so
+    deciding a joint on the benchmark's chain graph builds no ``Kernel``
+    once the graph's records are cached."""
+    g = _chain_graph()
+    joints = [random_network(g, rng).joint_observed() for _ in range(2)]
+    # a mixture of two network joints, which breaks some CI record
+    entries = [(p + q) / 2 for p, q in zip(joints[0].entries, joints[1].entries)]
+    mixed = Kernel(joints[0].variables, (), entries)
+    for joint in (joints[0], mixed):
+        member(joint, g)
+    built = []
+    init = Kernel.__init__
+    monkeypatch.setattr(Kernel, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    verdicts = [member(joint, g).member for joint in (joints[0], mixed)]
+    assert verdicts == [True, False]
+    assert built == []
+
+
+@pytest.mark.parametrize("member", [i_member, check_nested])
 def test_membership_rejects_tables_over_other_variables(member, rng):
     # the six-variable joint of a tripartite box against gyni's four vertices
     table = random_rational_table(rng, [(n, 2) for n in "ABCXYZ"])

@@ -161,3 +161,27 @@ def test_table_keys_naming_one_cell_twice_are_rejected(again):
     }
     with pytest.raises(FileFormatError, match=re.escape(f"table keys '0' and '{again}' name one cell")):
         kernel_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "text, value", [("0.25", Fraction(1, 4)), ("1e0", 1), ("1/3", Fraction(1, 3))]
+)
+def test_exact_decimal_strings_are_read_exactly(text, value):
+    doc = {
+        "variables": [{"name": "A", "cardinality": 2}],
+        "index_variables": [],
+        "table": {"0": text, "1": str(1 - value)},
+    }
+    assert kernel_from_dict(doc).value({"A": 0}) == value
+
+
+@pytest.mark.parametrize("text", ["1_0", "1/1_0", "١", "١/٣", "１"])
+def test_underscores_and_non_ascii_digits_are_not_rationals(text):
+    # Fraction reads these on some supported Pythons and not on others
+    doc = {
+        "variables": [{"name": "A", "cardinality": 1}],
+        "index_variables": [],
+        "table": {"0": text},
+    }
+    with pytest.raises(FileFormatError, match=f"^table value '{text}' is not a rational$"):
+        kernel_from_dict(doc)

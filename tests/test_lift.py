@@ -16,6 +16,7 @@ from causalbox import (
     Kernel,
     LATENT,
     MultiLatentError,
+    NotNoSignallingError,
     OBSERVED,
     build_hypergraph,
     check_nested,
@@ -24,6 +25,7 @@ from causalbox import (
     ci_holds,
     bell_inputs,
     classical_member,
+    decompose_ns_box,
     enumerate_classical_vertices,
     enumerate_h_vertices,
     gyni_box,
@@ -515,6 +517,63 @@ def test_network_joints_climb_the_hierarchy(name):
         assert verdict.member and 0 < verdict.scale <= 1
         assert check_nested(p, g).member
     assert skewed >= 3
+
+
+def _small_rows(rng, outcome_vars, index_vars):
+    """A kernel whose rows have denominators of at most 12, zeros included."""
+    width = prod(c for _, c in index_vars)
+    height = prod(c for _, c in outcome_vars)
+    rows = []
+    for _ in range(width):
+        w = [rng.choice((0, 0, 1, 2, 3)) for _ in range(height)]
+        w[rng.randrange(height)] += not any(w)
+        rows.append([Fraction(x, sum(w)) for x in w])
+    entries = [rows[k % width][k // width] for k in range(width * height)]
+    return Kernel(outcome_vars, index_vars, entries)
+
+
+def test_ps_is_classical_on_the_binary_instrumental_graph():
+    """PS(G) = C(G) on the binary instrumental graph: the LP lift and the
+    deterministic strategies agree on seeded tables with zero cells."""
+    g = instrumental_graph()
+    rng = random.Random(13)
+    verdicts = []
+    for _ in range(120):
+        k = _small_rows(rng, (("A", 2), ("B", 2)), (("X", 2),))
+        member = classical_member(k, g).member
+        assert ps_member(join_inputs(k, uniform_table(k.index_vars)), g).member == member
+        verdicts.append(member)
+    assert 20 <= sum(verdicts) <= 110
+
+
+def test_ps_is_no_signalling_on_chsh():
+    """PS(G) = NS on chsh: the PS verdict is ``ns_member``'s, and exactly
+    its members decompose into a PR box plus local boxes."""
+    g = chsh_graph()
+    h = build_hypergraph(g)
+    vertices = ns_box_vertices()
+    template = vertices[0]
+    signalling = Kernel.from_function(  # A answers Bob's input Y
+        template.outcome_vars, template.index_vars, lambda v: int(v["A"] == v["Y"] and v["B"] == 0)
+    )
+    rng = random.Random(14)
+    verdicts = []
+    for n in range(60):
+        picks = rng.sample(vertices, rng.randint(1, 3)) + [signalling] * (n % 2)
+        weights = [rng.randint(1, 3) for _ in picks]
+        box = Kernel(template.outcome_vars, template.index_vars, [
+            sum(Fraction(w, sum(weights)) * t.entries[k] for w, t in zip(weights, picks))
+            for k in range(len(template.entries))
+        ])
+        member = ns_member(box, h)
+        assert ps_member(join_inputs(box, uniform_table(box.index_vars)), g).member == member
+        if member:
+            decompose_ns_box(box)
+        else:
+            with pytest.raises(NotNoSignallingError):
+                decompose_ns_box(box)
+        verdicts.append(member)
+    assert verdicts == [n % 2 == 0 for n in range(60)]
 
 
 @pytest.mark.parametrize("make", [chsh_graph, instrumental_graph], ids=["chsh", "instrumental"])

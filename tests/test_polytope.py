@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from causalbox import (
+    CardinalityMismatchError,
     CausalDag,
     ClassicalNetwork,
     Kernel,
@@ -382,6 +383,18 @@ def test_functional_values_must_be_rational(value):
 def test_maximize_over_no_vertex_is_an_error():
     with pytest.raises(ValueError, match="vertex list is empty"):
         maximize_functional({}, [])
+
+
+def test_functional_keys_must_name_a_cell():
+    """A long key is not cut to the vertices' four variables, and a short
+    or out-of-range one is refused as in ``Kernel.from_mapping``."""
+    vertices = [local_box(0), local_box(5)]
+    with pytest.raises(ValueError, match="has 5 values, expected 4"):
+        maximize_functional({(0, 0, 0, 0, 9): 1}, vertices)
+    with pytest.raises(ValueError, match="has 3 values, expected 4"):
+        maximize_functional({(0, 0, 0): 1}, vertices)
+    with pytest.raises(CardinalityMismatchError, match="Y = 2 is outside 0..1"):
+        maximize_functional({(0, 0, 0, 2): 1}, vertices)
 
 
 def test_gyni_win_matches_bruteforce():

@@ -159,6 +159,29 @@ def test_conditional_moves_variables():
         )
 
 
+@pytest.mark.parametrize("build", [
+    lambda table: Kernel.from_mapping((("A", 2),), (("X", 2),), table),
+    lambda table: prob_table((("A", 2), ("X", 2)), table),
+], ids=["from_mapping", "prob_table"])
+def test_mapping_keys_must_name_a_cell(build):
+    """A key that names no cell is an error, never silently dropped, even
+    when its value is zero."""
+    rows = {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2), (0, 1): 1}
+    with pytest.raises(CardinalityMismatchError, match="A = 7 is outside 0..1"):
+        build({**rows, (7, 0): 0})
+    with pytest.raises(CardinalityMismatchError, match="X = 2 is outside 0..1"):
+        build({**rows, (0, 2): 0})
+    for key in [(0,), (0, 0, 0)]:
+        with pytest.raises(ValueError, match=f"has {len(key)} values, expected 2"):
+            build({**rows, key: 0})
+
+
+def test_point_mass_outside_the_range_names_the_value():
+    with pytest.raises(CardinalityMismatchError, match="A = 2 is outside 0..1"):
+        point_mass((("A", 2),), {"A": 2})
+    assert point_mass((("A", 2),), {"A": 1}).entries == (0, 1)
+
+
 def test_ci_product_distribution():
     p = uniform_table((("X", 2), ("Y", 3)))
     assert ci_holds(p, {"X"}, {"Y"}, set())
