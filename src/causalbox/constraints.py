@@ -275,10 +275,14 @@ def _enumerate_constraints_cached(dag: CausalDag) -> tuple[ConstraintRecord, ...
     order = _observed_order(dag)
     verma: dict[tuple, VermaConstraint] = {}
     visited: set[tuple] = set()
+    reduced: dict = {}  # canonical form -> reduce_expr of the first kernel with it
     stack: list[tuple[MDag, Expr]] = [(to_mdag(dag), _chain_expr(order))]
     while stack:
         m, k = stack.pop()
-        k = reduce_expr(k, dag)
+        raw = canonical(k)
+        if raw not in reduced:
+            reduced[raw] = reduce_expr(k, dag)
+        k = reduced[raw]
         # an MDag keeps sorted tuples and frozensets, so it is its own key
         key = (m, canonical(k))
         if key in visited:

@@ -18,7 +18,7 @@ from functools import lru_cache, total_ordering
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .tables import Record, _is_cardinality, _set
+from .tables import Record, _is_cardinality, _name_sets, _set
 
 __all__ = [
     "OBSERVED",
@@ -354,10 +354,10 @@ def d_separated(
     ``z``, and no non-collider on it is in ``z``; the sets are d-separated
     when no active path connects them.
 
-    Implemented as the standard reachability search over (vertex, direction)
-    states, linear in the size of the graph.
+    Implemented as one :func:`_d_connected` search from ``a`` that stops at
+    the first vertex of ``b`` it reaches, linear in the size of the graph.
     """
-    a, b, z = set(a), set(b), set(z)
+    a, b, z = _name_sets(a, b, z)
     for group in (a, b, z):
         unknown = group - dag._spec.keys()
         if unknown:
@@ -366,34 +366,42 @@ def d_separated(
         raise ValueError("a, b, z must be pairwise disjoint")
     if not a or not b:
         return True
+    return b.isdisjoint(_d_connected(dag, a, z, stop=b))
+
+
+def _d_connected(dag: CausalDag, sources: set[str], z: set[str], stop=_EMPTY) -> set[str]:
+    """Every vertex that an active path given ``z`` reaches from ``sources``.
+
+    Shachter's Bayes-ball search (1998) over (vertex, direction) states.  A
+    ball at a vertex outside ``z`` goes on to its children, and to its
+    parents too if it came from a child; a ball at a vertex of ``z`` only
+    bounces back up to its parents, and only if it came from a parent.  So
+    a collider with a descendant in ``z`` is passed by going down to that
+    descendant and bouncing back up, and no ancestor set of ``z`` is needed.
+    The result holds ``sources`` and may hold vertices of ``z``.  The search
+    stops as soon as it reaches a vertex of ``stop``, which the result then
+    holds.
+    """
     parents, children = dag._parents, dag._children
-    # vertices with a descendant in z (including z itself)
-    anc_of_z = set(z)
-    frontier = list(z)
-    while frontier:
-        for p in parents.get(frontier.pop(), _EMPTY):
-            if p not in anc_of_z:
-                anc_of_z.add(p)
-                frontier.append(p)
     # states: (vertex, True) approaching from a child, (vertex, False)
     # approaching from a parent; one visited set per direction
-    up, down = set(a), set()
-    frontier = [(v, True) for v in a]
+    up, down = set(sources), set()
+    frontier = [(v, True) for v in sources]
     while frontier:
         v, from_child = frontier.pop()
-        if v in b:
-            return False
+        if v in stop:
+            break
         if v not in z:
             for c in children.get(v, _EMPTY):
                 if c not in down:
                     down.add(c)
                     frontier.append((c, False))
-        if (v not in z) if from_child else (v in anc_of_z):
+        if (v not in z) if from_child else (v in z):
             for p in parents.get(v, _EMPTY):
                 if p not in up:
                     up.add(p)
                     frontier.append((p, True))
-    return True
+    return up | down
 
 
 @total_ordering
@@ -427,8 +435,11 @@ def ci_constraints(dag: CausalDag) -> list[CiConstraint]:
     """All singleton-pair conditional independences among observed vertices.
 
     Enumerates statements (A indep B | Z) with A, B single observed vertices
-    and Z ranging over subsets of the remaining observed vertices, filtered
-    by d-separation.  Set-valued statements are recovered by conjunction.
+    and Z ranging over subsets of the remaining observed vertices.  For each
+    Z, one d-connection search from each observed vertex outside Z answers
+    every later one at once: A and B are independent given Z when the
+    search from A does not reach B.  Set-valued statements are recovered by
+    conjunction.
     """
     return list(_ci_constraints_cached(dag))
 
@@ -436,13 +447,17 @@ def ci_constraints(dag: CausalDag) -> list[CiConstraint]:
 @lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _ci_constraints_cached(dag: CausalDag) -> tuple[CiConstraint, ...]:
     observed = sorted(dag.observed())
+    if len(set(observed)) < len(observed):
+        # a repeated name pairs with itself, as in d_separated(dag, {a}, {a}, ...)
+        raise ValueError("a, b, z must be pairwise disjoint")
     found = []
-    for a, b in combinations(observed, 2):
-        rest = [v for v in observed if v not in (a, b)]
-        for r in range(len(rest) + 1):
-            for given in combinations(rest, r):
-                if d_separated(dag, {a}, {b}, set(given)):
-                    found.append(CiConstraint(a, b, frozenset(given)))
+    for r in range(len(observed) - 1):
+        for given in combinations(observed, r):
+            z = set(given)
+            free = [v for v in observed if v not in z]
+            for i, a in enumerate(free[:-1]):
+                reached = _d_connected(dag, {a}, z)
+                found += [CiConstraint(a, b, z) for b in free[i + 1:] if b not in reached]
     return tuple(sorted(found, key=CiConstraint.sort_key))
 
 

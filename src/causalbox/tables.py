@@ -19,8 +19,10 @@ diagonals and products over the table are read through such maps.
 Entries are :class:`fractions.Fraction`, so equality constraints on tables
 are decidable: two kernels are equal iff every entry is equal.  Each input
 rule has one check here: ``_rational`` reads kernel entries and linear-system
-data, ``_is_cardinality`` accepts a positive ``int`` only, ``_key_position``
-reads an assignment tuple of the right length and range, and
+data, ``_is_cardinality`` accepts a positive ``int`` only, ``_value`` accepts
+an ``int`` only as a variable's value, ``_key_position`` reads an assignment
+tuple of the right length and range, ``_name_sets`` refuses a bare string as
+a group of names, and
 ``_laid_out(kernel, outcome_vars, index_vars)`` reads a kernel in another
 layout, matched by name, cardinality and side.  :func:`reorder` reads
 through it, and so does ``_numerators``, which gives integer numerators
@@ -332,7 +334,8 @@ def _partition_vars(
 def _position(variables: Sequence[Var], assignment: Assignment) -> int:
     """Flat position in ``variables``' layout of a full assignment by name.
 
-    Raises :class:`UnknownVariableError` for a missing name and
+    Raises :class:`UnknownVariableError` for a missing name, ``TypeError``
+    for a value that is not an ``int`` (see :func:`_value`) and
     :class:`CardinalityMismatchError` for a value outside its range.
     """
     missing = [n for n, _ in variables if n not in assignment]
@@ -340,11 +343,29 @@ def _position(variables: Sequence[Var], assignment: Assignment) -> int:
         raise UnknownVariableError(f"assignment missing {missing}")
     pos = 0
     for name, card in variables:
-        value = assignment[name]
+        value = _value(name, assignment[name])
         if not 0 <= value < card:
             raise CardinalityMismatchError(f"{name} = {value} is outside 0..{card - 1}")
         pos = pos * card + value
     return pos
+
+
+def _value(name: str, value) -> int:
+    """``value`` of variable ``name``, which must be an ``int``: anything else
+    (a bool, float, string or ``None`` included) raises ``TypeError`` naming
+    the variable."""
+    if type(value) is not int:
+        raise TypeError(f"{name} = {value!r} is a {type(value).__name__}, not an int")
+    return value
+
+
+def _name_sets(a, b, z) -> tuple[set[str], set[str], set[str]]:
+    """The groups of a CI statement as sets of names.  A bare string raises
+    ``TypeError``: as a group it would split into its characters."""
+    for label, group in (("a", a), ("b", b), ("z", z)):
+        if isinstance(group, str):
+            raise TypeError(f"{label} is the string {group!r}, not a collection of names")
+    return set(a), set(b), set(z)
 
 
 def _key_position(variables: Sequence[Var], key: Sequence[int]) -> int:
@@ -433,7 +454,7 @@ def condition(kernel: Kernel, event: Assignment) -> Kernel:
     if not pinned:
         return kernel
     for name, card in pinned:
-        if not 0 <= event[name] < card:
+        if not 0 <= _value(name, event[name]) < card:
             raise CardinalityMismatchError(f"value {event[name]} out of range for {name}")
     offset = _position(kernel.variables, {**dict.fromkeys(kernel.var_names(), 0), **event})
     index = kernel.index_vars
@@ -480,7 +501,7 @@ def ci_violation(
     """
     if not table.is_prob_table:
         raise ValueError("CI test expects a probability table without index variables")
-    a, b, z = set(a), set(b), set(z)
+    a, b, z = _name_sets(a, b, z)
     if (a & b) or (a & z) or (b & z):
         raise ValueError("a, b, z must be disjoint")
     for group in (a, b, z):  # raises UnknownVariableError, group by group

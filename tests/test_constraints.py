@@ -41,6 +41,7 @@ from causalbox.recipes import (
     ProductExpr,
     QuotientExpr,
     SumExpr,
+    canonical,
     free_vars,
     render,
 )
@@ -266,6 +267,25 @@ def test_records_match_the_reference_normalizer(monkeypatch):
         constraints._enumerate_constraints_cached.cache_clear()
     assert library == reference
     assert sum(r.startswith("VERMA") for records in library for r in records) >= 30
+
+
+def test_each_kernel_is_reduced_once_per_enumeration(monkeypatch):
+    """The recursion meets 25 kernels on the benchmark's chain graph, 12 of
+    them again; each distinct one is reduced once."""
+    seen, reduce = [], constraints.reduce_expr
+
+    def counting(e, dag):
+        seen.append(canonical(e))
+        return reduce(e, dag)
+
+    monkeypatch.setattr(constraints, "reduce_expr", counting)
+    try:
+        constraints._enumerate_constraints_cached.cache_clear()
+        records = enumerate_constraints(_chain_graph())
+    finally:
+        constraints._enumerate_constraints_cached.cache_clear()
+    assert len(seen) == len(set(seen)) == 13
+    assert sum(isinstance(r, VermaConstraint) for r in records) == 1
 
 
 # -- membership -------------------------------------------------------------------

@@ -355,6 +355,16 @@ def test_dsep_rejects_overlap():
         d_separated(chsh_graph(), {"A"}, {"A"}, set())
 
 
+@pytest.mark.parametrize("a, b, z, label", [
+    ("V0", ["V2"], [], "a"), (["V0"], "V2", [], "b"), (["V0"], ["V2"], "V1", "z"), (["V0"], ["V2"], "", "z"),
+])
+def test_dsep_refuses_a_string_as_a_group(a, b, z, label):
+    """A bare string would split into characters: "V0" would name V and 0."""
+    g = _chain_with_latents(6, [(0, 2), (3, 5)])
+    with pytest.raises(TypeError, match=f"^{label} is the string '.*', not a collection of names$"):
+        d_separated(g, a, b, z)
+
+
 @pytest.mark.parametrize("name,dag", sorted(all_test_graphs().items()))
 def test_dsep_matches_path_oracle(name, dag):
     names = sorted(dag.names())
@@ -437,6 +447,38 @@ def test_graph_queries_match_edge_scanning_reference(dag, data):
         assert _outcome(d_separated, dag, a, b, z) == _outcome(ref.d_separated, dag, a, b, z)
     assert _outcome(ci_constraints, dag) == _outcome(lambda g: list(ref.ci_constraints(g)), dag)
     assert _outcome(topological_order, dag) == _outcome(ref.topological_order, dag)
+
+
+def _chain_with_latents(n, confounded):
+    """V0 -> V1 -> ... -> V{n-1}, and latent Lk a common cause of the k-th
+    pair of vertex indices in ``confounded``."""
+    names = [f"V{i}" for i in range(n)]
+    vertices = [(v, OBSERVED, 2) for v in names] + [(f"L{k}", LATENT) for k in range(len(confounded))]
+    edges = list(zip(names, names[1:]))
+    edges += [(f"L{k}", names[i]) for k, pair in enumerate(confounded) for i in pair]
+    return CausalDag(vertices, edges)
+
+
+@pytest.mark.parametrize("n, confounded, count", [
+    (6, [(0, 2), (3, 5)], 56),  # the benchmark's nested-chain graph
+    (8, [(0, 2), (3, 5), (5, 7)], 392),
+], ids=["chain6", "chain8"])
+def test_ci_enumeration_matches_the_reference_on_chains(n, confounded, count):
+    """One search per (source, conditioning set) gives the per-pair
+    reference's records in order, here also past the 7 observed vertices
+    that the hypothesis strategy draws."""
+    dag = _chain_with_latents(n, confounded)
+    records = ci_constraints(dag)
+    assert len(records) == count
+    assert records == list(ref.ci_constraints(dag))
+
+
+def test_ci_enumeration_refuses_a_repeated_observed_name():
+    """The error the per-pair reference raises when it asks
+    d_separated(dag, {A}, {A}, ...)."""
+    dag = CausalDag([("A", OBSERVED, 2), ("B", OBSERVED, 2), ("A", OBSERVED, 3)], [("A", "B")])
+    with pytest.raises(ValueError, match="^a, b, z must be pairwise disjoint$"):
+        ci_constraints(dag)
 
 
 def _mdag_fields(m):

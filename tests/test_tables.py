@@ -182,6 +182,21 @@ def test_point_mass_outside_the_range_names_the_value():
     assert point_mass((("A", 2),), {"A": 1}).entries == (0, 1)
 
 
+@pytest.mark.parametrize("value, kind", [(1.0, "float"), (True, "bool"), ("1", "str"), (None, "NoneType")])
+@pytest.mark.parametrize("read", [
+    lambda v: uniform_table((("A", 2), ("B", 2))).value({"A": v, "B": 0}),
+    lambda v: Kernel.from_mapping((("A", 2),), (("B", 2),), {(v, 0): 1, (0, 1): 1}),
+    lambda v: condition(uniform_table((("A", 2), ("B", 2))), {"A": v}),
+    lambda v: point_mass((("B", 2), ("A", 2)), {"A": v, "B": 0}),
+], ids=["value", "from_mapping", "condition", "point_mass"])
+def test_a_variable_value_must_be_an_int(read, value, kind):
+    """A value that is not an int is refused by name, never read as a
+    position (True as 1) or failed on with a bare indexing error."""
+    with pytest.raises(TypeError, match=f"^A = {value!r} is a {kind}, not an int$"):
+        read(value)
+    read(1)
+
+
 def test_ci_product_distribution():
     p = uniform_table((("X", 2), ("Y", 3)))
     assert ci_holds(p, {"X"}, {"Y"}, set())
@@ -197,6 +212,18 @@ def test_ci_pr_box_with_uniform_inputs():
     joint = join_inputs(pr_box(), uniform_table((("X", 2), ("Y", 2))))
     assert ci_holds(joint, {"A"}, {"Y"}, set())
     assert not ci_holds(joint, {"A"}, {"B"}, {"X", "Y"})
+
+
+@pytest.mark.parametrize("a, b, z, label", [
+    ("AB", ["X"], [], "a"), (["A"], "X", [], "b"), (["A"], ["B"], "X", "z"), (["A"], ["B"], "", "z"),
+])
+def test_ci_refuses_a_string_as_a_group(a, b, z, label):
+    """A bare string would split into characters: "AB" would test {A, B}."""
+    joint = join_inputs(pr_box(), uniform_table((("X", 2), ("Y", 2))))
+    with pytest.raises(TypeError, match=f"^{label} is the string '.*', not a collection of names$"):
+        ci_violation(joint, a, b, z)
+    with pytest.raises(TypeError, match=f"^{label} is the string"):
+        ci_holds(joint, a, b, z)
 
 
 def _ci_bruteforce(p, a, b, z):
