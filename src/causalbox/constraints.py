@@ -177,23 +177,26 @@ def _observed_order(dag: CausalDag, order=None) -> list[str]:
     out = [v for v in order if v in observed]
     if set(out) != observed:
         raise ValueError("order must cover all observed vertices")
+    position = {v: i for i, v in enumerate(out)}
+    for v in out:
+        late = sorted(u for u in dag.parents(v) if position.get(u, -1) > position[v])
+        if late:
+            raise ValueError(f"order lists {v} before its parent {late[0]}")
     return out
 
 
-def _chain_expr(order: list[str]) -> Expr:
-    parts = []
-    for i, v in enumerate(order):
-        parts.append(factor((v,), tuple(order[:i])))
-    return product(parts)
+def _chain_expr(order: list[str], within=None) -> Expr:
+    """Tian's chain factors p(v | the vertices before v in ``order``), for
+    every v or only for those in ``within``."""
+    return product(
+        factor((v,), order[:i]) for i, v in enumerate(order) if within is None or v in within
+    )
 
 
 def _kernel_conditional(k: Expr, v: str, present: list[str]) -> Expr:
     """Conditional of the current kernel on its random predecessors."""
-    pos = present.index(v)
-    later = present[pos + 1 :]
-    num = simplify(sum_over(later, k))
-    den = simplify(sum_over([v] + later, k))
-    return simplify(quotient(num, den))
+    later = present[present.index(v) + 1 :]
+    return simplify(quotient(sum_over(later, k), sum_over([v] + later, k)))
 
 
 def district_kernel_recipe(
@@ -203,25 +206,31 @@ def district_kernel_recipe(
 
     Tian's district factorization: the product of the district's chain
     factors p(v | observed predecessors of v), reduced modulo the graph's
-    conditional independences (:func:`reduce_expr`).
+    conditional independences (:func:`reduce_expr`).  ``order`` must be a
+    topological order of the observed vertices.
     """
     order = _observed_order(dag, order)
     if district not in districts(to_mdag(dag)):
         raise NotADistrictError(f"{sorted(district)} is not a district")
-    parts = [factor((v,), order[:i]) for i, v in enumerate(order) if v in district]
-    return reduce_expr(product(parts), dag)
+    return reduce_expr(_chain_expr(order, district), dag)
 
 
-def _blocks(cells: list, width: int):
-    """Per block of ``width`` consecutive cells: the block, the offsets of its
+def _scan(ev: Evaluator, recipe: Expr, outer: list[str], inner: list[str]):
+    """Lay ``recipe`` out over ``outer + inner`` and read it one block of
+    ``inner`` cells per outer assignment, in mixed-radix order.
+
+    Yields the outer assignment's values, the block, the offsets of its
     first defined cell and of the first cell differing from that one (or
-    ``None``), and whether some cell is undefined."""
-    for start in range(0, len(cells), width):
-        block = cells[start : start + width]
-        defined = [i for i, v in enumerate(block) if v is not None]
+    ``None``), and whether some cell is undefined.
+    """
+    cells = ev.table(recipe, outer + inner)
+    width = prod(ev.cardinality(v) for v in inner)
+    for i, values in enumerate(assignments([(v, ev.cardinality(v)) for v in outer])):
+        block = cells[i * width : (i + 1) * width]
+        defined = [j for j, c in enumerate(block) if c is not None]
         first = defined[0] if defined else None
-        differs = next((i for i in defined if block[i] != block[first]), None)
-        yield block, first, differs, len(defined) < width
+        differs = next((j for j in defined if block[j] != block[first]), None)
+        yield values, block, first, differs, len(defined) < width
 
 
 def district_kernel(
@@ -229,31 +238,26 @@ def district_kernel(
 ) -> Kernel:
     """Evaluate a district's kernel on a concrete observed joint.
 
-    Returns the kernel over the district indexed by its parents.  Raises
-    :class:`ZeroConditioningError` if a required conditional is undefined,
-    and ``ValueError`` if the recipe still depends on other variables (it
-    cannot for distributions generated from the graph).
+    Returns the kernel over the district indexed by its observed parents.
+    Raises :class:`ZeroConditioningError` if a required conditional is
+    undefined, and ``ValueError`` if the recipe still depends on other
+    variables (it cannot for distributions generated from the graph).
     """
-    order = _observed_order(dag, order)
-    m = to_mdag(dag)
+    _check_joint(table, dag, "district_kernel")
     recipe = district_kernel_recipe(dag, district, order)
-    outs = tuple((v, table.cardinality(v)) for v in sorted(district))
-    index = tuple((v, table.cardinality(v)) for v in sorted(m.parents_of(district)))
-    names = [n for n, _ in outs + index]
-    extra = sorted(free_vars(recipe) - set(names))
-    cells = Evaluator(table).table(recipe, names + extra)
-    width = prod(table.cardinality(v) for v in extra)
+    parents = set().union(*map(dag.parents, district)) & set(dag.observed()) - district
+    outer = sorted(district) + sorted(parents)
+    extra = sorted(free_vars(recipe) - set(outer))
     entries = []
-    for values, (block, first, differs, _) in zip(
-        assignments(outs + index), _blocks(cells, width)
-    ):
+    for values, block, first, differs, _ in _scan(Evaluator(table), recipe, outer, extra):
         if first is None:
             last = (table.cardinality(v) - 1 for v in extra)
-            raise ZeroConditioningError({**dict(zip(names, values)), **dict(zip(extra, last))})
+            raise ZeroConditioningError({**dict(zip(outer, values)), **dict(zip(extra, last))})
         if differs is not None:
             raise ValueError(f"district kernel not well-defined: recipe varies with {extra}")
         entries.append(block[first])
-    return Kernel(outs, index, tuple(entries))
+    layout = [(v, table.cardinality(v)) for v in outer]
+    return Kernel(layout[: len(district)], layout[len(district) :], tuple(entries))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -327,16 +331,13 @@ def _verma_violation(ev: Evaluator, record: VermaConstraint) -> tuple[dict | Non
     """Returns (witness or None, saw_indeterminate)."""
     indep = sorted(record.independent_of)
     others = sorted(free_vars(record.recipe) - record.independent_of)
-    cells = ev.table(record.recipe, others + indep)
     inner = list(assignments([(v, ev.cardinality(v)) for v in indep]))
     saw_none = False
-    for base_values, (block, first, differs, gaps) in zip(
-        assignments([(v, ev.cardinality(v)) for v in others]), _blocks(cells, len(inner))
-    ):
+    for values, block, first, differs, gaps in _scan(ev, record.recipe, others, indep):
         saw_none = saw_none or gaps
         if differs is not None:
             witness = {
-                "context": dict(zip(others, base_values)),
+                "context": dict(zip(others, values)),
                 "assignments": [dict(zip(indep, inner[first])), dict(zip(indep, inner[differs]))],
                 "values": [block[first], block[differs]],
             }

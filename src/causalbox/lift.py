@@ -186,8 +186,7 @@ def ps_system(p: Kernel, g: CausalDag) -> tuple[LinearSystem, HyperDag, list, li
             f"outputs without a latent parent: {', '.join(loose)};"
             " the PS LP needs one latent parenting every output"
         )
-    in_vars = [(i, dag.cardinality(i)) for i in inputs]
-    out_vars = [(o, dag.cardinality(o)) for o in outputs]
+    in_vars, out_vars = _parties(dag, inputs), _parties(dag, outputs)
 
     # unknown k is the cell k of the layout in_vars + out_vars
     names = [
@@ -265,8 +264,7 @@ def ps_member(p: Kernel, g: CausalDag, certificate: Kernel | None = None) -> PsV
     if not result.is_optimal or result.value == 0:
         return PsVerdict("not_member")
     dag = h.base
-    in_vars = tuple((i, dag.cardinality(i)) for i in inputs)
-    out_vars = tuple((o, dag.cardinality(o)) for o in outputs)
+    in_vars, out_vars = _parties(dag, inputs), _parties(dag, outputs)
     q = [result.assignment[n] for n in system.variables[:-1]]
     entries = tuple(q[k] for k in _index_map(out_vars + in_vars, in_vars + out_vars))
     box = Kernel(out_vars, in_vars, entries)

@@ -262,7 +262,6 @@ class Evaluator:
             raise ValueError("recipes evaluate against a joint probability table")
         self._table = table
         self._margins: dict[tuple[Var, ...], list[Fraction]] = {}
-        self._tables: dict[Expr, list[Fraction | None]] = {}
 
     def cardinality(self, name: str) -> int:
         return self._table.cardinality(name)
@@ -315,6 +314,4 @@ class Evaluator:
     def evaluate(self, e: Expr, env: Mapping[str, int]) -> Fraction | None:
         """Value of ``e`` at ``env``, looked up in its table over its free variables."""
         names = sorted(free_vars(e))
-        if e not in self._tables:
-            self._tables[e] = self.table(e, names)
-        return self._tables[e][_position([(n, self.cardinality(n)) for n in names], env)]
+        return self.table(e, names)[_position([(n, self.cardinality(n)) for n in names], env)]

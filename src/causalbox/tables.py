@@ -573,6 +573,8 @@ def join_inputs(kernel: Kernel, inputs: Kernel) -> Kernel:
     ``inputs`` must be a probability table over exactly the kernel's index
     variables, with the same cardinalities.
     """
+    if not inputs.is_prob_table:
+        raise ValueError("join_inputs expects an inputs probability table without index variables")
     if set(inputs.variables) != set(kernel.index_vars):
         raise CardinalityMismatchError("input table must cover exactly the index variables")
     at = _index_map(kernel.variables, inputs.variables)

@@ -52,8 +52,10 @@ from causalbox.tables import (
     assignments,
     conditional,
     marginalize,
+    uniform_table,
 )
 
+import constraints_reference
 import recipes_reference
 from conftest import all_test_graphs, district_demo_graph, random_rational_table
 from recipes_reference import Evaluator as ReferenceEvaluator
@@ -174,6 +176,34 @@ def test_district_kernel_order_independence(graph, rng):
                 assert q == reference, (sorted(d), order)
 
 
+@pytest.mark.parametrize("order, message", [
+    (["C", "B", "A", "X"], "order lists C before its parent B"),
+    (["A", "X", "B", "C"], "order lists A before its parent X"),
+    (["X", "B", "A", "C"], "order lists B before its parent A"),
+])
+def test_district_kernel_refuses_an_order_that_is_not_topological(order, message):
+    """Read in such an order, a chain factor conditions on a vertex's
+    descendants: {A, C} would get the recipe p(C) p(A|B,C) under
+    ['C', 'B', 'A', 'X'], yet be indexed by (B, X)."""
+    p = random_network(mediation_graph(), random.Random(0)).joint_observed()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        district_kernel(p, mediation_graph(), frozenset({"A", "C"}), order=order)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        district_kernel_recipe(mediation_graph(), frozenset({"A", "C"}), order)
+
+
+@pytest.mark.parametrize("table, message", [
+    (uniform_table((("A", 2), ("B", 2), ("C", 2), ("X", 3))), "table variables .* do not match"),
+    (uniform_table((("A", 2), ("B", 2), ("C", 2), ("X", 2), ("Z", 2))),
+     "table variables .* do not match"),
+    (Kernel.from_function((("A", 2), ("B", 2), ("C", 2)), (("X", 2),), lambda v: Fraction(1, 8)),
+     "district_kernel expects a joint probability table"),
+], ids=["cardinality", "extra-variable", "conditional"])
+def test_district_kernel_checks_its_joint(table, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        district_kernel(table, mediation_graph(), frozenset({"A", "C"}))
+
+
 # -- enumeration -----------------------------------------------------------------
 
 
@@ -286,6 +316,32 @@ def test_each_kernel_is_reduced_once_per_enumeration(monkeypatch):
         constraints._enumerate_constraints_cached.cache_clear()
     assert len(seen) == len(set(seen)) == 13
     assert sum(isinstance(r, VermaConstraint) for r in records) == 1
+
+
+def _long_chain_graph():
+    """V0 -> ... -> V7 with latents on (V0, V2), (V3, V5) and (V5, V7)."""
+    names = [f"V{i}" for i in range(8)]
+    latents = [("V0", "V2"), ("V3", "V5"), ("V5", "V7")]
+    return CausalDag(
+        [(v, OBSERVED, 2) for v in names] + [(f"L{k}", LATENT) for k in range(len(latents))],
+        list(zip(names, names[1:]))
+        + [(f"L{k}", c) for k, kids in enumerate(latents) for c in kids],
+    )
+
+
+@pytest.mark.parametrize("graph", [_chain_graph(), _long_chain_graph()], ids=["chain6", "chain8"])
+def test_records_match_the_reference_recursion(graph):
+    """The recursion gives the reference recursion's records, in order and
+    byte for byte, on the benchmark's chain and on an 8-vertex chain."""
+    constraints._enumerate_constraints_cached.cache_clear()
+    try:
+        records = enumerate_constraints(graph)
+    finally:
+        constraints._enumerate_constraints_cached.cache_clear()
+    reference = list(constraints_reference.enumerate_constraints(graph))
+    assert records == reference
+    assert [repr(r) for r in records] == [repr(r) for r in reference]
+    assert any(isinstance(r, VermaConstraint) for r in records)
 
 
 # -- membership -------------------------------------------------------------------
@@ -550,6 +606,33 @@ def test_evaluator_matches_reference(case):
             assert _outcome(ev.evaluate, recipe, env) == _outcome(
                 reference.evaluate, recipe, env
             ), (render(recipe), env)
+
+
+def _result(call, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(_graphs_with_joints(), st.integers(0, 2**16), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_nested_reads_match_the_reference(case, seed, network):
+    """``check_nested``'s verdict, with its witnesses and its indeterminate
+    records, and every district's kernel or error under every topological
+    order, match the reference reads: on joints with zero cells and on
+    network joints of the same graph."""
+    dag, p = case
+    if network:
+        p = random_network(dag, random.Random(seed), latent_cardinality=2).joint_observed()
+    verdict, reference = check_nested(p, dag), constraints_reference.check_nested(p, dag)
+    assert verdict == reference and repr(verdict) == repr(reference)
+    for order in _all_topological_orders(dag):
+        for d in districts(to_mdag(dag)):
+            assert _result(district_kernel, p, dag, d, order) == _result(
+                constraints_reference.district_kernel, p, dag, d, order
+            ), (sorted(d), order)
 
 
 def test_i_member_matches_ci_records(rng):

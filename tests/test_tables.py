@@ -277,6 +277,14 @@ def test_joint_only_operations_refuse_a_conditional_kernel(call, message):
         call(pr_box())
 
 
+def test_join_inputs_refuses_an_inputs_kernel_with_index_variables():
+    """A conditional p(X | Y) covers the PR box's settings as a set, but it is
+    no distribution over them: its cells sum to 2."""
+    inputs = Kernel.from_function((("X", 2),), (("Y", 2),), lambda v: Fraction(1, 2))
+    with pytest.raises(ValueError, match="^join_inputs expects an inputs probability table"):
+        join_inputs(pr_box(), inputs)
+
+
 def test_project_empty_copy_map_is_identity():
     p = uniform_table((("A", 2), ("B", 2)))
     assert project(p, {}) == p
