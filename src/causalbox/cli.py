@@ -34,6 +34,12 @@ each dataclass compiles its generated methods when its module is imported.
 Without a bytecode cache, ``import causalbox.cli`` takes about 41 ms of a
 request and a command's own modules 8-16 ms more; README.md has the full
 split.
+
+Parsers cost a request too: :func:`dispatch` builds the top-level parser
+and the parser of the command that ``argv[0]`` names, 3 ``ArgumentParser``
+objects for ``member`` instead of all 19.  Any other first argument (none,
+``-h``, a misspelt command) builds every command's parser, to list or
+refuse it.
 """
 
 from __future__ import annotations
@@ -360,7 +366,9 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the top level and ``command``
+    alone, which is all that a request naming ``command`` reads."""
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
         "--format", choices=("text", "machine"), default="text",
@@ -371,87 +379,76 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact membership tests for the causal-model hierarchy "
         "C(G), PS(G), N(G), I(G) on discrete DAGs with latent root variables.",
     )
-    sub = parser.add_subparsers(dest="cmd")
+    # a one-command build lists every command in its usage line all the
+    # same; the full build keeps argparse's "cmd" in its invalid-choice error
+    metavar = None if command is None else "{" + ",".join(_DISPATCH) + "}"
+    sub = parser.add_subparsers(dest="cmd", metavar=metavar)
+    names = _DISPATCH if command is None else (command,)
 
-    def common(p, graph=True, dist=False):
+    def group(name, summary):
+        return sub.add_parser(name, help=summary).add_subparsers(dest=f"{name}_cmd")
+
+    def leaf(subparsers, name, graph=True, dist=False, **kwargs):
+        p = subparsers.add_parser(name, parents=[fmt], **kwargs)
         if graph:
             p.add_argument("--graph", help="graph file (JSON)")
         if dist:
             p.add_argument("--dist", help="distribution file (JSON)")
+        return p
 
-    g = sub.add_parser("graph", help="structural queries")
-    gsub = g.add_subparsers(dest="graph_cmd")
-    for name in ("check", "mdag", "districts", "dsep"):
-        p = gsub.add_parser(name, parents=[fmt])
-        common(p)
-        if name != "check":
-            p.add_argument("--fixed", help="comma-separated vertex names")
-        if name == "dsep":
-            p.add_argument("--a", help="first vertex")
-            p.add_argument("--b", help="second vertex")
-
-    c = sub.add_parser("constraints", help="equality constraints")
-    csub = c.add_subparsers(dest="constraints_cmd")
-    p = csub.add_parser("enumerate", parents=[fmt])
-    common(p)
-
-    p = sub.add_parser("hyper", help="hypergraph lift")
-    hsub = p.add_subparsers(dest="hyper_cmd")
-    p = hsub.add_parser("build", parents=[fmt])
-    common(p)
-    p.add_argument("--out", help="write the lifted graph file here")
-
-    p = sub.add_parser("project", help="diagonal post-selection", parents=[fmt])
-    common(p, dist=True)
-
-    p = sub.add_parser("member", help="hierarchy membership", parents=[fmt])
-    common(p, dist=True)
-    p.add_argument("--model", required=True, choices=("I", "N", "NS", "PS", "C"))
-    p.add_argument("--certificate", help="candidate lift table for PS certificate mode")
-
-    p = sub.add_parser(
-        "score", help="evaluate a functional on a distribution", parents=[fmt]
-    )
-    common(p, graph=False, dist=True)
-    p.add_argument(
-        "--functional", required=True, choices=("chsh", "gyni", "instrumental")
-    )
-
-    p = sub.add_parser(
-        "optimize", help="maximize a functional over vertices", parents=[fmt]
-    )
-    common(p)
-    p.add_argument("--functional", required=True, choices=("chsh", "gyni"))
-
-    p = sub.add_parser("vertices", help="enumerate polytope vertices", parents=[fmt])
-    common(p)
-
-    p = sub.add_parser(
-        "decompose-ns", help="PR-plus-local decomposition", parents=[fmt]
-    )
-    common(p, graph=False, dist=True)
-
-    p = sub.add_parser("fixtures", help="built-in boxes and graphs")
-    fsub = p.add_subparsers(dest="fixtures_cmd")
-    p = fsub.add_parser(
-        "emit",
-        parents=[fmt],
-        description="Write a built-in box or graph. Boxes: pr-box (--alpha "
-        "--beta --gamma select the PR family member), local-box (--index "
-        "0..15 encodes i = 4*f_a + f_b with response functions ordered "
-        "const0, const1, id, not), gyni-box, gyni-projected, swapping-box. "
-        "Graphs: chsh-, instrumental-, mediation-, gyni-, tripartite-bell-, "
-        "swapping-, triangle-graph.",
-    )
-    p.add_argument("name")
-    # the metavars keep the choice lists out of the usage line
-    for bit in ("alpha", "beta", "gamma"):
-        p.add_argument(f"--{bit}", type=int, default=0, choices=(0, 1), metavar=bit.upper())
-    p.add_argument(
-        "--index", type=int, default=0, choices=range(16), metavar="INDEX",
-        help="local box number, i = 4*f_a + f_b over (const0, const1, id, not)",
-    )
-    p.add_argument("--out", help="write to a file instead of stdout")
+    if "graph" in names:
+        gsub = group("graph", "structural queries")
+        for name in ("check", "mdag", "districts", "dsep"):
+            p = leaf(gsub, name)
+            if name != "check":
+                p.add_argument("--fixed", help="comma-separated vertex names")
+            if name == "dsep":
+                p.add_argument("--a", help="first vertex")
+                p.add_argument("--b", help="second vertex")
+    if "constraints" in names:
+        leaf(group("constraints", "equality constraints"), "enumerate")
+    if "hyper" in names:
+        p = leaf(group("hyper", "hypergraph lift"), "build")
+        p.add_argument("--out", help="write the lifted graph file here")
+    if "project" in names:
+        leaf(sub, "project", dist=True, help="diagonal post-selection")
+    if "member" in names:
+        p = leaf(sub, "member", dist=True, help="hierarchy membership")
+        p.add_argument("--model", required=True, choices=("I", "N", "NS", "PS", "C"))
+        p.add_argument("--certificate", help="candidate lift table for PS certificate mode")
+    if "score" in names:
+        p = leaf(
+            sub, "score", graph=False, dist=True, help="evaluate a functional on a distribution"
+        )
+        p.add_argument("--functional", required=True, choices=("chsh", "gyni", "instrumental"))
+    if "optimize" in names:
+        p = leaf(sub, "optimize", help="maximize a functional over vertices")
+        p.add_argument("--functional", required=True, choices=("chsh", "gyni"))
+    if "vertices" in names:
+        leaf(sub, "vertices", help="enumerate polytope vertices")
+    if "decompose-ns" in names:
+        leaf(sub, "decompose-ns", graph=False, dist=True, help="PR-plus-local decomposition")
+    if "fixtures" in names:
+        p = leaf(
+            group("fixtures", "built-in boxes and graphs"),
+            "emit",
+            graph=False,
+            description="Write a built-in box or graph. Boxes: pr-box (--alpha "
+            "--beta --gamma select the PR family member), local-box (--index "
+            "0..15 encodes i = 4*f_a + f_b with response functions ordered "
+            "const0, const1, id, not), gyni-box, gyni-projected, swapping-box. "
+            "Graphs: chsh-, instrumental-, mediation-, gyni-, tripartite-bell-, "
+            "swapping-, triangle-graph.",
+        )
+        p.add_argument("name")
+        # the metavars keep the choice lists out of the usage line
+        for bit in ("alpha", "beta", "gamma"):
+            p.add_argument(f"--{bit}", type=int, default=0, choices=(0, 1), metavar=bit.upper())
+        p.add_argument(
+            "--index", type=int, default=0, choices=range(16), metavar="INDEX",
+            help="local box number, i = 4*f_a + f_b over (const0, const1, id, not)",
+        )
+        p.add_argument("--out", help="write to a file instead of stdout")
     return parser
 
 
@@ -479,7 +476,9 @@ _DISPATCH = {
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    # a request that names a command needs only that command's parser; no
+    # command, -h or a misspelt name needs every one, to list or refuse it
+    parser = build_parser(argv[0] if argv and argv[0] in _DISPATCH else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

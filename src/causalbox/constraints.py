@@ -171,8 +171,13 @@ def reduce_expr(e: Expr, dag: CausalDag) -> Expr:
 
 
 def _observed_order(dag: CausalDag, order=None) -> list[str]:
-    if order is None:
-        order = topological_order(dag)
+    order = list(topological_order(dag) if order is None else order)
+    # latent names may appear, as topological_order lists them
+    for i, v in enumerate(order):
+        if not dag.has_vertex(v):
+            raise ValueError(f"order lists unknown vertex {v}")
+        if v in order[:i]:
+            raise ValueError(f"order lists {v} twice")
     observed = set(dag.observed())
     out = [v for v in order if v in observed]
     if set(out) != observed:

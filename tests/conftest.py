@@ -98,6 +98,20 @@ def district_demo_graph() -> CausalDag:
     )
 
 
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    """Paths of the chsh-graph, pr-box and mediation-graph fixture files,
+    keyed chsh, pr and med."""
+    from causalbox.cli import dispatch
+
+    folder = tmp_path_factory.mktemp("fixtures")
+    paths = {}
+    for key, name in (("chsh", "chsh-graph"), ("pr", "pr-box"), ("med", "mediation-graph")):
+        paths[key] = str(folder / f"{name}.json")
+        assert dispatch(["fixtures", "emit", name, "--out", paths[key]]) == 0
+    return paths
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from causalbox import cli
 from causalbox.cli import build_parser, dispatch
 from causalbox.fileio import load_graph, load_kernel
 
@@ -461,6 +462,84 @@ def test_missing_subcommand_prints_usage(cmd, usage, capsys):
 def test_bare_command_prints_help(capsys):
     assert dispatch([]) == 1
     assert capsys.readouterr().out.startswith("usage: causalbox")
+
+
+# each command and subcommand, with the fixture arguments it runs on
+_RUNS = {
+    "graph": ["--graph", "{med}"],
+    "graph check": ["--graph", "{med}"],
+    "graph mdag": ["--graph", "{med}", "--fixed", "X"],
+    "graph districts": ["--graph", "{med}"],
+    "graph dsep": ["--graph", "{med}", "--a", "X", "--b", "B"],
+    "constraints": ["--graph", "{med}"],
+    "constraints enumerate": ["--graph", "{med}"],
+    "hyper": ["--graph", "{chsh}"],
+    "hyper build": ["--graph", "{chsh}"],
+    "project": ["--graph", "{chsh}", "--dist", "{pr}"],
+    "member": ["--model", "C", "--graph", "{chsh}", "--dist", "{pr}"],
+    "score": ["--functional", "chsh", "--dist", "{pr}"],
+    "optimize": ["--functional", "chsh", "--graph", "{chsh}"],
+    "vertices": ["--graph", "{chsh}"],
+    "decompose-ns": ["--dist", "{pr}"],
+    "fixtures": ["pr-box"],
+    "fixtures emit": ["pr-box", "--alpha", "1"],
+}
+# on "member {run} stray", a one-command build without the metavar printed
+# "usage: causalbox [-h] {member} ..."
+_TAILS = [
+    [], ["-h"], ["--help"], ["--bogus"], ["stray"],
+    ["{run}"], ["{run}", "stray"], ["{run}", "--bogus"], ["{run}", "--format", "machine"],
+    ["{run}", "--format", "xml"],
+]
+# argument vectors whose first word names no command
+_OTHERS = [
+    [], ["-h"], ["--help"], ["bogus"], ["mem"], ["-h", "member"],
+    ["--format", "machine", "member"], ["Member", "--model", "C"],
+    *(["member", "--model", model, "--graph", "{chsh}", "--dist", "{pr}"]
+      for model in ("I", "N", "NS", "PS", "Q")),
+]
+
+
+def _corpus(command, paths):
+    vectors = _OTHERS if command is None else [[*command.split(), *tail] for tail in _TAILS]
+    out = []
+    for vector in vectors:
+        words = []
+        for word in vector:
+            words += _RUNS[command] if word == "{run}" else [word]
+        out.append([word.format(**paths) for word in words])
+    return out
+
+
+@pytest.mark.parametrize("command", [*_RUNS, None], ids=str)
+def test_one_command_build_answers_as_the_full_build(command, fixture_files, capsys, monkeypatch):
+    """``dispatch`` builds only the parser of the command ``argv[0]`` names;
+    every exit code, stdout and stderr must equal a build of every command.
+    The two are compared at run time, since argparse's wording differs
+    across Python versions."""
+    corpus = _corpus(command, fixture_files)
+    answers = []
+    for argv in corpus:
+        code = dispatch(argv)
+        answers.append((argv, code, *capsys.readouterr()))
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    for argv, code, out, err in answers:
+        assert (dispatch(argv), *capsys.readouterr()) == (code, out, err), argv
+
+
+def test_an_unknown_command_is_refused_as_argument_cmd(capsys):
+    assert dispatch(["bogus"]) == 1
+    err = capsys.readouterr().err
+    assert "{" + ",".join(cli._DISPATCH) + "}" in err
+    assert "error: argument cmd: invalid choice: 'bogus'" in err
+
+
+def test_a_one_command_build_holds_that_command_alone():
+    for command in cli._DISPATCH:
+        options = _options(build_parser(command))
+        assert options == {key: value for key, value in OPTIONS.items()
+                           if key.split()[0] == command}, command
 
 
 _BAD_FILES = ("nowhere", "broken", "list", "folder", "under_file")

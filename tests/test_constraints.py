@@ -192,6 +192,21 @@ def test_district_kernel_refuses_an_order_that_is_not_topological(order, message
         district_kernel_recipe(mediation_graph(), frozenset({"A", "C"}), order)
 
 
+@pytest.mark.parametrize("order, message", [
+    (["X", "A", "A", "B", "C"], "order lists A twice"),
+    (["X", "A", "B", "C", "X"], "order lists X twice"),
+    (["X", "Q", "A", "B", "C"], "order lists unknown vertex Q"),
+], ids=["repeated", "repeated-last", "unknown"])
+def test_district_kernel_refuses_a_repeated_or_unknown_name(order, message):
+    """Refused before the parent check: a repeat reads as a vertex listed
+    before its parent, and an unknown name was dropped without a word."""
+    p = random_network(mediation_graph(), random.Random(0)).joint_observed()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        district_kernel(p, mediation_graph(), frozenset({"A", "C"}), order=order)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        district_kernel_recipe(mediation_graph(), frozenset({"A", "C"}), order)
+
+
 @pytest.mark.parametrize("table, message", [
     (uniform_table((("A", 2), ("B", 2), ("C", 2), ("X", 3))), "table variables .* do not match"),
     (uniform_table((("A", 2), ("B", 2), ("C", 2), ("X", 2), ("Z", 2))),
