@@ -7,23 +7,22 @@ over every random vertex is 1).  Whenever a derived kernel still
 references a conditioning variable that the graph no longer licenses, and no
 chain of conditional-independence rewrites removes that reference, the
 kernel together with the offending variables is emitted as a Verma record.
-One walker (``_rewrite``) applies both rewrite rules, each justified by
-d-separation: dropping a conditioning variable, and merging a chain
-p(O1|G) p(O2|G,O1) into p(O1,O2|G).
+One walker (``_rewrite``) applies both rewrite rules, each one d-separation
+query per candidate: dropping conditioning variables in one sorted pass, and
+merging a chain p(O1|G) p(O2|G,O1,E) into p(O1,O2|G,E) when O1 _||_ E | G.
 Conditional-independence statements themselves are enumerated directly by
 d-separation and merged into the record list.
 
 A distribution lies in the nested Markov model of a graph iff it satisfies
 every record exactly.  :func:`check_nested` takes the CI verdicts of
 :func:`i_member` and evaluates each Verma recipe once, as a table over its
-free variables (:meth:`Evaluator.table`); one block scan of such a table
-finds a Verma witness or builds a :func:`district_kernel`.
+free variables (:meth:`Evaluator.table`), reading a witness off its blocks;
+:func:`district_kernel` reads its kernel off one such table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
 
 from .graphs import (
     _GRAPH_CACHE_SIZE,
@@ -94,25 +93,22 @@ ConstraintRecord = CiConstraint | VermaConstraint
 
 
 def _reduce_factor(f: Expr, dag: CausalDag) -> Expr:
-    """Drop d-separated conditioning variables from one conditional."""
+    """Drop d-separated conditioning variables from one conditional, in one
+    sorted pass: d-separation satisfies intersection, so this backward
+    elimination reaches the outcomes' unique Markov boundary within the
+    given set, and a second pass would drop nothing."""
     if not isinstance(f, FactorExpr):
         return f
-    given = list(f.given)
-    changed = True
-    while changed:
-        changed = False
-        for w in sorted(given):
-            rest = set(given) - {w}
-            if d_separated(dag, set(f.outcomes), {w}, rest):
-                given.remove(w)
-                changed = True
+    given = set(f.given)
+    for w in f.given:  # sorted, as FactorExpr keeps it
+        if d_separated(dag, f.outcomes, {w}, given - {w}):
+            given.remove(w)
     return factor(f.outcomes, given)
 
 
 def _merge_chain(e: Expr, dag: CausalDag) -> Expr:
     """One chain merge p(O1|G) p(O2|G,O1,E) -> p(O1,O2|G,E) among the factors
-    of a product, where each variable of E in turn is d-separated from O1
-    given G and the variables of E before it."""
+    of a product, where O1 is d-separated from E given G."""
     if not isinstance(e, ProductExpr):
         return e
     parts = e.factors
@@ -124,11 +120,8 @@ def _merge_chain(e: Expr, dag: CausalDag) -> Expr:
                 continue
             if not set(fi.outcomes) | set(fi.given) <= set(fj.given):
                 continue
-            extra = sorted(set(fj.given) - set(fi.given) - set(fi.outcomes))
-            if all(
-                d_separated(dag, fi.outcomes, {v}, set(fi.given) | set(extra[:k]))
-                for k, v in enumerate(extra)
-            ):
+            rest = set(fj.given) - set(fi.given) - set(fi.outcomes)
+            if d_separated(dag, fi.outcomes, rest, fi.given):
                 merged = factor(fi.outcomes + fj.outcomes, set(fj.given) - set(fi.outcomes))
                 return product([p for k, p in enumerate(parts) if k not in (i, j)] + [merged])
     return e
@@ -220,48 +213,25 @@ def district_kernel_recipe(
     return reduce_expr(_chain_expr(order, district), dag)
 
 
-def _scan(ev: Evaluator, recipe: Expr, outer: list[str], inner: list[str]):
-    """Lay ``recipe`` out over ``outer + inner`` and read it one block of
-    ``inner`` cells per outer assignment, in mixed-radix order.
-
-    Yields the outer assignment's values, the block, the offsets of its
-    first defined cell and of the first cell differing from that one (or
-    ``None``), and whether some cell is undefined.
-    """
-    cells = ev.table(recipe, outer + inner)
-    width = prod(ev.cardinality(v) for v in inner)
-    for i, values in enumerate(assignments([(v, ev.cardinality(v)) for v in outer])):
-        block = cells[i * width : (i + 1) * width]
-        defined = [j for j, c in enumerate(block) if c is not None]
-        first = defined[0] if defined else None
-        differs = next((j for j in defined if block[j] != block[first]), None)
-        yield values, block, first, differs, len(defined) < width
-
-
 def district_kernel(
     table: Kernel, dag: CausalDag, district: frozenset[str], order=None
 ) -> Kernel:
     """Evaluate a district's kernel on a concrete observed joint.
 
-    Returns the kernel over the district indexed by its observed parents.
-    Raises :class:`ZeroConditioningError` if a required conditional is
-    undefined, and ``ValueError`` if the recipe still depends on other
-    variables (it cannot for distributions generated from the graph).
+    Returns the kernel over the district indexed by its observed parents,
+    read off one table of the recipe, which by the ordered local Markov
+    property has no other free variable.  Raises :class:`ZeroConditioningError`
+    naming the first assignment where a required conditional is undefined.
     """
     _check_joint(table, dag, "district_kernel")
     recipe = district_kernel_recipe(dag, district, order)
     parents = set().union(*map(dag.parents, district)) & set(dag.observed()) - district
-    outer = sorted(district) + sorted(parents)
-    extra = sorted(free_vars(recipe) - set(outer))
-    entries = []
-    for values, block, first, differs, _ in _scan(Evaluator(table), recipe, outer, extra):
-        if first is None:
-            last = (table.cardinality(v) - 1 for v in extra)
-            raise ZeroConditioningError({**dict(zip(outer, values)), **dict(zip(extra, last))})
-        if differs is not None:
-            raise ValueError(f"district kernel not well-defined: recipe varies with {extra}")
-        entries.append(block[first])
-    layout = [(v, table.cardinality(v)) for v in outer]
+    names = sorted(district) + sorted(parents)
+    layout = [(v, table.cardinality(v)) for v in names]
+    entries = Evaluator(table).table(recipe, names)
+    for values, cell in zip(assignments(layout), entries):
+        if cell is None:
+            raise ZeroConditioningError(dict(zip(names, values)))
     return Kernel(layout[: len(district)], layout[len(district) :], tuple(entries))
 
 
@@ -333,14 +303,20 @@ class NestedVerdict(Record):
 
 
 def _verma_violation(ev: Evaluator, record: VermaConstraint) -> tuple[dict | None, bool]:
-    """Returns (witness or None, saw_indeterminate)."""
+    """Returns (witness or None, saw_indeterminate): the first context whose
+    block of independent cells holds a defined cell and a differing one."""
     indep = sorted(record.independent_of)
     others = sorted(free_vars(record.recipe) - record.independent_of)
+    cells = ev.table(record.recipe, others + indep)
     inner = list(assignments([(v, ev.cardinality(v)) for v in indep]))
     saw_none = False
-    for values, block, first, differs, gaps in _scan(ev, record.recipe, others, indep):
-        saw_none = saw_none or gaps
+    for i, values in enumerate(assignments([(v, ev.cardinality(v)) for v in others])):
+        block = cells[i * len(inner) : (i + 1) * len(inner)]
+        defined = [j for j, c in enumerate(block) if c is not None]
+        saw_none = saw_none or len(defined) < len(block)
+        differs = next((j for j in defined if block[j] != block[defined[0]]), None)
         if differs is not None:
+            first = defined[0]
             witness = {
                 "context": dict(zip(others, values)),
                 "assignments": [dict(zip(indep, inner[first])), dict(zip(indep, inner[differs]))],

@@ -288,7 +288,11 @@ class Kernel(Record):
         raise UnknownVariableError(name)
 
     def value(self, assignment: Assignment) -> Fraction:
-        """Entry at a full assignment of all variables, given by name."""
+        """Entry at a full assignment of all variables, given by name; a name
+        that is not a variable raises :class:`UnknownVariableError`."""
+        unknown = assignment.keys() - set(self.var_names())
+        if unknown:
+            raise UnknownVariableError(f"unknown variables {sorted(unknown)}")
         return self.entries[_position(self.variables, assignment)]
 
     def cells(self) -> Iterator[tuple[dict[str, int], Fraction]]:
@@ -453,9 +457,6 @@ def condition(kernel: Kernel, event: Assignment) -> Kernel:
     pinned, kept = _partition_vars(kernel.outcome_vars, event.keys())
     if not pinned:
         return kernel
-    for name, card in pinned:
-        if not 0 <= _value(name, event[name]) < card:
-            raise CardinalityMismatchError(f"value {event[name]} out of range for {name}")
     offset = _position(kernel.variables, {**dict.fromkeys(kernel.var_names(), 0), **event})
     index = kernel.index_vars
     cells = [

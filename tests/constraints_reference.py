@@ -13,6 +13,8 @@ one witness scan, kept verbatim as references for the differential tests in
   ``check_nested`` reads its Verma records.
 * ``_observed_order`` checks only that an order covers the observed
   vertices, so these references are compared on topological orders alone.
+* ``_reduce_factor`` repeats its pass over the conditioning set until no
+  variable drops; ``recipes_reference.reduce_expr`` rewrites with it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from causalbox.graphs import (
     MDag,
     NotADistrictError,
     ci_constraints,
+    d_separated,
     districts,
     marginal_mdag,
     to_mdag,
@@ -41,6 +44,7 @@ from causalbox.graphs import (
 from causalbox.recipes import (
     Evaluator,
     Expr,
+    FactorExpr,
     SumExpr,
     canonical,
     factor,
@@ -51,6 +55,22 @@ from causalbox.recipes import (
     sum_over,
 )
 from causalbox.tables import Kernel, ZeroConditioningError, _check_joint, assignments
+
+
+def _reduce_factor(f: Expr, dag: CausalDag) -> Expr:
+    """Drop d-separated conditioning variables from one conditional."""
+    if not isinstance(f, FactorExpr):
+        return f
+    given = list(f.given)
+    changed = True
+    while changed:
+        changed = False
+        for w in sorted(given):
+            rest = set(given) - {w}
+            if d_separated(dag, set(f.outcomes), {w}, rest):
+                given.remove(w)
+                changed = True
+    return factor(f.outcomes, given)
 
 
 def _observed_order(dag: CausalDag, order=None) -> list[str]:

@@ -8,7 +8,9 @@ differential tests in ``test_constraints.py``.
 * ``simplify`` and ``reduce_expr`` are the recipe normalizer before it was
   one rewrite walker: ``_merge_in_products`` walks the tree a second time to
   merge chains, with ``_expandable`` building the extended conditional, and
-  ``simplify`` still has its dead branches.
+  ``simplify`` still has its dead branches.  ``reduce_expr`` drops
+  conditioning variables with the multi-pass
+  ``constraints_reference._reduce_factor``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from causalbox.constraints import _reduce_factor, _rewrite
+from causalbox.constraints import _rewrite
 from causalbox.graphs import CausalDag, d_separated
 from causalbox.recipes import (
     UNIT,
@@ -35,6 +37,7 @@ from causalbox.recipes import (
     sum_over,
 )
 from causalbox.tables import Kernel, marginalize
+from constraints_reference import _reduce_factor
 
 
 class Evaluator:

@@ -73,7 +73,7 @@ def condition(kernel: Kernel, event: Assignment) -> Kernel:
         return kernel
     for name, card in pinned:
         if not 0 <= event[name] < card:
-            raise CardinalityMismatchError(f"value {event[name]} out of range for {name}")
+            raise CardinalityMismatchError(f"{name} = {event[name]} is outside 0..{card - 1}")
     index_names = [n for n, _ in kernel.index_vars]
     table = {}
     for idx in assignments(kernel.index_vars):

@@ -314,6 +314,46 @@ def test_records_match_the_reference_normalizer(monkeypatch):
     assert sum(r.startswith("VERMA") for records in library for r in records) >= 30
 
 
+def test_one_pass_reduction_matches_the_multi_pass_reference():
+    """One sorted pass over a conditioning set drops what the reference's
+    repeated passes drop, and a second application drops nothing: on
+    seeded random DAGs with random disjoint observed sets O and G."""
+    rng = random.Random(20261020)
+    dropped = 0
+    for seed in range(200):
+        dag = _random_dag(seed)
+        names = sorted(dag.observed())
+        for _ in range(4):
+            rng.shuffle(names)
+            k = rng.randint(1, len(names) - 1)
+            f = FactorExpr(names[:k], [v for v in names[k:] if rng.random() < 0.7])
+            once = constraints._reduce_factor(f, dag)
+            assert once == constraints_reference._reduce_factor(f, dag), (seed, f)
+            assert constraints._reduce_factor(once, dag) == once, (seed, f)
+            dropped += once != f
+    assert dropped == 98  # of the 800 conditionals
+
+
+def _observed_parents(dag, d):
+    return set().union(*map(dag.parents, d)) & set(dag.observed()) - d
+
+
+def test_district_recipes_stay_within_the_district_and_its_parents():
+    """By the ordered local Markov property each reduced chain factor of a
+    district conditions only on the district and its observed parents, so
+    ``district_kernel`` reads q_D off one table over them: on 400 seeded
+    DAGs, and on every topological order of the fixture graphs."""
+    cases = [(_random_dag(seed), None) for seed in range(400)]
+    fixtures = list(all_test_graphs().values()) + [
+        district_demo_graph(), _quotient_graph(), _shadowing_graph(), _chain_graph()
+    ]
+    cases += [(g, order) for g in fixtures for order in _all_topological_orders(g)]
+    for dag, order in cases:
+        for d in districts(to_mdag(dag)):
+            recipe = district_kernel_recipe(dag, d, order)
+            assert free_vars(recipe) <= d | _observed_parents(dag, d), (sorted(d), order)
+
+
 def test_each_kernel_is_reduced_once_per_enumeration(monkeypatch):
     """The recursion meets 25 kernels on the benchmark's chain graph, 12 of
     them again; each distinct one is reduced once."""

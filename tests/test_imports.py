@@ -1,5 +1,5 @@
-"""The package's export surface, and the modules and parsers each CLI
-command loads.
+"""The package's export surface, the modules and parsers each CLI command
+loads, and the imports each module reads.
 
 ``import causalbox`` loads no submodule: every public name is imported from
 its defining module on first access.  The CLI imports the modules of a
@@ -8,7 +8,9 @@ later eager import or parser fails here instead of slowing every request.
 """
 
 import argparse
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +172,23 @@ def test_each_command_builds_only_its_parsers(fixture_files, monkeypatch, argv, 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     dispatch(argv.format(**fixture_files).split())
     assert len(built) == parsers
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names that the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(causalbox.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_each_module_reads_every_name_it_imports(path):
+    assert _unread_imports(path) == []

@@ -320,11 +320,12 @@ def test_classical_member_drops_setting_rows_of_probability_zero(make_graph):
     prior = marginalize(p, [n for n, _ in vertices[0].table.outcome_vars])
     supported = 0
     for env, value in p.cells():
-        if prior.value(env) == 0:
+        settings = prior.value({n: env[n] for n in prior.var_names()})
+        if settings == 0:
             continue
         supported += 1
         rebuilt = sum(w * v.table.value(env) for w, v in zip(verdict.weights, vertices))
-        assert rebuilt == value / prior.value(env), env
+        assert rebuilt == value / settings, env
     assert 0 < supported < len(p.entries)
 
 

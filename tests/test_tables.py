@@ -101,6 +101,19 @@ def test_value_rejects_values_outside_the_cardinality():
     assert q.value({"A": 1, "X": 0}) == Fraction(3, 4)
 
 
+def test_value_refuses_names_that_are_not_its_variables():
+    """An extra name is refused, not ignored: reading C = 7 off a table over
+    A and B would otherwise answer as if C were absent."""
+    with pytest.raises(UnknownVariableError, match=r"unknown variables \['C', 'D'\]"):
+        uniform_table((("A", 2), ("B", 2))).value({"A": 0, "B": 1, "C": 7, "D": 0})
+
+
+def test_condition_states_the_range_rule_of_value():
+    """An event value out of range gets the one message of every layout read."""
+    with pytest.raises(CardinalityMismatchError, match=r"^A = 2 is outside 0\.\.1$"):
+        condition(uniform_table((("A", 2), ("B", 2))), {"A": 2})
+
+
 def test_marginalize_pr_box_is_uniform():
     margin = marginalize(pr_box(), ["B"])
     for x in (0, 1):
