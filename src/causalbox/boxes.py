@@ -49,6 +49,13 @@ _RESPONSES = {
     3: ("not", lambda x: 1 - x),
 }
 
+# the outcome and input variables of the CHSH boxes and of the GYNI box; the
+# projected GYNI and the swapping families share the GYNI box's outcomes
+_CHSH_OUTCOMES = (("A", 2), ("B", 2))
+_CHSH_INPUTS = (("X", 2), ("Y", 2))
+_GYNI_OUTCOMES = (("A", 2), ("B", 2), ("C", 2))
+_GYNI_INPUTS = (("X", 2), ("Y", 2), ("Z", 2))
+
 
 @lru_cache(maxsize=None)
 def pr_box(alpha: int = 0, beta: int = 0, gamma: int = 0) -> Kernel:
@@ -61,7 +68,7 @@ def pr_box(alpha: int = 0, beta: int = 0, gamma: int = 0) -> Kernel:
         target = (v["X"] & v["Y"]) ^ (alpha & v["X"]) ^ (beta & v["Y"]) ^ gamma
         return Fraction(1, 2) if (v["A"] ^ v["B"]) == target else Fraction(0)
 
-    return Kernel.from_function((("A", 2), ("B", 2)), (("X", 2), ("Y", 2)), fn)
+    return Kernel.from_function(_CHSH_OUTCOMES, _CHSH_INPUTS, fn)
 
 
 def local_responses(i: int) -> tuple[str, str]:
@@ -89,7 +96,7 @@ def local_box(i: int) -> Kernel:
         ok = v["A"] == f_a(v["X"]) and v["B"] == f_b(v["Y"])
         return Fraction(1) if ok else Fraction(0)
 
-    return Kernel.from_function((("A", 2), ("B", 2)), (("X", 2), ("Y", 2)), fn)
+    return Kernel.from_function(_CHSH_OUTCOMES, _CHSH_INPUTS, fn)
 
 
 def ns_box_vertices() -> list[Kernel]:
@@ -122,9 +129,7 @@ def gyni_box() -> Kernel:
             _gyni_indicator(v["A"], v["B"], v["C"], v["X"], v["Y"], v["Z"]), 3
         )
 
-    return Kernel.from_function(
-        (("A", 2), ("B", 2), ("C", 2)), (("X", 2), ("Y", 2), ("Z", 2)), fn
-    )
+    return Kernel.from_function(_GYNI_OUTCOMES, _GYNI_INPUTS, fn)
 
 
 def gyni_projected() -> Kernel:
@@ -137,7 +142,7 @@ def gyni_projected() -> Kernel:
             _gyni_indicator(v["A"], v["B"], v["C"], v["X"], v["A"], v["B"]), 3
         )
 
-    return Kernel.from_function((("A", 2), ("B", 2), ("C", 2)), (("X", 2),), fn)
+    return Kernel.from_function(_GYNI_OUTCOMES, (("X", 2),), fn)
 
 
 def swapping_box() -> Kernel:
@@ -154,9 +159,7 @@ def swapping_box() -> Kernel:
         ok = (v["A"] ^ v["C"]) == target
         return Fraction(1, 4) if ok else Fraction(0)
 
-    return Kernel.from_function(
-        (("A", 2), ("B", 2), ("C", 2)), (("X", 2), ("Z", 2)), fn
-    )
+    return Kernel.from_function(_GYNI_OUTCOMES, (("X", 2), ("Z", 2)), fn)
 
 
 def chsh_score(box: Kernel) -> Fraction:
@@ -168,10 +171,6 @@ def chsh_score(box: Kernel) -> Fraction:
         raise CardinalityMismatchError("chsh_score expects binary variables")
     num, den = _numerators(box, box.outcome_vars, box.index_vars)
     return Fraction(_chsh_scores(num)[0, 0, 0], 4 * den)
-
-
-_GYNI_OUTCOMES = (("A", 2), ("B", 2), ("C", 2))
-_GYNI_INPUTS = (("X", 2), ("Y", 2), ("Z", 2))
 
 
 def _gyni_score(box: Kernel) -> Fraction:
@@ -216,44 +215,28 @@ def _chsh_scores(num: list[int]) -> dict[tuple[int, int, int], int]:
 # -- named graphs ----------------------------------------------------------
 
 
+def _binary_dag(latents: tuple[str, ...], edges: list[tuple[str, str]]) -> CausalDag:
+    """``edges`` with every endpoint not in ``latents`` an observed binary
+    vertex; observed vertices come first, sorted, then ``latents`` in order."""
+    observed = sorted({v for edge in edges for v in edge} - set(latents))
+    return CausalDag([(v, OBSERVED, 2) for v in observed] + [(v, LATENT) for v in latents], edges)
+
+
 def chsh_graph() -> CausalDag:
     """Bipartite Bell structure: X -> A <- Lambda -> B <- Y."""
-    return CausalDag(
-        [
-            ("A", OBSERVED, 2),
-            ("B", OBSERVED, 2),
-            ("X", OBSERVED, 2),
-            ("Y", OBSERVED, 2),
-            ("Lambda", LATENT),
-        ],
-        [("X", "A"), ("Y", "B"), ("Lambda", "A"), ("Lambda", "B")],
-    )
+    return _binary_dag(("Lambda",), [("X", "A"), ("Y", "B"), ("Lambda", "A"), ("Lambda", "B")])
 
 
 def instrumental_graph() -> CausalDag:
     """Instrumental structure: X -> A -> B with Lambda -> A, Lambda -> B."""
-    return CausalDag(
-        [
-            ("A", OBSERVED, 2),
-            ("B", OBSERVED, 2),
-            ("X", OBSERVED, 2),
-            ("Lambda", LATENT),
-        ],
-        [("X", "A"), ("A", "B"), ("Lambda", "A"), ("Lambda", "B")],
-    )
+    return _binary_dag(("Lambda",), [("X", "A"), ("A", "B"), ("Lambda", "A"), ("Lambda", "B")])
 
 
 def mediation_graph() -> CausalDag:
     """Mediation structure X -> A -> B -> C with Lambda -> A, Lambda -> C,
     the smallest graph with a Verma constraint."""
-    return CausalDag(
-        [
-            ("A", OBSERVED, 2),
-            ("B", OBSERVED, 2),
-            ("C", OBSERVED, 2),
-            ("X", OBSERVED, 2),
-            ("Lambda", LATENT),
-        ],
+    return _binary_dag(
+        ("Lambda",),
         [("X", "A"), ("A", "B"), ("B", "C"), ("Lambda", "A"), ("Lambda", "C")],
     )
 
@@ -261,22 +244,9 @@ def mediation_graph() -> CausalDag:
 def gyni_graph() -> CausalDag:
     """Four observed vertices, one latent: X -> A -> B -> C with Lambda
     parenting A, B and C.  Its hypergraph is the tripartite Bell structure."""
-    return CausalDag(
-        [
-            ("A", OBSERVED, 2),
-            ("B", OBSERVED, 2),
-            ("C", OBSERVED, 2),
-            ("X", OBSERVED, 2),
-            ("Lambda", LATENT),
-        ],
-        [
-            ("X", "A"),
-            ("A", "B"),
-            ("B", "C"),
-            ("Lambda", "A"),
-            ("Lambda", "B"),
-            ("Lambda", "C"),
-        ],
+    return _binary_dag(
+        ("Lambda",),
+        [("X", "A"), ("A", "B"), ("B", "C"), ("Lambda", "A"), ("Lambda", "B"), ("Lambda", "C")],
     )
 
 
@@ -285,68 +255,24 @@ def tripartite_bell_graph() -> CausalDag:
     A, B, C that share one latent state.  This is the hypergraph of the
     four-vertex single-latent structure, with the added roots given their
     conventional names."""
-    return CausalDag(
-        [
-            ("A", OBSERVED, 2),
-            ("B", OBSERVED, 2),
-            ("C", OBSERVED, 2),
-            ("X", OBSERVED, 2),
-            ("Y", OBSERVED, 2),
-            ("Z", OBSERVED, 2),
-            ("Lambda", LATENT),
-        ],
-        [
-            ("X", "A"),
-            ("Y", "B"),
-            ("Z", "C"),
-            ("Lambda", "A"),
-            ("Lambda", "B"),
-            ("Lambda", "C"),
-        ],
+    return _binary_dag(
+        ("Lambda",),
+        [("X", "A"), ("Y", "B"), ("Z", "C"), ("Lambda", "A"), ("Lambda", "B"), ("Lambda", "C")],
     )
 
 
 def swapping_graph() -> CausalDag:
     """Nonlocality-swapping structure with two latent variables:
     X -> A <- L1 -> B <- L2 -> C <- Z."""
-    return CausalDag(
-        [
-            ("A", OBSERVED, 2),
-            ("B", OBSERVED, 2),
-            ("C", OBSERVED, 2),
-            ("X", OBSERVED, 2),
-            ("Z", OBSERVED, 2),
-            ("L1", LATENT),
-            ("L2", LATENT),
-        ],
-        [
-            ("X", "A"),
-            ("Z", "C"),
-            ("L1", "A"),
-            ("L1", "B"),
-            ("L2", "B"),
-            ("L2", "C"),
-        ],
+    return _binary_dag(
+        ("L1", "L2"),
+        [("X", "A"), ("Z", "C"), ("L1", "A"), ("L1", "B"), ("L2", "B"), ("L2", "C")],
     )
 
 
 def triangle_graph() -> CausalDag:
     """Triangle structure: three observed vertices pairwise sharing latents."""
-    return CausalDag(
-        [
-            ("A", OBSERVED, 2),
-            ("B", OBSERVED, 2),
-            ("C", OBSERVED, 2),
-            ("L1", LATENT),
-            ("L2", LATENT),
-            ("L3", LATENT),
-        ],
-        [
-            ("L1", "A"),
-            ("L1", "B"),
-            ("L2", "B"),
-            ("L2", "C"),
-            ("L3", "C"),
-            ("L3", "A"),
-        ],
+    return _binary_dag(
+        ("L1", "L2", "L3"),
+        [("L1", "A"), ("L1", "B"), ("L2", "B"), ("L2", "C"), ("L3", "C"), ("L3", "A")],
     )

@@ -36,8 +36,8 @@ request and a command's own modules 8-16 ms more; README.md has the full
 split.
 
 Parsers cost a request too: :func:`dispatch` builds the top-level parser
-and the parser of the command that ``argv[0]`` names, 3 ``ArgumentParser``
-objects for ``member`` instead of all 19.  Any other first argument (none,
+and the parser of the command that ``argv[0]`` names, 2 ``ArgumentParser``
+objects for ``member`` instead of all 18.  Any other first argument (none,
 ``-h``, a misspelt command) builds every command's parser, to list or
 refuse it.
 """
@@ -369,11 +369,6 @@ def _cmd_fixtures(args) -> int:
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of the top level and ``command``
     alone, which is all that a request naming ``command`` reads."""
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=("text", "machine"), default="text",
-        help="output style; machine prints deterministic JSON",
-    )
     parser = argparse.ArgumentParser(
         prog="causalbox",
         description="Exact membership tests for the causal-model hierarchy "
@@ -385,11 +380,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", metavar=metavar)
     names = _DISPATCH if command is None else (command,)
 
-    def group(name, summary):
-        return sub.add_parser(name, help=summary).add_subparsers(dest=f"{name}_cmd")
+    def group(name, summary, usage):
+        # dispatch prints the usage when the subcommand, "<name>_cmd", is missing
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(usage=f"{name} {usage} ...")
+        return p.add_subparsers(dest=f"{name}_cmd")
 
     def leaf(subparsers, name, graph=True, dist=False, **kwargs):
-        p = subparsers.add_parser(name, parents=[fmt], **kwargs)
+        p = subparsers.add_parser(name, **kwargs)
+        p.add_argument(
+            "--format", choices=("text", "machine"), default="text",
+            help="output style; machine prints deterministic JSON",
+        )
         if graph:
             p.add_argument("--graph", help="graph file (JSON)")
         if dist:
@@ -397,8 +399,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         return p
 
     if "graph" in names:
-        gsub = group("graph", "structural queries")
-        for name in ("check", "mdag", "districts", "dsep"):
+        queries = ("check", "mdag", "districts", "dsep")
+        gsub = group("graph", "structural queries", "{" + ",".join(queries) + "}")
+        for name in queries:
             p = leaf(gsub, name)
             if name != "check":
                 p.add_argument("--fixed", help="comma-separated vertex names")
@@ -406,9 +409,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                 p.add_argument("--a", help="first vertex")
                 p.add_argument("--b", help="second vertex")
     if "constraints" in names:
-        leaf(group("constraints", "equality constraints"), "enumerate")
+        leaf(group("constraints", "equality constraints", "enumerate"), "enumerate")
     if "hyper" in names:
-        p = leaf(group("hyper", "hypergraph lift"), "build")
+        p = leaf(group("hyper", "hypergraph lift", "build"), "build")
         p.add_argument("--out", help="write the lifted graph file here")
     if "project" in names:
         leaf(sub, "project", dist=True, help="diagonal post-selection")
@@ -430,7 +433,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         leaf(sub, "decompose-ns", graph=False, dist=True, help="PR-plus-local decomposition")
     if "fixtures" in names:
         p = leaf(
-            group("fixtures", "built-in boxes and graphs"),
+            group("fixtures", "built-in boxes and graphs", "emit NAME"),
             "emit",
             graph=False,
             description="Write a built-in box or graph. Boxes: pr-box (--alpha "
@@ -451,15 +454,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--out", help="write to a file instead of stdout")
     return parser
 
-
-# the usage line for a command given without its subcommand, which argparse
-# stores under "<command>_cmd"
-_SUBCOMMAND_USAGE = {
-    "graph": "graph {check,mdag,districts,dsep} ...",
-    "constraints": "constraints enumerate ...",
-    "hyper": "hyper build ...",
-    "fixtures": "fixtures emit NAME ...",
-}
 
 _DISPATCH = {
     "graph": _cmd_graph,
@@ -487,8 +481,8 @@ def dispatch(argv) -> int:
     if not args.cmd:
         parser.print_help()
         return EXIT_ERROR
-    if args.cmd in _SUBCOMMAND_USAGE and not getattr(args, f"{args.cmd}_cmd"):
-        print(f"usage: causalbox {_SUBCOMMAND_USAGE[args.cmd]}", file=sys.stderr)
+    if hasattr(args, "usage") and not getattr(args, f"{args.cmd}_cmd"):
+        print(f"usage: causalbox {args.usage}", file=sys.stderr)
         return EXIT_ERROR
     try:
         return _DISPATCH[args.cmd](args)

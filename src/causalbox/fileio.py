@@ -8,13 +8,15 @@ and, for observed vertices, ``cardinality``) and ``edges`` (list of
 strings such as ``"1/3"`` or ``"1"`` (integers are read too; a float is
 rejected).  Exact decimal strings such as ``"0.25"`` or ``"1e0"`` are read
 exactly; a string with ``_`` or a non-ASCII character is rejected, so a
-value reads alike on every supported Python.  Parsing and printing
-round-trip exactly; zero entries may be omitted.
+value reads alike on every supported Python; so is a decimal exponent
+beyond 4300 in magnitude, and a document nested too deeply to parse.
+Parsing and printing round-trip exactly; zero entries may be omitted.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -129,6 +131,26 @@ def _parse_vars(entries: list, field: str) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
+# Fraction expands a decimal exponent to that many digits; 4300 is CPython's
+# default limit on the digits of an integer read from a string
+_MAX_EXPONENT = 4300
+# a decimal string with an exponent, as Fraction reads it; group 1 is the
+# exponent's magnitude.  No two quantifiers share a run of digits, so a
+# string that does not match fails in linear time
+_EXPONENT = re.compile(r"\s*[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?([0-9]+)\s*")
+
+
+def _check_exponent(text: str, key: str) -> None:
+    """Refuse a decimal exponent beyond ``_MAX_EXPONENT`` in magnitude
+    before ``Fraction`` expands it to that many digits."""
+    match = _EXPONENT.fullmatch(text)
+    digits = match[1].lstrip("0") if match else ""
+    if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
+        raise FileFormatError(
+            f"table value '{text}' at '{key}' has an exponent beyond {_MAX_EXPONENT}"
+        )
+
+
 def kernel_from_dict(doc: dict) -> Kernel:
     outcomes, index, cells = _fields(
         doc, {"variables": list, "index_variables": list, "table": dict}, "distribution"
@@ -153,8 +175,9 @@ def kernel_from_dict(doc: dict) -> Kernel:
         keys[values] = key
         if isinstance(raw, float):
             raise FileFormatError(f"table value {raw} at '{key}' is a float, not a rational")
+        text = str(raw)
+        _check_exponent(text, key)
         try:
-            text = str(raw)
             if "_" in text or not text.isascii():  # Fraction reads these by Python version
                 raise ValueError(text)
             table[values] = Fraction(text)
@@ -172,9 +195,17 @@ def dump_graph(dag: CausalDag, path) -> None:
         fh.write("\n")
 
 
-def load_graph(path) -> CausalDag:
+def _read(path):
+    """The JSON document in the file at ``path``."""
     with open(path) as fh:
-        return graph_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise FileFormatError("document nests too deeply") from None
+
+
+def load_graph(path) -> CausalDag:
+    return graph_from_dict(_read(path))
 
 
 def dump_kernel(kernel: Kernel, path) -> None:
@@ -184,5 +215,4 @@ def dump_kernel(kernel: Kernel, path) -> None:
 
 
 def load_kernel(path) -> Kernel:
-    with open(path) as fh:
-        return kernel_from_dict(json.load(fh))
+    return kernel_from_dict(_read(path))

@@ -39,10 +39,11 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"  {name}: {ACCEPTANCE_RESULTS[name]}")
 
 
-def run_fresh(code: str, *argv: str, **env: str) -> str:
+def run_fresh(code: str, *argv: str, timeout: float | None = None, **env: str) -> str:
     """stdout of ``code`` run in a new interpreter with ``argv`` and the
-    extra environment variables ``env``.  It imports the ``causalbox`` this
-    process imported, installed or not."""
+    extra environment variables ``env``, within ``timeout`` seconds if one
+    is given.  It imports the ``causalbox`` this process imported, installed
+    or not."""
     src = os.path.dirname(os.path.dirname(causalbox.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -51,6 +52,7 @@ def run_fresh(code: str, *argv: str, **env: str) -> str:
         capture_output=True,
         text=True,
         check=True,
+        timeout=timeout,
     )
     return out.stdout
 

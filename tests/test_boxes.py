@@ -7,6 +7,7 @@ import pytest
 
 from causalbox import (
     CardinalityMismatchError,
+    CausalDag,
     build_hypergraph,
     chsh_graph,
     chsh_score,
@@ -23,9 +24,14 @@ from causalbox import (
     reorder,
     swapping_box,
     uniform_table,
+    validate,
     Kernel,
 )
+from causalbox import boxes
 from causalbox.boxes import _gyni_score
+from causalbox.fileio import graph_to_dict, kernel_to_dict
+
+import boxes_reference as ref
 
 
 def test_pr_box_reference_entries():
@@ -173,3 +179,31 @@ def test_swapping_joint_satisfies_structure_independences():
     assert ci_holds(joint, {"A"}, {"C"}, set())
     # but given B = 0 the pair (A, C) is PR-correlated
     assert not ci_holds(joint, {"A"}, {"C"}, {"B", "X", "Z"})
+
+
+_GRAPHS = ["chsh_graph", "instrumental_graph", "mediation_graph", "gyni_graph",
+           "tripartite_bell_graph", "swapping_graph", "triangle_graph"]
+_FIXTURES = [
+    *((name, ()) for name in _GRAPHS),
+    *(("pr_box", bits) for bits in product((0, 1), repeat=3)),
+    *(("local_box", (i,)) for i in range(16)),
+    ("gyni_box", ()), ("gyni_projected", ()), ("swapping_box", ()),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args", _FIXTURES, ids=[name + "".join(f"-{a}" for a in args) for name, args in _FIXTURES]
+)
+def test_fixtures_equal_their_reference(name, args):
+    """Each fixture is the one its constructor spelled out vertex by vertex
+    and party by party, down to its repr and its file form."""
+    got, want = getattr(boxes, name)(*args), getattr(ref, name)(*args)
+    assert got == want
+    assert repr(got) == repr(want)
+    to_dict = graph_to_dict if isinstance(want, CausalDag) else kernel_to_dict
+    assert to_dict(got) == to_dict(want)
+
+
+@pytest.mark.parametrize("name", _GRAPHS)
+def test_fixture_graphs_are_valid(name):
+    assert validate(getattr(boxes, name)()) == []

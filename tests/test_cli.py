@@ -621,6 +621,22 @@ def test_malformed_input_exits_one(template, files, tmp_path, capsys):
     assert err.startswith(("error: ", "usage: ")), err
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["graph", "check", "--graph", "{deep}"], "graph"),
+        (["member", "--model", "N", "--graph", "{deep}", "--dist", "{pr}"], "graph"),
+        (["member", "--model", "N", "--graph", "{chsh}", "--dist", "{deep}"], "distribution"),
+    ],
+    ids=["check", "member-graph", "member-dist"],
+)
+def test_a_deeply_nested_file_is_one_error_line(argv, what, fixture_files, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    assert dispatch([arg.format(deep=deep, **fixture_files) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: bad {what} file {deep}: document nests too deeply\n")
+
+
 def test_certificate_file_errors_name_the_file(files, tmp_path, capsys):
     emit, _ = files
     gpath = emit("swapping-graph", "swap.json")

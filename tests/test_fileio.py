@@ -1,5 +1,6 @@
 """Text formats: exact round trips and named-field errors."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from causalbox.fileio import (
     load_graph,
     load_kernel,
 )
+
+from conftest import run_fresh
 
 
 @pytest.mark.parametrize("dag", [mediation_graph(), swapping_graph()])
@@ -164,7 +167,8 @@ def test_table_keys_naming_one_cell_twice_are_rejected(again):
 
 
 @pytest.mark.parametrize(
-    "text, value", [("0.25", Fraction(1, 4)), ("1e0", 1), ("1/3", Fraction(1, 3))]
+    "text, value",
+    [("0.25", Fraction(1, 4)), ("1e0", 1), ("1/3", Fraction(1, 3)), ("25e-2", Fraction(1, 4))],
 )
 def test_exact_decimal_strings_are_read_exactly(text, value):
     doc = {
@@ -185,3 +189,69 @@ def test_underscores_and_non_ascii_digits_are_not_rationals(text):
     }
     with pytest.raises(FileFormatError, match=f"^table value '{text}' is not a rational$"):
         kernel_from_dict(doc)
+
+
+@pytest.mark.parametrize("load", [load_graph, load_kernel])
+def test_a_deeply_nested_document_is_a_format_error(tmp_path, load):
+    # json.load recurses once per bracket and would raise RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    with pytest.raises(FileFormatError, match="^document nests too deeply$"):
+        load(path)
+
+
+def _two_cells(first: str, second: str) -> dict:
+    return {
+        "variables": [{"name": "A", "cardinality": 2}],
+        "index_variables": [],
+        "table": {"0": first, "1": second},
+    }
+
+
+@pytest.mark.parametrize("text", ["1e-5000", "1e+5000", "1E4301", " .5e-0004301 "])
+def test_an_exponent_beyond_the_digit_limit_is_refused(text):
+    # Fraction would expand it to as many digits as int() refuses to read
+    with pytest.raises(
+        FileFormatError,
+        match=f"^table value '{re.escape(text)}' at '0' has an exponent beyond 4300$",
+    ):
+        kernel_from_dict(_two_cells(text, "1"))
+
+
+@pytest.mark.parametrize("text", ["1e+-5000", "1/2e5000", "1e\u0665\u0660\u0660\u0660"])
+def test_a_malformed_exponent_is_not_a_rational(text):
+    with pytest.raises(FileFormatError, match=f"^table value '{re.escape(text)}' is not a rational$"):
+        kernel_from_dict(_two_cells(text, "1"))
+
+
+def test_an_exponent_at_the_digit_limit_is_read():
+    kernel = kernel_from_dict(_two_cells("1e-4300", f"{10**4300 - 1}e-4300"))
+    assert kernel.value({"A": 0}) == Fraction(1, 10**4300)
+
+
+# prints the FileFormatError that loading the file named by argv[1] raises
+_LOAD_KERNEL = (
+    "import sys\n"
+    "from causalbox.fileio import FileFormatError, load_kernel\n"
+    "try:\n    load_kernel(sys.argv[1])\n"
+    "except FileFormatError as exc:\n    print(exc)"
+)
+
+
+def test_a_huge_exponent_is_refused_without_expanding_it(tmp_path):
+    # Fraction("1e-10000000") alone takes seconds; this value did not load in 30 s
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_two_cells("1e-999999999", "1")))
+    out = run_fresh(_LOAD_KERNEL, str(path), timeout=30)
+    assert out == "table value '1e-999999999' at '0' has an exponent beyond 4300\n"
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 200000, "1e" + "0" * 200000 + "x"], ids=["digits", "zero-exponent"]
+)
+def test_a_long_value_is_refused_in_linear_time(tmp_path, text):
+    # a pattern that lets two quantifiers split one run of digits takes
+    # minutes to reject these
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_two_cells(text, "1")))
+    assert run_fresh(_LOAD_KERNEL, str(path), timeout=30).startswith("table")
