@@ -79,6 +79,7 @@ _EXPORTS = {
         "gyni_projected",
         "swapping_box",
         "chsh_score",
+        "instrumental_score",
         "chsh_graph",
         "instrumental_graph",
         "mediation_graph",
@@ -111,7 +112,7 @@ _EXPORTS = {
         "decompose_ns_box",
         "MemberVerdict",
     ),
-    "lift": ("ns_member", "instrumental_score", "PsVerdict", "ps_member", "ps_system"),
+    "lift": ("ns_member", "PsVerdict", "ps_member", "ps_system"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "fileio", "recipes"}

@@ -9,7 +9,7 @@ no-signalling polytope.
 Also included: the tripartite guess-your-neighbour's-input box, its
 post-selected single-input family, the nonlocality-swapping box, and the
 standard test graphs (CHSH, instrumental, mediation, GYNI, swapping,
-triangle).
+triangle), and the Bell scorers: CHSH, GYNI and the instrumental functional.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "gyni_projected",
     "swapping_box",
     "chsh_score",
+    "instrumental_score",
     "chsh_graph",
     "instrumental_graph",
     "mediation_graph",
@@ -185,6 +186,25 @@ def _gyni_score(box: Kernel) -> Fraction:
     # cell (a, b, c, x, y, z) sits at 32a + 16b + 8c + 4x + 2y + z
     won = (num[32 * y + 16 * z + 8 * x + 4 * x + 2 * y + z] for x, y, z in product(_BIT, repeat=3))
     return Fraction(sum(won), 8 * den)
+
+
+def instrumental_score(k: Kernel) -> Fraction:
+    """max over a of sum over b of max over x of p(a, b | x).
+
+    The kernel must be p(A, B | X), with its variables matched by name in
+    any layout.  At most one for post-selection members of the instrumental
+    structure; deterministic signalling tables exceed it.
+    """
+    outcomes = sorted(n for n, _ in k.outcome_vars)
+    if outcomes != ["A", "B"] or [n for n, _ in k.index_vars] != ["X"]:
+        raise ValueError("instrumental score expects a kernel p(A, B | X)")
+    card = dict(k.variables)
+    num, den = _numerators(k, (("A", card["A"]), ("B", card["B"])), k.index_vars)
+    # cell (a, b, x) sits at (a |B| + b) |X| + x, so tracked[a |B| + b] is
+    # den times the max over x of p(a, b | x)
+    tracked = [max(num[i : i + card["X"]]) for i in range(0, len(num), card["X"])]
+    width = card["B"]
+    return Fraction(max(sum(tracked[i : i + width]) for i in range(0, len(tracked), width)), den)
 
 
 # the parity xy + alpha x + beta y + gamma (mod 2) of each CHSH variant

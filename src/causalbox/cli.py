@@ -23,8 +23,8 @@ runs.  ``member --model N|I`` and ``constraints enumerate`` add
 ``constraints`` and ``recipes``; ``member --model C`` adds ``polytope`` and
 ``linprog``; ``member --model PS`` adds ``lift`` and ``linprog``;
 ``decompose-ns`` adds ``polytope``, ``linprog``, ``lift`` and ``boxes``;
-``score`` adds ``boxes``, or ``lift`` and ``linprog`` for the instrumental
-functional; ``optimize`` adds ``polytope``, ``linprog`` and ``boxes``.
+``score`` adds ``boxes``, which holds every scorer; ``optimize`` adds
+``polytope``, ``linprog`` and ``boxes``.
 
 For the same reason the library's records (kernels, graphs, verdicts,
 constraint records, recipe nodes) derive from
@@ -113,7 +113,7 @@ def _load(path: str | None, flag: str, what: str, loader):
         raise ValueError(f"{what} file not found: {path}")
     except OSError as exc:
         raise ValueError(f"cannot read {what} file {path}: {exc.strerror}")
-    except (FileFormatError, json.JSONDecodeError) as exc:
+    except FileFormatError as exc:
         raise ValueError(f"bad {what} file {path}: {exc}")
 
 
@@ -284,13 +284,9 @@ def _cmd_member(args) -> int:
 
 def _scorer(name: str):
     """The library's one scorer of the functional ``name``."""
-    if name == "instrumental":
-        from .lift import instrumental_score
+    from .boxes import _gyni_score, chsh_score, instrumental_score
 
-        return instrumental_score
-    from .boxes import _gyni_score, chsh_score
-
-    return chsh_score if name == "chsh" else _gyni_score
+    return {"chsh": chsh_score, "gyni": _gyni_score, "instrumental": instrumental_score}[name]
 
 
 def _cmd_score(args) -> int:

@@ -9,7 +9,8 @@ strings such as ``"1/3"`` or ``"1"`` (integers are read too; a float is
 rejected).  Exact decimal strings such as ``"0.25"`` or ``"1e0"`` are read
 exactly; a string with ``_`` or a non-ASCII character is rejected, so a
 value reads alike on every supported Python; so is a decimal exponent
-beyond 4300 in magnitude, and a document nested too deeply to parse.
+beyond 4300 in magnitude, and a document that the JSON reader refuses or
+that nests too deeply to parse.
 Parsing and printing round-trip exactly; zero entries may be omitted.
 """
 
@@ -196,10 +197,14 @@ def dump_graph(dag: CausalDag, path) -> None:
 
 
 def _read(path):
-    """The JSON document in the file at ``path``."""
+    """The JSON document in the file at ``path``; a file that is not JSON,
+    not UTF-8 or holds an integer too long for ``int`` fails with the
+    reader's text."""
     with open(path) as fh:
         try:
             return json.load(fh)
+        except ValueError as exc:
+            raise FileFormatError(str(exc)) from None
         except RecursionError:
             raise FileFormatError("document nests too deeply") from None
 

@@ -157,18 +157,6 @@ class CausalDag(Record):
     def children(self, name: str) -> frozenset[str]:
         return self._children.get(name, _EMPTY)
 
-    def descendants(self, name: str) -> set[str]:
-        """All vertices reachable by directed paths, including ``name``."""
-        seen = {name}
-        frontier = [name]
-        while frontier:
-            v = frontier.pop()
-            for c in self.children(v):
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        return seen
-
 
 def validate(dag: CausalDag) -> list[str]:
     """Report every violated graph invariant; an empty list means valid."""

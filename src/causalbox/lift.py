@@ -53,7 +53,6 @@ from .tables import (
 
 __all__ = [
     "ns_member",
-    "instrumental_score",
     "PsVerdict",
     "ps_member",
     "ps_system",
@@ -111,25 +110,6 @@ def ns_member(box: Kernel, h: HyperDag) -> bool:
     except ValueError:
         raise ValueError("box variables do not match the hypergraph's parties") from None
     return all(sum(num[k] for k in lo) == sum(num[k] for k in hi) for lo, hi in rows)
-
-
-def instrumental_score(k: Kernel) -> Fraction:
-    """max over a of sum over b of max over x of p(a, b | x).
-
-    The kernel must be p(A, B | X), with its variables matched by name in
-    any layout.  At most one for post-selection members of the instrumental
-    structure; deterministic signalling tables exceed it.
-    """
-    outcomes = sorted(n for n, _ in k.outcome_vars)
-    if outcomes != ["A", "B"] or [n for n, _ in k.index_vars] != ["X"]:
-        raise ValueError("instrumental score expects a kernel p(A, B | X)")
-    card = dict(k.variables)
-    num, den = _numerators(k, (("A", card["A"]), ("B", card["B"])), k.index_vars)
-    # cell (a, b, x) sits at (a |B| + b) |X| + x, so tracked[a |B| + b] is
-    # den times the max over x of p(a, b | x)
-    tracked = [max(num[i : i + card["X"]]) for i in range(0, len(num), card["X"])]
-    width = card["B"]
-    return Fraction(max(sum(tracked[i : i + width]) for i in range(0, len(tracked), width)), den)
 
 
 class PsVerdict(Record):

@@ -228,9 +228,11 @@ class Kernel(Record):
         for j, idx in enumerate(assignments(index_vars)):
             row = sum(entries[j::width])
             if row != 1:
-                raise ValueError(
-                    f"row for index assignment {idx} sums to {row}, expected 1"
-                )
+                try:
+                    total = str(row)
+                except ValueError:  # past the interpreter's int-to-string digit limit
+                    total = "a value too long to print"
+                raise ValueError(f"row for index assignment {idx} sums to {total}, expected 1")
 
     # -- construction ------------------------------------------------------
 

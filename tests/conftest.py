@@ -103,14 +103,19 @@ def district_demo_graph() -> CausalDag:
 @pytest.fixture(scope="module")
 def fixture_files(tmp_path_factory):
     """Paths of the chsh-graph, pr-box and mediation-graph fixture files,
-    keyed chsh, pr and med."""
+    keyed chsh, pr and med, and of the conditional p(A, B | X) of
+    :func:`score2_table`, keyed instr."""
+    from causalbox import split_joint
     from causalbox.cli import dispatch
+    from causalbox.fileio import dump_kernel
 
     folder = tmp_path_factory.mktemp("fixtures")
     paths = {}
     for key, name in (("chsh", "chsh-graph"), ("pr", "pr-box"), ("med", "mediation-graph")):
         paths[key] = str(folder / f"{name}.json")
         assert dispatch(["fixtures", "emit", name, "--out", paths[key]]) == 0
+    paths["instr"] = str(folder / "score2.json")
+    dump_kernel(split_joint(score2_table(), ["X"])[0], paths["instr"])
     return paths
 
 

@@ -637,6 +637,29 @@ def test_a_deeply_nested_file_is_one_error_line(argv, what, fixture_files, tmp_p
     assert capsys.readouterr() == ("", f"error: bad {what} file {deep}: document nests too deeply\n")
 
 
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[" + b"7" * 5000 + b"]", "Exceeds the limit (4300 digits) for integer string conversion"),
+        (b'{"a": ', "Expecting value: line 1 column 7 (char 6)"),
+        (
+            json.dumps({"variables": [{"name": "A", "cardinality": 2}], "index_variables": [],
+                        "table": {"0": "1e4300", "1": "0"}}).encode(),
+            "table: row for index assignment () sums to a value too long to print, expected 1",
+        ),
+    ],
+    ids=["not-utf8", "long-integer", "truncated", "huge-row-sum"],
+)
+def test_a_malformed_distribution_is_one_error_line_naming_the_file(tmp_path, capsys, data, reason):
+    path = tmp_path / "dist.json"
+    path.write_bytes(data)
+    assert dispatch(["score", "--functional", "chsh", "--dist", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: bad distribution file {path}: {reason}")
+
+
 def test_certificate_file_errors_name_the_file(files, tmp_path, capsys):
     emit, _ = files
     gpath = emit("swapping-graph", "swap.json")

@@ -200,6 +200,23 @@ def test_a_deeply_nested_document_is_a_format_error(tmp_path, load):
         load(path)
 
 
+# a document json.load refuses with a ValueError: truncated JSON, a file that
+# is not UTF-8, and an integer past int()'s 4300-digit limit
+_UNREADABLE = {"truncated": b'{"a": ', "not-utf8": b"\xff", "long-integer": b"[" + b"7" * 5000 + b"]"}
+
+
+@pytest.mark.parametrize("load", [load_graph, load_kernel])
+@pytest.mark.parametrize("data", list(_UNREADABLE.values()), ids=list(_UNREADABLE))
+def test_a_document_json_refuses_is_a_format_error_with_its_text(tmp_path, load, data):
+    with pytest.raises(ValueError) as refused:
+        json.loads(data)
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(FileFormatError) as caught:
+        load(path)
+    assert str(caught.value) == str(refused.value)
+
+
 def _two_cells(first: str, second: str) -> dict:
     return {
         "variables": [{"name": "A", "cardinality": 2}],

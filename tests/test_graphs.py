@@ -296,19 +296,33 @@ def test_marginal_mdag_drops_only_a_childless_random_vertex():
 
 
 def _simple_paths(dag, start, end):
-    edges = dag.edges
     neighbors = {}
-    for v in dag.names():
-        neighbors[v] = dag.parents(v) | dag.children(v)
+    for u, v in dag.edges:
+        neighbors.setdefault(u, set()).add(v)
+        neighbors.setdefault(v, set()).add(u)
     stack = [(start, [start])]
     while stack:
         v, path = stack.pop()
         if v == end:
             yield path
             continue
-        for n in sorted(neighbors[v]):
+        for n in sorted(neighbors.get(v, ())):
             if n not in path:
                 stack.append((n, path + [n]))
+
+
+def _reaches(dag, w, z):
+    """Whether a directed path, possibly of length 0, leads from ``w`` into
+    ``z``; found by scanning ``dag.edges`` until no vertex is added."""
+    seen = {w}
+    grew = True
+    while grew:
+        grew = False
+        for u, v in dag.edges:
+            if u in seen and v not in seen:
+                seen.add(v)
+                grew = True
+    return bool(seen & z)
 
 
 def oracle_d_separated(dag, a, b, z):
@@ -323,7 +337,7 @@ def oracle_d_separated(dag, a, b, z):
                     into_left = (path[i - 1], w) in dag.edges
                     into_right = (path[i + 1], w) in dag.edges
                     if into_left and into_right:  # collider
-                        if not (dag.descendants(w) & z):
+                        if not _reaches(dag, w, z):
                             active = False
                             break
                     elif w in z:

@@ -38,8 +38,8 @@ EXPORTS = {
     "networks": ["ClassicalNetwork", "random_network", "lift_network"],
     "boxes": [
         "pr_box", "local_box", "local_responses", "ns_box_vertices", "gyni_box",
-        "gyni_projected", "swapping_box", "chsh_score", "chsh_graph",
-        "instrumental_graph", "mediation_graph", "gyni_graph",
+        "gyni_projected", "swapping_box", "chsh_score", "instrumental_score",
+        "chsh_graph", "instrumental_graph", "mediation_graph", "gyni_graph",
         "tripartite_bell_graph", "swapping_graph", "triangle_graph",
     ],
     "constraints": [
@@ -54,7 +54,7 @@ EXPORTS = {
         "maximize_functional", "functional_from_indicator", "decompose_ns_box",
         "MemberVerdict",
     ],
-    "lift": ["ns_member", "instrumental_score", "PsVerdict", "ps_member", "ps_system"],
+    "lift": ["ns_member", "PsVerdict", "ps_member", "ps_system"],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 
@@ -129,13 +129,14 @@ print(code, "dataclasses" in sys.modules, *sorted(m for m in sys.modules if m.pa
         ),
         ("constraints enumerate --graph {med}", 0, _NESTED),
         ("score --functional chsh --dist {pr}", 0, _COMMON | {"causalbox.boxes"}),
+        ("score --functional instrumental --dist {instr}", 0, _COMMON | {"causalbox.boxes"}),
         (
             "optimize --functional chsh --graph {chsh}",
             0,
             _COMMON | {"causalbox.boxes", "causalbox.linprog", "causalbox.polytope"},
         ),
     ],
-    ids=["N", "I", "C", "PS", "decompose-ns", "constraints", "score", "optimize"],
+    ids=["N", "I", "C", "PS", "decompose-ns", "constraints", "score", "score-instrumental", "optimize"],
 )
 def test_each_command_loads_only_its_modules(fixture_files, argv, code, modules):
     got, dataclasses_loaded, *loaded = run_fresh(_PROBE, *argv.format(**fixture_files).split()).split()

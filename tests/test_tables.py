@@ -50,6 +50,10 @@ def test_kernel_validates_rows():
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     with pytest.raises(ValueError, match=r"index assignment \(1,\) sums to 3/4"):
         Kernel((("A", 2),), (("X", 2),), (half, half, half, quarter))
+    # a sum whose str() exceeds int()'s 4300-digit limit is not printed
+    unprintable = r"^row for index assignment \(\) sums to a value too long to print, expected 1$"
+    with pytest.raises(ValueError, match=unprintable):
+        Kernel((("A", 2),), (), (Fraction(10**4300), Fraction(0)))
 
 
 @pytest.mark.parametrize(
