@@ -42,12 +42,12 @@ __all__ = [
 
 _BIT = (0, 1)
 
-#: the four single-party deterministic responses, in canonical order
+#: the four single-party deterministic responses by name, in canonical order
 _RESPONSES = {
-    0: ("const0", lambda x: 0),
-    1: ("const1", lambda x: 1),
-    2: ("id", lambda x: x),
-    3: ("not", lambda x: 1 - x),
+    "const0": lambda x: 0,
+    "const1": lambda x: 1,
+    "id": lambda x: x,
+    "not": lambda x: 1 - x,
 }
 
 # the outcome and input variables of the CHSH boxes and of the GYNI box; the
@@ -58,15 +58,23 @@ _GYNI_OUTCOMES = (("A", 2), ("B", 2), ("C", 2))
 _GYNI_INPUTS = (("X", 2), ("Y", 2), ("Z", 2))
 
 
+# the parity xy + alpha x + beta y + gamma (mod 2) of each CHSH variant
+# (alpha, beta, gamma) at (x, y) = (0, 0), (0, 1), (1, 0), (1, 1)
+_CHSH_PARITIES = {
+    v: [(x & y) ^ (v[0] & x) ^ (v[1] & y) ^ v[2] for x, y in product(_BIT, _BIT)]
+    for v in product(_BIT, _BIT, _BIT)
+}
+
+
 @lru_cache(maxsize=None)
 def pr_box(alpha: int = 0, beta: int = 0, gamma: int = 0) -> Kernel:
     """(alpha, beta, gamma)-PR box; (0, 0, 0) is the standard PR box."""
-    for bit in (alpha, beta, gamma):
-        if bit not in _BIT:
-            raise IndexError("PR box parameters must be bits")
+    parity = _CHSH_PARITIES.get((alpha, beta, gamma))
+    if parity is None:
+        raise IndexError("PR box parameters must be bits")
 
     def fn(v):
-        target = (v["X"] & v["Y"]) ^ (alpha & v["X"]) ^ (beta & v["Y"]) ^ gamma
+        target = parity[2 * v["X"] + v["Y"]]
         return Fraction(1, 2) if (v["A"] ^ v["B"]) == target else Fraction(0)
 
     return Kernel.from_function(_CHSH_OUTCOMES, _CHSH_INPUTS, fn)
@@ -76,7 +84,8 @@ def local_responses(i: int) -> tuple[str, str]:
     """Names of the two response functions encoded by a local-box index."""
     if not 0 <= i <= 15:
         raise IndexError("local box index must be in 0..15")
-    return _RESPONSES[i // 4][0], _RESPONSES[i % 4][0]
+    names = list(_RESPONSES)
+    return names[i // 4], names[i % 4]
 
 
 @lru_cache(maxsize=None)
@@ -88,10 +97,7 @@ def local_box(i: int) -> Kernel:
     the sixteen boxes exists, so this encoding is the library's canonical
     convention (see also :func:`local_responses`).
     """
-    if not 0 <= i <= 15:
-        raise IndexError("local box index must be in 0..15")
-    f_a = _RESPONSES[i // 4][1]
-    f_b = _RESPONSES[i % 4][1]
+    f_a, f_b = (_RESPONSES[name] for name in local_responses(i))
 
     def fn(v):
         ok = v["A"] == f_a(v["X"]) and v["B"] == f_b(v["Y"])
@@ -205,14 +211,6 @@ def instrumental_score(k: Kernel) -> Fraction:
     tracked = [max(num[i : i + card["X"]]) for i in range(0, len(num), card["X"])]
     width = card["B"]
     return Fraction(max(sum(tracked[i : i + width]) for i in range(0, len(tracked), width)), den)
-
-
-# the parity xy + alpha x + beta y + gamma (mod 2) of each CHSH variant
-# (alpha, beta, gamma) at (x, y) = (0, 0), (0, 1), (1, 0), (1, 1)
-_CHSH_PARITIES = {
-    v: [(x & y) ^ (v[0] & x) ^ (v[1] & y) ^ v[2] for x, y in product(_BIT, _BIT)]
-    for v in product(_BIT, _BIT, _BIT)
-}
 
 
 def _chsh_scores(num: list[int]) -> dict[tuple[int, int, int], int]:

@@ -30,11 +30,11 @@ from .graphs import (
     CausalDag,
     CiConstraint,
     MDag,
-    NotADistrictError,
     ci_constraints,
     d_separated,
     districts,
     marginal_mdag,
+    subgraph,
     to_mdag,
     topological_order,
 )
@@ -144,20 +144,19 @@ def reduce_expr(e: Expr, dag: CausalDag) -> Expr:
     Alternates structural simplification with d-separation justified
     rewrites until a fixed point: one bottom-up walk drops conditioning
     variables (:func:`_reduce_factor`), the next merges chains
-    (:func:`_merge_chain`).  Sound for every distribution satisfying the
-    CI constraints of the graph, which are checked alongside the Verma
-    records.
+    (:func:`_merge_chain`).  No rewrite adds a variable occurrence and all but
+    pulling factors outward remove one, so a form recurs only at the fixed
+    point.  Sound for every distribution satisfying the CI constraints of
+    the graph, which are checked alongside the Verma records.
     """
     e = simplify(e)
-    seen = {canonical(e)}
+    key = canonical(e)
     while True:
-        e2 = simplify(_rewrite(e, _reduce_factor, dag))
-        e2 = simplify(_rewrite(e2, _merge_chain, dag))
-        key = canonical(e2)
-        if key in seen:
-            return e2
-        seen.add(key)
-        e = e2
+        e = simplify(_rewrite(e, _reduce_factor, dag))
+        e = simplify(_rewrite(e, _merge_chain, dag))
+        last, key = key, canonical(e)
+        if key == last:
+            return e
 
 
 # -- kernels -------------------------------------------------------------------
@@ -208,8 +207,7 @@ def district_kernel_recipe(
     topological order of the observed vertices.
     """
     order = _observed_order(dag, order)
-    if district not in districts(to_mdag(dag)):
-        raise NotADistrictError(f"{sorted(district)} is not a district")
+    subgraph(to_mdag(dag), district)  # refuses a set that is not a district
     return reduce_expr(_chain_expr(order, district), dag)
 
 
@@ -225,8 +223,8 @@ def district_kernel(
     """
     _check_joint(table, dag, "district_kernel")
     recipe = district_kernel_recipe(dag, district, order)
-    parents = set().union(*map(dag.parents, district)) & set(dag.observed()) - district
-    names = sorted(district) + sorted(parents)
+    scenario = subgraph(to_mdag(dag), district)
+    names = list(scenario.random_vertices + scenario.fixed_vertices)
     layout = [(v, table.cardinality(v)) for v in names]
     entries = Evaluator(table).table(recipe, names)
     for values, cell in zip(assignments(layout), entries):

@@ -9,8 +9,10 @@ strings such as ``"1/3"`` or ``"1"`` (integers are read too; a float is
 rejected).  Exact decimal strings such as ``"0.25"`` or ``"1e0"`` are read
 exactly; a string with ``_`` or a non-ASCII character is rejected, so a
 value reads alike on every supported Python; so is a decimal exponent
-beyond 4300 in magnitude, and a document that the JSON reader refuses or
-that nests too deeply to parse.
+beyond 4300 in magnitude, a value whose numerator or denominator has more
+than 4300 digits (it would not print back), a table with more cells than
+fit in memory, an object that repeats a name, and a document that the JSON
+reader refuses or that nests too deeply to parse.
 Parsing and printing round-trip exactly; zero entries may be omitted.
 """
 
@@ -133,8 +135,10 @@ def _parse_vars(entries: list, field: str) -> tuple[tuple[str, int], ...]:
 
 
 # Fraction expands a decimal exponent to that many digits; 4300 is CPython's
-# default limit on the digits of an integer read from a string
+# default limit on the digits of an integer read from or printed to a string
 _MAX_EXPONENT = 4300
+# the least integer with more digits than that limit, which would not print back
+_UNPRINTABLE = 10**_MAX_EXPONENT
 # a decimal string with an exponent, as Fraction reads it; group 1 is the
 # exponent's magnitude.  No two quantifiers share a run of digits, so a
 # string that does not match fails in linear time
@@ -181,32 +185,54 @@ def kernel_from_dict(doc: dict) -> Kernel:
         try:
             if "_" in text or not text.isascii():  # Fraction reads these by Python version
                 raise ValueError(text)
-            table[values] = Fraction(text)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise FileFormatError(f"table value '{raw}' is not a rational")
+        if max(abs(value.numerator), value.denominator) >= _UNPRINTABLE:
+            raise FileFormatError(
+                f"table value '{text}' at '{key}' has more than {_MAX_EXPONENT} digits"
+            )
+        table[values] = value
     try:
         return Kernel.from_mapping(outcome_vars, index_vars, table)
     except ValueError as exc:
         raise FileFormatError(f"table: {exc}")
 
 
-def dump_graph(dag: CausalDag, path) -> None:
+def _write(doc: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(graph_to_dict(dag), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object's members as a dict; a name given twice is refused
+    rather than read as its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise FileFormatError(f"an object repeats the name '{name}'")
+            seen.add(name)
+    return doc
 
 
 def _read(path):
     """The JSON document in the file at ``path``; a file that is not JSON,
     not UTF-8 or holds an integer too long for ``int`` fails with the
-    reader's text."""
+    reader's text, and one with an object that repeats a name fails too."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
         except ValueError as exc:
             raise FileFormatError(str(exc)) from None
         except RecursionError:
             raise FileFormatError("document nests too deeply") from None
+
+
+def dump_graph(dag: CausalDag, path) -> None:
+    _write(graph_to_dict(dag), path)
 
 
 def load_graph(path) -> CausalDag:
@@ -214,9 +240,7 @@ def load_graph(path) -> CausalDag:
 
 
 def dump_kernel(kernel: Kernel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(kernel_to_dict(kernel), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(kernel_to_dict(kernel), path)
 
 
 def load_kernel(path) -> Kernel:

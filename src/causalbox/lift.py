@@ -59,9 +59,9 @@ __all__ = [
 ]
 
 
-def _ns_rows(h: HyperDag, layout) -> list[tuple[list[int], list[int]]]:
-    """The no-signalling equalities of a Bell-type single-latent hypergraph,
-    each as the flat positions in ``layout`` of its two sides.
+def _ns_rows(dag: CausalDag, layout) -> list[tuple[list[int], list[int]]]:
+    """The no-signalling equalities of a Bell-type graph, such as a lift's
+    base, each as the flat positions in ``layout`` of its two sides.
 
     For every setting vertex i, the marginal over the outputs i does not
     feed may not vary with i's value: a row sums the outputs i feeds at one
@@ -72,7 +72,6 @@ def _ns_rows(h: HyperDag, layout) -> list[tuple[list[int], list[int]]]:
     independence model at the level of conditional boxes when every output
     measures the shared latent state.
     """
-    dag = h.base
     if not is_bell_type(dag):
         raise ValueError("hypergraph base is not Bell-type")
     if len(dag.latent()) > 1:
@@ -104,7 +103,7 @@ def ns_member(box: Kernel, h: HyperDag) -> bool:
     """Exact evaluation of every no-signalling equality on a conditional box."""
     dag = h.base
     outs, ins = _parties(dag, bell_outputs(dag)), _parties(dag, bell_inputs(dag))
-    rows = _ns_rows(h, outs + ins)  # rejects unsupported hypergraphs first
+    rows = _ns_rows(dag, outs + ins)  # rejects unsupported hypergraphs first
     try:
         num, _ = _numerators(box, outs, ins)
     except ValueError:
@@ -178,7 +177,7 @@ def ps_system(p: Kernel, g: CausalDag) -> tuple[LinearSystem, HyperDag, list, li
     system = LinearSystem(tuple(names + ["t"]), objective={"t": Fraction(1)})
     for j in range(0, len(names), width):
         system.add_equality(dict.fromkeys(names[j : j + width], Fraction(1)), Fraction(1))
-    for lo, hi in _ns_rows(h, in_vars + out_vars):
+    for lo, hi in _ns_rows(dag, in_vars + out_vars):
         coeffs = dict.fromkeys((names[k] for k in lo), Fraction(1))
         coeffs.update(dict.fromkeys((names[k] for k in hi), Fraction(-1)))
         system.add_equality(coeffs, Fraction(0))

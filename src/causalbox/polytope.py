@@ -193,12 +193,12 @@ def _ns_vertex_matrix(pr: tuple[int, int, int] | None):
 
 @lru_cache(maxsize=None)
 def _chsh_ns_rows():
-    """The no-signalling rows of the CHSH lift in the NS vertices' layout."""
+    """No-signalling rows of the CHSH graph (its own lift) in the NS vertices' layout."""
     from .boxes import chsh_graph
     from .lift import _ns_rows
 
     outcome_vars, index_vars, _, _ = _ns_vertex_matrix(None)
-    return _ns_rows(build_hypergraph(chsh_graph()), outcome_vars + index_vars)
+    return _ns_rows(chsh_graph(), outcome_vars + index_vars)
 
 
 def _convex_member(vertices, num: list[int], den: int) -> MemberVerdict:

@@ -262,10 +262,14 @@ class Kernel(Record):
         """Build a kernel from a sparse mapping of full assignment tuples.
 
         Keys are assignments of ``outcome_vars + index_vars`` in order, each
-        checked by ``_key_position``; missing cells are zero.
+        checked by ``_key_position``; missing cells are zero.  A layout whose
+        cells cannot be allocated raises ``ValueError``.
         """
         variables = tuple(outcome_vars) + tuple(index_vars)
-        entries = [Fraction(0)] * prod(c for _, c in variables)
+        try:
+            entries = [Fraction(0)] * prod(c for _, c in variables)
+        except (OverflowError, MemoryError):
+            raise ValueError("layout has more cells than fit in memory") from None
         for key, value in table.items():
             entries[_key_position(variables, key)] = value
         return cls(outcome_vars, index_vars, entries)
@@ -292,9 +296,7 @@ class Kernel(Record):
     def value(self, assignment: Assignment) -> Fraction:
         """Entry at a full assignment of all variables, given by name; a name
         that is not a variable raises :class:`UnknownVariableError`."""
-        unknown = assignment.keys() - set(self.var_names())
-        if unknown:
-            raise UnknownVariableError(f"unknown variables {sorted(unknown)}")
+        _partition_vars(self.variables, assignment)
         return self.entries[_position(self.variables, assignment)]
 
     def cells(self) -> Iterator[tuple[dict[str, int], Fraction]]:

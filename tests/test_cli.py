@@ -644,12 +644,29 @@ def test_a_deeply_nested_file_is_one_error_line(argv, what, fixture_files, tmp_p
         (b"[" + b"7" * 5000 + b"]", "Exceeds the limit (4300 digits) for integer string conversion"),
         (b'{"a": ', "Expecting value: line 1 column 7 (char 6)"),
         (
+            # two printable values whose sum has a 4401-digit denominator
             json.dumps({"variables": [{"name": "A", "cardinality": 2}], "index_variables": [],
-                        "table": {"0": "1e4300", "1": "0"}}).encode(),
+                        "table": {"0": f"1/{10**2200 + 1}", "1": f"1/{10**2200 + 3}"}}).encode(),
             "table: row for index assignment () sums to a value too long to print, expected 1",
         ),
+        (
+            b'{"variables": [{"name": "A", "cardinality": 2}], "index_variables": [],'
+            b' "table": {"0": "1", "0": "1/2", "1": "1/2"}}',
+            "an object repeats the name '0'",
+        ),
+        (
+            json.dumps({"variables": [{"name": "A", "cardinality": 2}], "index_variables": [],
+                        "table": {"0": "1e-4300", "1": f"{10**4300 - 1}e-4300"}}).encode(),
+            "table value '1e-4300' at '0' has more than 4300 digits",
+        ),
+        (
+            json.dumps({"variables": [{"name": "A", "cardinality": 10**29}],
+                        "index_variables": [], "table": {"0": "1"}}).encode(),
+            "table: layout has more cells than fit in memory",
+        ),
     ],
-    ids=["not-utf8", "long-integer", "truncated", "huge-row-sum"],
+    ids=["not-utf8", "long-integer", "truncated", "huge-row-sum", "repeated-name",
+         "unprintable-value", "too-many-cells"],
 )
 def test_a_malformed_distribution_is_one_error_line_naming_the_file(tmp_path, capsys, data, reason):
     path = tmp_path / "dist.json"
@@ -658,6 +675,20 @@ def test_a_malformed_distribution_is_one_error_line_naming_the_file(tmp_path, ca
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"error: bad distribution file {path}: {reason}")
+
+
+def test_a_graph_that_repeats_a_name_is_one_error_line_naming_the_file(tmp_path, capsys):
+    # read as its last "edges", X and A would be d-separated
+    path = tmp_path / "dupg.json"
+    path.write_text(
+        '{"vertices": [{"name": "X", "kind": "observed", "cardinality": 2},'
+        ' {"name": "A", "kind": "observed", "cardinality": 2}],'
+        ' "edges": [["X", "A"]], "edges": []}'
+    )
+    assert dispatch(["graph", "dsep", "--graph", str(path), "--a", "X", "--b", "A"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: bad graph file {path}: an object repeats the name 'edges'\n"
+    )
 
 
 def test_certificate_file_errors_name_the_file(files, tmp_path, capsys):

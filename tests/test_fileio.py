@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from causalbox import gyni_projected, mediation_graph, pr_box, swapping_graph
 from causalbox.fileio import (
@@ -242,8 +244,82 @@ def test_a_malformed_exponent_is_not_a_rational(text):
 
 
 def test_an_exponent_at_the_digit_limit_is_read():
-    kernel = kernel_from_dict(_two_cells("1e-4300", f"{10**4300 - 1}e-4300"))
-    assert kernel.value({"A": 0}) == Fraction(1, 10**4300)
+    kernel = kernel_from_dict(_two_cells("1e-4299", f"{10**4299 - 1}e-4299"))
+    assert kernel.value({"A": 0}) == Fraction(1, 10**4299)
+    assert kernel_from_dict(kernel_to_dict(kernel)) == kernel
+
+
+@pytest.mark.parametrize("text", ["1e-4300", ".1e-4299", "1e4300"])
+def test_a_value_that_would_not_print_back_is_refused(text):
+    # its numerator or denominator reaches 10**4300, which str() refuses to print
+    with pytest.raises(
+        FileFormatError, match=f"^table value '{re.escape(text)}' at '0' has more than 4300 digits$"
+    ):
+        kernel_from_dict(_two_cells(text, "1"))
+
+
+@settings(max_examples=60, deadline=None)
+@example(mantissa=0, point=0, exponent=-4300)
+@example(mantissa=1, point=0, exponent=-4300)
+@given(
+    mantissa=st.integers(0, 10**6),
+    point=st.integers(0, 7),
+    exponent=st.one_of(st.integers(-4300, -4290), st.integers(4290, 4300)),
+)
+def test_every_value_read_near_the_digit_limit_prints_back(mantissa, point, exponent):
+    # the value mantissa * 10**exponent, written with `point` digits after a
+    # decimal point, and a second cell that completes it to 1 where it can
+    digits = str(mantissa)
+    point = min(point, len(digits))
+    text = f"{digits[:len(digits) - point]}.{digits[len(digits) - point:]}e{exponent + point}"
+    if mantissa == 0:
+        rest = "1"
+    elif exponent < 0:
+        rest = f"{10**-exponent - mantissa}e{exponent}"
+    else:
+        rest = "0"
+    try:
+        kernel = kernel_from_dict(_two_cells(text, rest))
+    except FileFormatError:
+        return
+    assert kernel_from_dict(kernel_to_dict(kernel)) == kernel
+
+
+@pytest.mark.parametrize("cardinality", [10**29, 2**61], ids=["10**29", "2**61"])
+def test_a_table_too_large_to_allocate_is_refused(cardinality):
+    # both sizes are refused before any cell is allocated
+    doc = {
+        "variables": [{"name": "A", "cardinality": cardinality}],
+        "index_variables": [],
+        "table": {"0": "1"},
+    }
+    with pytest.raises(FileFormatError, match="^table: layout has more cells than fit in memory$"):
+        kernel_from_dict(doc)
+
+
+# documents whose objects repeat a name, which json.load would read as its
+# last value: a table whose cell "0" then reads 1/2, one whose values then sum
+# to 3/4, and a graph whose edge X -> A is then dropped
+_TABLE = '{"variables": [{"name": "A", "cardinality": 2}], "index_variables": [], "table": %s}'
+_REPEATED = {
+    "table-one-dropped": (load_kernel, _TABLE % '{"0": "1", "0": "1/2", "1": "1/2"}', "0"),
+    "table-sum-of-none": (load_kernel, _TABLE % '{"0": "1/2", "0": "1/4", "1": "1/2"}', "0"),
+    "graph-edges": (
+        load_graph,
+        '{"vertices": [{"name": "X", "kind": "observed", "cardinality": 2},'
+        ' {"name": "A", "kind": "observed", "cardinality": 2}],'
+        ' "edges": [["X", "A"]], "edges": []}',
+        "edges",
+    ),
+}
+
+
+@pytest.mark.parametrize("load, text, name", list(_REPEATED.values()), ids=list(_REPEATED))
+def test_a_document_that_repeats_a_name_is_refused(tmp_path, load, text, name):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=f"^an object repeats the name '{name}'$"):
+        load(path)
 
 
 # prints the FileFormatError that loading the file named by argv[1] raises
