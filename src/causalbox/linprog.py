@@ -21,7 +21,10 @@ rows happen only before a phase 2.
 
 :func:`lp_solve` reads a system into those rows and hands them to the
 private core ``_solve``.  Callers that hold integer data already (the
-polytope LPs) build the same rows themselves and call the core directly.
+polytope LPs) build the same rows themselves and call the core directly:
+the vertex LPs solve for den * w, den the target's denominator, over
+vertex rows reduced once per vertex set, which moves only the right-hand
+sides and so takes the same pivots.
 """
 
 from __future__ import annotations

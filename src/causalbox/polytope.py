@@ -14,10 +14,13 @@ A bipartite no-signalling box is decomposed with one such LP: its scores on
 the eight CHSH variants name the one PR box it can need, or none.
 
 Both LPs are built as integer rows for the simplex core of
-:mod:`causalbox.linprog`: the vertex tables as one integer matrix (built
-once for each of the nine vertex sets of the decomposition), and the
-target read once, in the vertices' layout, by the checked ``_numerators``
-of :mod:`causalbox.tables`.  The CHSH lift's NS rows are built once too.
+:mod:`causalbox.linprog`.  The vertex tables are one integer matrix whose
+rows are reduced once per vertex set (once for each of the nine vertex
+sets of the decomposition), and they are the LP's rows as they are: the
+LP solves for den * w, den the target's denominator, so the target,
+read once in the vertices' layout by the checked ``_numerators`` of
+:mod:`causalbox.tables`, enters only the right-hand sides.  The CHSH
+lift's NS rows are built once too.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .linprog import _lowest, _solve
 from .tables import (
     Kernel,
     Record,
+    _check_observed,
     _key_position,
     _laid_out,
     _numerators,
@@ -146,7 +150,9 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     success.  A joint table is read as p(outputs | settings) =
     p(outputs, settings) / p(settings) on the setting assignments it gives
     positive probability; the rows of the others are undefined and left out
-    of the LP, so the weights reproduce every supported row.
+    of the LP, so the weights reproduce every supported row.  A table whose
+    variables are not the graph's observed vertices raises ``ValueError``,
+    with the text of the membership tests' joint-table check.
 
     The verdict is exact only when the latent parents every output vertex.
     The strategies let the latent drive every output, so on a graph such as
@@ -156,7 +162,8 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     box (``local_box(0)`` + ``local_box(5)``) / 2, where A = B is a fair
     coin, is accepted although it breaks A _||_ B.
     """
-    outcome_vars, index_vars, matrix, vden = _vertex_matrix(
+    _check_observed(p, g)
+    outcome_vars, index_vars, rows, dens = _vertex_matrix(
         [v.table for v in enumerate_classical_vertices(g)]
     )
     # cell i of either layout holds setting assignment i % width; a box's
@@ -168,18 +175,21 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     kept = [i for i in range(len(num)) if context[i % width]]
     den = lcm(*(context[i % width] for i in kept))
     target = [num[i] * (den // context[i % width]) for i in kept]
-    return _convex_member((outcome_vars, index_vars, [matrix[i] for i in kept], vden), target, den)
+    vertices = (outcome_vars, index_vars, [rows[i] for i in kept], [dens[i] for i in kept])
+    return _convex_member(vertices, target, den)
 
 
 def _vertex_matrix(tables: Sequence[Kernel]):
-    """``(outcome_vars, index_vars, rows, den)`` for ``tables``, which share
-    the first one's layout: entry i of table j is ``rows[i][j] / den``."""
-    den = lcm(*(e.denominator for t in tables for e in t.entries))
-    rows = tuple(
-        tuple(e.numerator * (den // e.denominator) for e in cell)
-        for cell in zip(*(t.entries for t in tables))
-    )
-    return tables[0].outcome_vars, tables[0].index_vars, rows, den
+    """``(outcome_vars, index_vars, rows, dens)`` for ``tables``, which share
+    the first one's layout: entry i of table j is ``rows[i][j] / dens[i]``,
+    each row reduced with its denominator by ``_lowest``."""
+    rows, dens = [], []
+    for cell in zip(*(t.entries for t in tables)):
+        den = lcm(*(e.denominator for e in cell))
+        row, den = _lowest([e.numerator * (den // e.denominator) for e in cell], den)
+        rows.append(tuple(row))
+        dens.append(den)
+    return tables[0].outcome_vars, tables[0].index_vars, tuple(rows), tuple(dens)
 
 
 @lru_cache(maxsize=None)
@@ -203,21 +213,23 @@ def _chsh_ns_rows():
 
 def _convex_member(vertices, num: list[int], den: int) -> MemberVerdict:
     """Convex weights of the tables of a :func:`_vertex_matrix` that give the
-    target whose cell i of the vertices' layout is ``num[i] / den``.  The LP
-    has one integer row for the weights' sum, then one per cell, each
-    reduced by ``_lowest`` exactly as :func:`lp_solve` reduces that equality.
+    target whose cell i of the vertices' layout is ``num[i] / den``.
+
+    The LP solves for u = den * w over the vertex rows as they are: the
+    sum row is ``[1 ... 1 | den]`` and cell row i is the vertex matrix's row
+    i with right-hand side ``num[i] * dens[i]``, which keeps it reduced,
+    since the row is already primitive with its denominator.  Scaling
+    every right-hand side by den > 0 scales every ratio of the ratio test
+    and leaves the reduced costs alone, so the pivots are those of the LP
+    in w, and w = u / den.
     """
-    _, _, matrix, vden = vertices
-    n = len(matrix[0])
-    rows, dens = [[1] * (n + 1)], [1]
-    for cell, k in zip(matrix, num):
-        row, d = _lowest([c * den for c in cell] + [k * vden], den * vden)
-        rows.append(row)
-        dens.append(d)
-    _, _, x = _solve(rows, dens, [0] * n)
-    if x is None:
+    _, _, matrix, vdens = vertices
+    rows = [[1] * len(matrix[0]) + [den]]
+    rows += [[*cell, k * d] for cell, k, d in zip(matrix, num, vdens)]
+    _, _, u = _solve(rows, [1, *vdens], [0] * len(matrix[0]))
+    if u is None:
         return MemberVerdict(False)
-    return MemberVerdict(True, tuple(x))
+    return MemberVerdict(True, tuple(v / den if v else v for v in u))
 
 
 def functional_from_indicator(

@@ -604,6 +604,12 @@ def _check_joint(table: Kernel, dag: CausalDag, caller: str) -> None:
     """Reject anything but a joint table over exactly the observed vertices."""
     if not table.is_prob_table:
         raise ValueError(f"{caller} expects a joint probability table")
+    _check_observed(table, dag)
+
+
+def _check_observed(table: Kernel, dag: CausalDag) -> None:
+    """Reject a table, joint or conditional, whose variables are not exactly
+    the observed vertices with their cardinalities."""
     expected = sorted((v, dag.cardinality(v)) for v in dag.observed())
     if sorted(table.variables) != expected:
         raise ValueError(

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -160,15 +161,33 @@ def ternary_x_chsh_box():
     )
 
 
+@contextmanager
+def recorded_pivots():
+    """The ``(row, column)`` of every simplex pivot made inside the block."""
+    from causalbox import linprog
+
+    steps, pivot = [], linprog._pivot
+
+    def record(rows, dens, basis, r, c):
+        steps.append((r, c))
+        pivot(rows, dens, basis, r, c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linprog, "_pivot", record)
+        yield steps
+
+
 def polytope_lps(run):
     """Every LP that ``run()`` hands to the integer simplex core from
     ``causalbox.polytope``, each rebuilt as a ``LinearSystem``.
 
     A captured row ``[a_1 .. a_n, b]`` over ``den`` becomes the equality
-    ``{w_j: a_j / den} = b / den``.  Each row must reach the core reduced
-    by ``linprog._lowest`` with ``b >= 0``, so ``lp_solve`` rebuilds the
-    very same rows from that system; the core's answer must equal
-    ``lp_solve``'s.  At least one LP must be captured.
+    ``{w_j: a_j / den} = b / den``; ``w_j`` names the core's unknown j,
+    the target's denominator times vertex j's weight in the vertex LPs.
+    Each row must reach the core reduced by ``linprog._lowest`` with
+    ``b >= 0``, so ``lp_solve`` rebuilds the very same rows from that
+    system; the core's answer must equal ``lp_solve``'s.  At least one LP
+    must be captured.
     """
     from causalbox import LinearSystem, linprog, lp_solve, polytope
 

@@ -311,6 +311,33 @@ def test_semantic_mismatch_exits_one(files, tmp_path, capsys):
     assert "do not match observed vertices" in capsys.readouterr().err
 
 
+def test_member_names_a_variable_mismatch_alike_for_every_model(files, tmp_path, capsys):
+    """A joint or a box over other variables than the graph's observed
+    vertices is one error line, the same text under C, PS, N and I."""
+    import random
+
+    from causalbox import mediation_graph
+    from causalbox.fileio import dump_kernel
+    from causalbox.networks import random_network
+
+    emit, _ = files
+    chsh, med = emit("chsh-graph", "chsh.json"), emit("mediation-graph", "med.json")
+    pr = emit("pr-box", "pr.json")
+    joint = str(tmp_path / "joint.json")
+    dump_kernel(random_network(mediation_graph(), random.Random(0)).joint_observed(), joint)
+    med_vars = "[('A', 2), ('B', 2), ('C', 2), ('X', 2)]"
+    chsh_vars = "[('A', 2), ('B', 2), ('X', 2), ('Y', 2)]"
+    capsys.readouterr()
+    cases = ((chsh, joint, med_vars, chsh_vars), (med, pr, chsh_vars, med_vars))
+    for gpath, dpath, table, observed in cases:
+        for model in ("C", "PS", "N", "I"):
+            assert dispatch(["member", "--model", model, "--graph", gpath, "--dist", dpath]) == 1, model
+            captured = capsys.readouterr()
+            assert captured.out == "", model
+            want = f"error: table variables {table} do not match observed vertices {observed}\n"
+            assert captured.err == want, model
+
+
 def test_project_subcommand(files, tmp_path, capsys):
     emit, _ = files
     gpath = emit("gyni-graph", "gyni.json")

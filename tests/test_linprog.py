@@ -26,9 +26,9 @@ from causalbox import (
     uniform_table,
 )
 from causalbox import linprog
-from causalbox.linprog import _pivot, _zrow
+from causalbox.linprog import _lowest, _pivot, _zrow
 import lp_reference
-from conftest import polytope_lps, score2_table
+from conftest import polytope_lps, recorded_pivots, score2_table
 
 
 def test_bounded_maximum():
@@ -407,6 +407,44 @@ def wide_systems(draw):
 @settings(max_examples=900, deadline=None)
 def test_lp_solve_matches_reference(system):
     _assert_matches_reference(system)
+
+
+def _integer_rows(system):
+    """The integer rows, denominators and costs that ``lp_solve`` hands ``_solve``."""
+    captured = []
+
+    def capture(rows, dens, costs):
+        captured.append((rows, dens, costs))
+        return "infeasible", None, None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linprog, "_solve", capture)
+        lp_solve(system)
+    return captured[0]
+
+
+def _solve_pivoting(rows, dens, costs):
+    """``_solve`` on copies of the rows, and the ``(row, column)`` of its pivots."""
+    with recorded_pivots() as steps:
+        result = linprog._solve([list(row) for row in rows], list(dens), costs)
+    return result, steps
+
+
+@given(random_systems() | degenerate_feasible_systems() | wide_systems(), st.integers(2, 30))
+@settings(max_examples=300, deadline=None)
+def test_scaling_the_right_hand_sides_scales_the_point(system, s):
+    """s * b for b: every ratio of the ratio test and the phase-1 objective
+    scale by s > 0 and no reduced cost of a column moves, so the pivots and
+    the status are the same, and the point and the value scale by s."""
+    rows, dens, costs = _integer_rows(system)
+    (status, value, x), steps = _solve_pivoting(rows, dens, costs)
+    scaled = [_lowest(row[:-1] + [s * row[-1]], d) for row, d in zip(rows, dens)]
+    got, got_steps = _solve_pivoting([r for r, _ in scaled], [d for _, d in scaled], costs)
+    assert got_steps == steps
+    if x is None:
+        assert got == (status, None, None)
+    else:
+        assert got == (status, s * value, [s * v for v in x])
 
 
 @pytest.mark.parametrize(

@@ -48,9 +48,11 @@ from causalbox import (
 )
 
 import causalbox.polytope
-from causalbox.tables import assignments
+from causalbox.polytope import _convex_member, _ns_vertex_matrix
+from causalbox.tables import _numerators, assignments
 import ns_reference
 from conftest import polytope_lps, rng, run_fresh, score2_table, ternary_x_chsh_box  # noqa: F401
+from conftest import recorded_pivots
 
 
 def _chsh_functional(template):
@@ -711,6 +713,11 @@ def _classical_cases():
         cases.append(pytest.param(g, joint, id=f"{name}-network"))
     cases.append(pytest.param(instrumental_graph(), score2_table(), id="instrumental-score2"))
     cases.append(pytest.param(gyni_graph(), gyni_projected(), id="gyni-projected"))
+    # a 4 x 2 x 2 Bell scenario: 257 rows over 256 vertices, a long pivot sequence
+    edges = [(f"X{i}", f"A{i}") for i in range(4)] + [("L", f"A{i}") for i in range(4)]
+    bell = causalbox.boxes._binary_dag(("L",), edges)
+    joint = random_network(bell, random.Random(0), latent_cardinality=3).joint_observed()
+    cases.append(pytest.param(bell, joint, id="bell-4x2x2-network"))
     return cases
 
 
@@ -721,9 +728,40 @@ def _verdict(member, p, g):
         return type(exc)
 
 
+def _pivoting(call):
+    """The ``(row, column)`` of every simplex pivot ``call()`` makes, and its result."""
+    with recorded_pivots() as steps:
+        result = call()
+    return steps, result
+
+
 @pytest.mark.parametrize("g, p", _classical_cases())
 def test_classical_member_matches_fraction_reference(g, p):
-    got = _verdict(classical_member, p, g)
-    assert got == _verdict(ns_reference.classical_member, p, g)
+    """Same pivots, same verdict and same weights as the Fraction LP."""
+    got = _pivoting(lambda: _verdict(classical_member, p, g))
+    assert got == _pivoting(lambda: _verdict(ns_reference.classical_member, p, g))
     if p.variables == ternary_x_chsh_box().variables:
-        assert got is ValueError
+        assert got == ([], ValueError)
+
+
+def _ns_lp_cases():
+    seeded = random.Random(20261021)
+    boxes = {f"vertex{i}": v for i, v in enumerate(_VERTICES)}
+    for i in range(8):
+        picks = seeded.sample(_VERTICES, seeded.randint(2, 4))
+        raw = [seeded.randint(1, 8) for _ in picks]
+        box = _mix([(Fraction(w, sum(raw)), b) for w, b in zip(raw, picks)])
+        boxes[f"mix{i}"] = _laid_out(box, seeded.choice(_LAYOUTS))
+    return [pytest.param(box, id=name) for name, box in boxes.items()]
+
+
+@pytest.mark.parametrize("box", _ns_lp_cases())
+def test_decomposition_lps_pivot_as_the_fraction_reference(box):
+    """Each of the nine vertex sets of the decomposition, feasible for the
+    box or not, takes the reference LP's pivots to the same weights."""
+    num, den = _numerators(box, *_ns_vertex_matrix(None)[:2])
+    locals_ = _VERTICES[:16]
+    for pr in [None, *_VARIANTS]:
+        tables = locals_ if pr is None else [pr_box(*pr), *locals_]
+        got = _pivoting(lambda: _convex_member(_ns_vertex_matrix(pr), num, den))
+        assert got == _pivoting(lambda: ns_reference._convex_member(box, tables)), pr
