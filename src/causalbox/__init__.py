@@ -21,7 +21,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# the defining module of every public name
+# the defining module of every public name; each module's ``__all__`` is its
+# entry, read through ``from . import _EXPORTS`` (this file imports no module)
 _EXPORTS = {
     "graphs": (
         "OBSERVED",

@@ -18,27 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from . import _EXPORTS
 from .graphs import LATENT, OBSERVED, CausalDag
 from .tables import CardinalityMismatchError, Kernel, _numerators
 
-__all__ = [
-    "pr_box",
-    "local_box",
-    "local_responses",
-    "ns_box_vertices",
-    "gyni_box",
-    "gyni_projected",
-    "swapping_box",
-    "chsh_score",
-    "instrumental_score",
-    "chsh_graph",
-    "instrumental_graph",
-    "mediation_graph",
-    "gyni_graph",
-    "tripartite_bell_graph",
-    "swapping_graph",
-    "triangle_graph",
-]
+__all__ = _EXPORTS["boxes"]
 
 _BIT = (0, 1)
 

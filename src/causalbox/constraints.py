@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import _EXPORTS
 from .graphs import (
     _GRAPH_CACHE_SIZE,
     _restrict,
@@ -56,18 +57,7 @@ from .recipes import (
 )
 from .tables import Kernel, Record, ZeroConditioningError, _check_joint, assignments, ci_violation
 
-__all__ = [
-    "VermaConstraint",
-    "ConstraintRecord",
-    "NestedVerdict",
-    "Violation",
-    "district_kernel",
-    "district_kernel_recipe",
-    "enumerate_constraints",
-    "check_nested",
-    "i_member",
-    "reduce_expr",
-]
+__all__ = _EXPORTS["constraints"]
 
 
 class VermaConstraint(Record):

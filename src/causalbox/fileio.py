@@ -6,7 +6,9 @@ and, for observed vertices, ``cardinality``) and ``edges`` (list of
 ``index_variables`` (ordered lists of ``{name, cardinality}``) plus
 ``table``, a mapping from comma-joined assignment strings to rational
 strings such as ``"1/3"`` or ``"1"`` (integers are read too; a float is
-rejected).  Exact decimal strings such as ``"0.25"`` or ``"1e0"`` are read
+rejected).  A key part is ASCII digits with no ``_`` (padding, a sign and
+leading zeros are read), and a table with no variables has the single key
+``""``.  Exact decimal strings such as ``"0.25"`` or ``"1e0"`` are read
 exactly; a string with ``_`` or a non-ASCII character is rejected, so a
 value reads alike on every supported Python; so is a decimal exponent
 beyond 4300 in magnitude, a value whose numerator or denominator has more
@@ -165,10 +167,12 @@ def kernel_from_dict(doc: dict) -> Kernel:
     cards = [c for _, c in outcome_vars + index_vars]
     table, keys = {}, {}
     for key, raw in cells.items():
-        parts = key.split(",")
+        parts = key.split(",") if key or cards else []  # "" is the one cell of no variables
         if len(parts) != len(cards):
             raise FileFormatError(f"table key '{key}' has wrong arity")
         try:
+            if "_" in key or not key.isascii():  # as for values: int reads "1_0" as 10
+                raise ValueError(key)
             values = tuple(int(p) for p in parts)
         except ValueError:
             raise FileFormatError(f"table key '{key}' is not an integer assignment")

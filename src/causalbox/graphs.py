@@ -18,34 +18,10 @@ from functools import lru_cache, total_ordering
 from itertools import combinations
 from typing import Iterable, Mapping
 
+from . import _EXPORTS
 from .tables import Record, _is_cardinality, _name_sets, _set
 
-__all__ = [
-    "OBSERVED",
-    "LATENT",
-    "VertexSpec",
-    "CausalDag",
-    "MDag",
-    "HyperDag",
-    "CiConstraint",
-    "CycleError",
-    "UnknownVertexError",
-    "FixedNotParentlessError",
-    "NotADistrictError",
-    "MultiLatentError",
-    "validate",
-    "topological_order",
-    "to_mdag",
-    "districts",
-    "subgraph",
-    "marginal_mdag",
-    "d_separated",
-    "ci_constraints",
-    "build_hypergraph",
-    "is_bell_type",
-    "bell_inputs",
-    "bell_outputs",
-]
+__all__ = _EXPORTS["graphs"]
 
 OBSERVED = "observed"
 LATENT = "latent"

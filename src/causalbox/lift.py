@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
+from . import _EXPORTS
 from .graphs import (
     CausalDag,
     HyperDag,
@@ -51,12 +52,7 @@ from .tables import (
     project,
 )
 
-__all__ = [
-    "ns_member",
-    "PsVerdict",
-    "ps_member",
-    "ps_system",
-]
+__all__ = _EXPORTS["lift"]
 
 
 def _ns_rows(dag: CausalDag, layout) -> list[tuple[list[int], list[int]]]:

@@ -34,9 +34,10 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
+from . import _EXPORTS
 from .tables import Record, _rational
 
-__all__ = ["LinearSystem", "LpResult", "lp_solve"]
+__all__ = _EXPORTS["linprog"]
 
 
 class LinearSystem(Record):

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import prod
 from typing import Mapping
 
+from . import _EXPORTS
 from .graphs import OBSERVED, CausalDag, HyperDag, topological_order
 from .tables import (
     CardinalityMismatchError,
@@ -30,7 +31,7 @@ from .tables import (
     uniform_table,
 )
 
-__all__ = ["ClassicalNetwork", "random_network", "lift_network"]
+__all__ = _EXPORTS["networks"]
 
 
 class ClassicalNetwork(Record):

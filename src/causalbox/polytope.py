@@ -31,6 +31,7 @@ from itertools import product as _iterproduct
 from math import lcm, prod
 from typing import Callable, Mapping, Sequence
 
+from . import _EXPORTS
 from .graphs import (
     CausalDag,
     HyperDag,
@@ -54,18 +55,7 @@ from .tables import (
     assignments,
 )
 
-__all__ = [
-    "Vertex",
-    "NotNoSignallingError",
-    "DecompositionNotFoundError",
-    "enumerate_h_vertices",
-    "enumerate_classical_vertices",
-    "classical_member",
-    "maximize_functional",
-    "functional_from_indicator",
-    "decompose_ns_box",
-    "MemberVerdict",
-]
+__all__ = _EXPORTS["polytope"]
 
 
 class NotNoSignallingError(ValueError):

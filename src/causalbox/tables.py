@@ -40,34 +40,15 @@ from math import lcm, prod
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
+from . import _EXPORTS
+
 if TYPE_CHECKING:
     from .graphs import CausalDag
 
 Var = tuple[str, int]
 Assignment = Mapping[str, int]
 
-__all__ = [
-    "Record",
-    "Var",
-    "Kernel",
-    "UnknownVariableError",
-    "ZeroProbabilityEventError",
-    "ZeroSelectionProbabilityError",
-    "ZeroConditioningError",
-    "CardinalityMismatchError",
-    "prob_table",
-    "uniform_table",
-    "point_mass",
-    "marginalize",
-    "condition",
-    "conditional",
-    "ci_violation",
-    "ci_holds",
-    "reorder",
-    "project",
-    "join_inputs",
-    "split_joint",
-]
+__all__ = _EXPORTS["tables"]
 
 
 class UnknownVariableError(KeyError):

@@ -1,4 +1,4 @@
-"""Fixture boxes: PR family, local boxes, GYNI, swapping, CHSH scoring."""
+"""Fixture boxes: PR family, local boxes, GYNI, swapping; CHSH, GYNI and instrumental scoring."""
 
 from fractions import Fraction
 from itertools import product
@@ -14,6 +14,7 @@ from causalbox import (
     ci_holds,
     gyni_box,
     gyni_projected,
+    instrumental_score,
     join_inputs,
     local_box,
     local_responses,
@@ -22,6 +23,7 @@ from causalbox import (
     ns_member,
     pr_box,
     reorder,
+    split_joint,
     swapping_box,
     uniform_table,
     validate,
@@ -32,6 +34,7 @@ from causalbox.boxes import _gyni_score
 from causalbox.fileio import graph_to_dict, kernel_to_dict
 
 import boxes_reference as ref
+from conftest import score2_table
 
 
 def test_pr_box_reference_entries():
@@ -136,6 +139,31 @@ def test_gyni_score_reads_its_box_by_name():
 def test_gyni_score_rejects_other_boxes(box):
     with pytest.raises(ValueError, match="expects a binary box q\\(A, B, C \\| X, Y, Z\\)"):
         _gyni_score(box)
+
+
+def test_instrumental_score_examples():
+    uniform = Kernel.from_function(
+        (("A", 2), ("B", 2)), (("X", 2),), lambda v: Fraction(1, 4)
+    )
+    assert instrumental_score(uniform) == Fraction(1, 2)
+    bad, _ = split_joint(score2_table(), ["X"])
+    assert instrumental_score(bad) == 2
+
+
+def test_instrumental_score_reads_variables_by_name():
+    kernel, _ = split_joint(score2_table(), ["X"])
+    assert instrumental_score(reorder(kernel, kernel.outcome_vars[::-1], kernel.index_vars)) == 2
+    joint = Kernel.from_function(
+        (("A", 2), ("C", 2), ("X", 2)), (), lambda v: Fraction(int(v["C"] == v["X"]), 4)
+    )
+    renamed, _ = split_joint(joint, ["X"])
+    with pytest.raises(ValueError):
+        instrumental_score(renamed)
+    with pytest.raises(ValueError):
+        # B moved to the index side: p(A | X, B)
+        instrumental_score(
+            reorder(kernel, kernel.outcome_vars[:1], kernel.index_vars + kernel.outcome_vars[1:])
+        )
 
 
 def test_gyni_projected_support():

@@ -704,6 +704,20 @@ def test_a_malformed_distribution_is_one_error_line_naming_the_file(tmp_path, ca
     assert err.startswith(f"error: bad distribution file {path}: {reason}")
 
 
+@pytest.mark.parametrize("model", ["I", "N"])
+def test_a_non_ascii_table_key_is_one_error_line(tmp_path, capsys, model):
+    # int reads "١" (ARABIC-INDIC DIGIT ONE) as 1, which made this a valid point mass
+    gpath, dpath = tmp_path / "g.json", tmp_path / "d.json"
+    gpath.write_text(json.dumps({"vertices": [{"name": "A", "kind": "observed", "cardinality": 2}],
+                                 "edges": []}))
+    dpath.write_text(json.dumps({"variables": [{"name": "A", "cardinality": 2}],
+                                 "index_variables": [], "table": {"١": "1"}}))
+    assert dispatch(["member", "--model", model, "--graph", str(gpath), "--dist", str(dpath)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: bad distribution file {dpath}: table key '١' is not an integer assignment\n"
+    )
+
+
 def test_a_graph_that_repeats_a_name_is_one_error_line_naming_the_file(tmp_path, capsys):
     # read as its last "edges", X and A would be d-separated
     path = tmp_path / "dupg.json"

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causalbox import gyni_projected, mediation_graph, pr_box, swapping_graph
+from causalbox import (
+    gyni_projected,
+    marginalize,
+    mediation_graph,
+    pr_box,
+    swapping_graph,
+    uniform_table,
+)
 from causalbox.fileio import (
     FileFormatError,
     dump_graph,
@@ -37,6 +44,22 @@ def test_kernel_round_trip(tmp_path, kernel):
     path = tmp_path / "dist.json"
     dump_kernel(kernel, path)
     assert load_kernel(path) == kernel
+
+
+def test_a_kernel_with_no_variables_round_trips(tmp_path):
+    kernel = marginalize(uniform_table((("A", 2),)), ["A"])
+    doc = kernel_to_dict(kernel)
+    assert doc == {"variables": [], "index_variables": [], "table": {"": "1"}}
+    assert kernel_from_dict(doc) == kernel
+    path = tmp_path / "dist.json"
+    dump_kernel(kernel, path)
+    assert load_kernel(path) == kernel
+    with pytest.raises(FileFormatError, match="^table key '0' has wrong arity$"):
+        kernel_from_dict({**doc, "table": {"0": "1"}})
+    # the empty key names no cell of a table with variables
+    one = {"variables": [{"name": "A", "cardinality": 1}], "index_variables": [], "table": {"": "1"}}
+    with pytest.raises(FileFormatError, match="^table key '' is not an integer assignment$"):
+        kernel_from_dict(one)
 
 
 def test_kernel_dict_uses_rational_strings():
@@ -190,6 +213,19 @@ def test_underscores_and_non_ascii_digits_are_not_rationals(text):
         "table": {"0": text},
     }
     with pytest.raises(FileFormatError, match=f"^table value '{text}' is not a rational$"):
+        kernel_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["1_0", "١", "１", "1,_1", "1,١"])
+def test_underscores_and_non_ascii_digits_are_not_table_keys(key):
+    # int reads "1_0" as 10 and "١" (ARABIC-INDIC DIGIT ONE) as 1; keys follow
+    # the rule for values
+    doc = {
+        "variables": [{"name": "A", "cardinality": 12}],
+        "index_variables": [{"name": "X", "cardinality": 2}] if "," in key else [],
+        "table": {key: "1"},
+    }
+    with pytest.raises(FileFormatError, match=f"^table key '{key}' is not an integer assignment$"):
         kernel_from_dict(doc)
 
 

@@ -71,6 +71,17 @@ def test_each_name_is_the_object_of_its_module(module):
         assert getattr(causalbox, name) is getattr(source, name), name
 
 
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_each_module_star_exports_its_entry(module):
+    """A module's ``__all__`` is its ``_EXPORTS`` entry itself, not a copy
+    that can drift from it, and a star import binds exactly those names."""
+    source = importlib.import_module(f"causalbox.{module}")
+    assert source.__all__ is causalbox._EXPORTS[module]
+    namespace = {}
+    exec(f"from causalbox.{module} import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(EXPORTS[module])
+
+
 def test_star_import_and_dir_list_every_name():
     namespace = {}
     exec("from causalbox import *", namespace)

@@ -322,31 +322,6 @@ def test_ns_equalities_follow_from_lifted_independences(rng):
 # -- instrumental functional -------------------------------------------------------
 
 
-def test_instrumental_score_examples():
-    uniform = Kernel.from_function(
-        (("A", 2), ("B", 2)), (("X", 2),), lambda v: Fraction(1, 4)
-    )
-    assert instrumental_score(uniform) == Fraction(1, 2)
-    bad, _ = split_joint(score2_table(), ["X"])
-    assert instrumental_score(bad) == 2
-
-
-def test_instrumental_score_reads_variables_by_name():
-    kernel, _ = split_joint(score2_table(), ["X"])
-    assert instrumental_score(reorder(kernel, kernel.outcome_vars[::-1], kernel.index_vars)) == 2
-    joint = Kernel.from_function(
-        (("A", 2), ("C", 2), ("X", 2)), (), lambda v: Fraction(int(v["C"] == v["X"]), 4)
-    )
-    renamed, _ = split_joint(joint, ["X"])
-    with pytest.raises(ValueError):
-        instrumental_score(renamed)
-    with pytest.raises(ValueError):
-        # B moved to the index side: p(A | X, B)
-        instrumental_score(
-            reorder(kernel, kernel.outcome_vars[:1], kernel.index_vars + kernel.outcome_vars[1:])
-        )
-
-
 def test_deterministic_strategies_respect_instrumental_bound():
     responses = [(0, 0), (1, 1), (0, 1), (1, 0)]
     for fa in responses:

@@ -765,3 +765,23 @@ def test_decomposition_lps_pivot_as_the_fraction_reference(box):
         tables = locals_ if pr is None else [pr_box(*pr), *locals_]
         got = _pivoting(lambda: _convex_member(_ns_vertex_matrix(pr), num, den))
         assert got == _pivoting(lambda: ns_reference._convex_member(box, tables)), pr
+
+
+def test_a_box_has_no_pr_part_exactly_when_it_is_classical_on_chsh():
+    """Fine's theorem, which the decomposition relies on: the 16 local boxes
+    are the tables of the CHSH graph's classical vertices, in the same
+    layout, so a box decomposes without a PR box exactly when it lies in
+    C(chsh)."""
+    g = chsh_graph()
+    tables = [v.table for v in enumerate_classical_vertices(g)]
+    assert len(tables) == 16 and set(tables) == set(_VERTICES[:16])
+    seeded = random.Random(20261021)
+    boxes = list(_VERTICES)
+    for _ in range(200):
+        picks = seeded.sample(_VERTICES, seeded.randint(1, 5))
+        raw = [seeded.randint(1, 8) for _ in picks]
+        box = _mix([(Fraction(w, sum(raw)), b) for w, b in zip(raw, picks)])
+        boxes.append(_laid_out(box, seeded.choice(_LAYOUTS)))
+    local = [decompose_ns_box(box)[0] is None for box in boxes]
+    assert local == [classical_member(box, g).member for box in boxes]
+    assert 0 < local.count(False) < len(local) - 16
