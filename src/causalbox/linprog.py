@@ -6,7 +6,10 @@ two-phase simplex with Bland's anti-cycling rule, so its verdicts are
 proofs.  The simplex pivots on integers, fraction-free (Edmonds 1967;
 Bareiss 1968): each row ``[A | b]`` is an integer vector that stands for
 itself divided by a positive integer, the coefficient of the row's basic
-variable, and the reduced-cost row carries one integer denominator.  A row
+variable, and the reduced-cost row carries one integer denominator.
+Phase 1's reduced-cost row is minus the sum of the rows over their
+denominators, one weighted column sum; phase 2's sums the basic rows with
+a nonzero cost.  A row
 need not be primitive: a pivot whose entry divides a row's entry in its
 column subtracts an integer multiple of the pivot row at the pivot row's
 nonzeros and leaves the rest of the row and its denominator alone.  Pivots
@@ -108,12 +111,15 @@ def _pivot(rows, dens, basis, r, c):
     s*den, where s = p/g and k = f/g for g = gcd(p, f).  When p divides f,
     s is 1: only the pivot row's nonzero positions change, in place, and
     the denominator is kept, so the row need not stay primitive.
-    Otherwise the new row is reduced by :func:`_lowest`.
+    Otherwise the new row is reduced by :func:`_lowest`.  Neither gcd is
+    computed where it is known to be 1: a pivot row whose pivot entry is
+    +-1 is primitive, and gcd(1, f) is 1.
     """
     prow = rows[r]
-    g = gcd(*prow)
-    if prow[c] < 0:  # only when a zero-level artificial is driven out
-        g = -g
+    g = prow[c]
+    if g != 1 and g != -1:
+        # g < 0 only when a zero-level artificial is driven out
+        g = gcd(*prow) if g > 0 else -gcd(*prow)
     if g != 1:
         prow = rows[r] = [v // g for v in prow]
     p = dens[r] = prow[c]
@@ -121,7 +127,7 @@ def _pivot(rows, dens, basis, r, c):
     for i, row in enumerate(rows):
         f = row[c]
         if f and i != r:
-            g = gcd(p, f)
+            g = 1 if p == 1 else gcd(p, f)
             s, k = p // g, f // g
             if s == 1:
                 for j, v in nonzero:
@@ -134,7 +140,8 @@ def _pivot(rows, dens, basis, r, c):
 def _zrow(rows, dens, basis, costs, n):
     """Reduced-cost row z_j - c_j over the n columns, objective value last,
     as integers over one positive denominator: one weighted sum down each
-    column of the basic rows with a nonzero cost, less the costs."""
+    column of the basic rows with a nonzero cost, less the costs.  Phase 2
+    reads it; phase 1 starts from :func:`_phase_one_zrow`."""
     terms = [(costs[b], row, d) for row, b, d in zip(rows, basis, dens) if costs[b]]
     den = lcm(*(c.denominator for c in costs[:n]), *(c.denominator * d for c, _, d in terms))
     weights = [c.numerator * (den // (c.denominator * d)) for c, _, d in terms]
@@ -146,14 +153,26 @@ def _zrow(rows, dens, basis, costs, n):
     return _lowest(z, den)
 
 
+def _phase_one_zrow(rows, dens, n):
+    """Phase 1's reduced-cost row: :func:`_zrow` for the basis of all
+    artificials, each at cost -1, and the n columns at cost 0.  That row is
+    minus the sum of the rows over their denominators, so it is one
+    weighted column sum over ``lcm(dens)``; with no rows it is all zero."""
+    den = lcm(*dens)
+    weights = [den // d for d in dens]
+    z = [-sum(map(mul, weights, col)) for col in zip(*rows)]
+    return _lowest(z or [0] * (n + 1), den)
+
+
 def _run_simplex(rows, dens, basis):
     """Bland's rule pivots until optimal or unbounded.  Only the signs of z
     are read, and ratios b_i / a_i are compared by cross-multiplication.
     Basic columns have reduced cost exactly 0, so the entering column is
     never basic."""
     while True:
-        enter = next((j for j, v in enumerate(rows[-1][:-1]) if v < 0), None)
-        if enter is None:
+        z = rows[-1]
+        enter = next((j for j, v in enumerate(z) if v < 0), len(z) - 1)
+        if enter == len(z) - 1:  # the objective value is no column
             return "optimal"
         leave, num, den = -1, 0, 1
         for i, bi in enumerate(basis):
@@ -208,6 +227,8 @@ def _solve(rows, dens, costs):
     rows in place.  Returns ``(status, value, x)``, the last two ``None``
     unless the status is ``"optimal"``.
 
+    Phase 1 maximizes minus the sum of the artificials, all of them basic
+    at the start, so its reduced-cost row is :func:`_phase_one_zrow`.
     When every cost is zero, phase 1's point is the answer, with value 0:
     the drive-out of zero-level artificials, the drop of redundant rows
     and phase 2 run only when some cost is nonzero.  Skipping them changes
@@ -215,9 +236,8 @@ def _solve(rows, dens, costs):
     is 0 and so moves no basic value.
     """
     n, m = len(costs), len(rows)
-    # phase 1 maximizes minus the sum of the artificials: z is minus the column sums
     basis = [n + i for i in range(m)]
-    z, zden = _zrow(rows, dens, basis, [0] * n + [-1] * m, n)
+    z, zden = _phase_one_zrow(rows, dens, n)
     rows.append(z)
     dens.append(zden)
     if _run_simplex(rows, dens, basis) != "optimal":

@@ -211,7 +211,7 @@ def _convex_member(vertices, num: list[int], den: int) -> MemberVerdict:
     since the row is already primitive with its denominator.  Scaling
     every right-hand side by den > 0 scales every ratio of the ratio test
     and leaves the reduced costs alone, so the pivots are those of the LP
-    in w, and w = u / den.
+    in w, and w = u / den, each nonzero weight built as one ``Fraction``.
     """
     _, _, matrix, vdens = vertices
     rows = [[1] * len(matrix[0]) + [den]]
@@ -219,7 +219,8 @@ def _convex_member(vertices, num: list[int], den: int) -> MemberVerdict:
     _, _, u = _solve(rows, [1, *vdens], [0] * len(matrix[0]))
     if u is None:
         return MemberVerdict(False)
-    return MemberVerdict(True, tuple(v / den if v else v for v in u))
+    weights = (Fraction(v.numerator, v.denominator * den) if v else v for v in u)
+    return MemberVerdict(True, tuple(weights))
 
 
 def functional_from_indicator(
@@ -294,7 +295,8 @@ def decompose_ns_box(q: Kernel):
         num, den = _numerators(q, outcome_vars, index_vars)
     except ValueError:
         raise NotNoSignallingError("box variables are not binary A, B | X, Y") from None
-    if any(sum(num[k] for k in lo) != sum(num[k] for k in hi) for lo, hi in _chsh_ns_rows()):
+    cell = num.__getitem__
+    if any(sum(map(cell, lo)) != sum(map(cell, hi)) for lo, hi in _chsh_ns_rows()):
         raise NotNoSignallingError("box is not a bipartite no-signalling kernel")
     from .boxes import _chsh_scores
 

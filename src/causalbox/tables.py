@@ -393,11 +393,14 @@ def _index_map(variables: Sequence[Var], onto: Sequence[Var]) -> list[int]:
 def _laid_out(kernel: Kernel, outcome_vars: Sequence[Var], index_vars: Sequence[Var]):
     """The entries of ``kernel`` laid out over ``outcome_vars`` indexed by
     ``index_vars``.  The layout must list the kernel's variables by name and
-    cardinality, each on its side, or ``ValueError``."""
+    cardinality, each on its side, or ``ValueError``.  In the kernel's own
+    layout the result is ``kernel.entries`` itself; otherwise a new list."""
     layout = tuple(outcome_vars) + tuple(index_vars)
     if sorted(layout) != sorted(kernel.variables) or set(outcome_vars) != set(kernel.outcome_vars):
         raise ValueError(f"cannot lay out {kernel.outcome_vars} | {kernel.index_vars} as "
                          f"{tuple(outcome_vars)} | {tuple(index_vars)}")
+    if layout == kernel.variables:
+        return kernel.entries
     return [kernel.entries[p] for p in _index_map(layout, kernel.variables)]
 
 

@@ -613,6 +613,42 @@ def _latent_root_graphs(draw):
 
 
 @st.composite
+def _graphs_with_a_redundant_latent(draw):
+    """A latent-root graph, and the same graph with one more latent: over a
+    nonempty subset of an existing latent's children, or over one observed
+    vertex.  Both have the same mDAG."""
+    dag = draw(_latent_root_graphs())
+    latents = sorted(dag.latent())
+    faces = [sorted(dag.children(v)) for v in latents] + [[v] for v in sorted(dag.observed())]
+    face = draw(st.sampled_from(faces))
+    kids = draw(st.sets(st.sampled_from(face), min_size=1))
+    extra = f"L{len(latents)}"
+    wider = CausalDag(
+        dag.vertices + ((extra, LATENT),), dag.edges | {(extra, c) for c in kids}
+    )
+    return dag, wider
+
+
+@given(_graphs_with_a_redundant_latent(), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_a_latent_inside_a_face_changes_no_nested_or_independence_verdict(graphs, seed):
+    """N and I are read off the mDAG, and a latent over part of a face, or
+    over one vertex, leaves the mDAG as it is: ``check_nested`` and
+    ``i_member`` print the same verdicts, witnesses included, on both
+    graphs, for a network joint of either graph and for their half-half
+    mixture, which can break a constraint."""
+    dag, wider = graphs
+    assert to_mdag(wider) == to_mdag(dag)
+    rng = random.Random(seed)
+    p, q = (random_network(g, rng, latent_cardinality=2).joint_observed() for g in graphs)
+    assert p.variables == q.variables
+    mixture = Kernel(p.outcome_vars, (), tuple((a + b) / 2 for a, b in zip(p.entries, q.entries)))
+    for joint in (p, q, mixture):
+        for decide in (check_nested, i_member):
+            assert repr(decide(joint, wider)) == repr(decide(joint, dag))
+
+
+@st.composite
 def _graphs_with_joints(draw):
     """A graph, and a joint over its observed vertices with zero cells."""
     dag = draw(st.one_of(st.just(_shadowing_graph()), _latent_root_graphs()))

@@ -676,3 +676,35 @@ def test_inclusion_chain_fixture_witnesses():
     assert not classical_member(gyni_projected(), gg).member
     joint = join_inputs(gyni_projected(), uniform_table((("X", 2),)))
     assert ps_member(joint, gg).member
+
+
+def test_c_is_strictly_inside_ps_on_the_ternary_instrumental_graph():
+    """Bonet's instrumental graph with a ternary instrument: X (3 values)
+    -> A -> B, Lambda -> {A, B}.  A is a fair coin; B copies A at X = 0 and
+    is 0 at X = 1 and 1 at X = 2.  No classical model gives it: on the
+    values of Lambda under which A = 1 at X = 1, B = 0 on A = 1, so A = 0
+    at X = 2 and B = 1 on A = 0, and then B = A fails at X = 0 for either
+    value of A.  The lift is a 3 x 2 Bell scenario (settings X and the copy
+    A_B), where the box is post-selected from a no-signalling box, so it is
+    in PS, N and I."""
+    g = CausalDag(
+        [("A", OBSERVED, 2), ("B", OBSERVED, 2), ("X", OBSERVED, 3), ("Lambda", LATENT)],
+        [("X", "A"), ("A", "B"), ("Lambda", "A"), ("Lambda", "B")],
+    )
+    box = Kernel.from_function(
+        (("A", 2), ("B", 2)),
+        (("X", 3),),
+        lambda v: Fraction(int(v["B"] == (v["A"], 0, 1)[v["X"]]), 2),
+    )
+    joint = join_inputs(box, uniform_table((("X", 3),)))
+    assert not classical_member(box, g).member
+    assert not classical_member(joint, g).member
+    verdict = ps_member(joint, g)
+    assert verdict.member
+    assert check_nested(joint, g).member and i_member(joint, g).member
+    h = build_hypergraph(g)
+    certificate = verdict.certificate
+    assert certificate.index_vars == (("A_B", 2), ("X", 3))
+    assert ns_member(certificate, h)
+    lift = join_inputs(certificate, uniform_table(certificate.index_vars))
+    assert ps_member(joint, g, certificate=lift).member

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from causalbox import (
     LinearSystem,
+    LpResult,
     chsh_graph,
     classical_member,
     decompose_ns_box,
@@ -26,7 +27,7 @@ from causalbox import (
     uniform_table,
 )
 from causalbox import linprog
-from causalbox.linprog import _lowest, _pivot, _zrow
+from causalbox.linprog import _lowest, _phase_one_zrow, _pivot, _zrow
 import lp_reference
 from conftest import polytope_lps, recorded_pivots, score2_table
 
@@ -218,6 +219,13 @@ def pivot_steps(draw):
 )
 # a negative pivot entry, -4 over a pivot row of gcd 2, against f = 6 and -3 in z
 @example(([[-6, -4, 2], [1, 6, 3], [2, -3, 5]], [2, 1, 4], 0, 1))
+# a unit pivot entry, 1 over a primitive row with denominator 3, skips both
+# gcds: against f = 0, 7 and -5 in z
+@example(([[4, 1, 6, 2], [3, 0, 5, 1], [2, 7, -1, 4], [1, -5, 2, 0]], [3, 2, 5, 1], 0, 1))
+# -1 over a primitive row, as in a drive-out: against f = 2, 0, 6 and -4 in z
+@example(
+    ([[2, 4, 1, 3], [-1, 3, -2, 0], [0, 5, 5, 1], [6, -2, 5, 1], [-4, 1, 0, 2]], [1, 4, 3, 2, 2], 1, 0)
+)
 @given(pivot_steps())
 @settings(max_examples=300, deadline=None)
 def test_pivot_is_one_gauss_jordan_step(step):
@@ -258,17 +266,26 @@ def zrow_steps(draw):
 def test_zrow_is_the_fraction_reduced_cost_row(step):
     """``_zrow`` over its denominator is z_j - c_j for each of the n
     columns, the objective value last, summed in ``Fraction``; the row and
-    its positive denominator come back in lowest terms."""
+    its positive denominator come back in lowest terms.  Phase 1's row from
+    ``_phase_one_zrow`` is one more input: every artificial basic at cost
+    -1 and every column at cost 0, and it is also ``_zrow``'s row for that
+    basis and those costs, term for term."""
     rows, dens, basis, costs, n = step
+    m = len(rows)
+    phase_one = [n + i for i in range(m)], [Fraction(0)] * n + [Fraction(-1)] * m
+    assert _phase_one_zrow(rows, dens, n) == _zrow(rows, dens, *phase_one, n)
     table = [[Fraction(v, d) for v in row] for row, d in zip(rows, dens)]
-    want = [
-        sum((costs[b] * row[j] for row, b in zip(table, basis)), Fraction(0))
-        - (costs[j] if j < n else 0)
-        for j in range(n + 1)
-    ]
-    z, den = _zrow(rows, dens, basis, costs, n)
-    assert [Fraction(v, den) for v in z] == want
-    assert den > 0 and gcd(den, *z) == 1
+    for (basis, costs), (z, den) in [
+        ((basis, costs), _zrow(rows, dens, basis, costs, n)),
+        (phase_one, _phase_one_zrow(rows, dens, n)),
+    ]:
+        want = [
+            sum((costs[b] * row[j] for row, b in zip(table, basis)), Fraction(0))
+            - (costs[j] if j < n else 0)
+            for j in range(n + 1)
+        ]
+        assert [Fraction(v, den) for v in z] == want
+        assert den > 0 and gcd(den, *z) == 1
 
 
 # -- zero objectives end at phase 1 --------------------------------------------
@@ -336,9 +353,9 @@ _small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 def _rows(draw, names, rhs):
-    """1-6 rows over ``names``, some of them scaled copies of earlier rows."""
+    """0-6 rows over ``names``, some of them scaled copies of earlier rows."""
     rows = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(0, 6))):
         if rows and draw(st.booleans()):
             coeffs, b = draw(st.sampled_from(rows))
             k = draw(_small.filter(bool))
@@ -369,7 +386,7 @@ def degenerate_feasible_systems(draw):
 
 @st.composite
 def wide_systems(draw):
-    """Up to 10 variables x 8 rows with numerators in +-60 over denominators
+    """Up to 10 variables x 0-8 rows with numerators in +-60 over denominators
     1-12.  Some rows are k times an integer row, such as 2x = 4 or
     6x + 4y = 10, so their gcd is k while the artificial's coefficient is 1;
     about half the systems are feasible by construction.  Rows are drawn as
@@ -390,7 +407,7 @@ def wide_systems(draw):
 
     point = draw(st.none() | ints(0, 3).map(lambda xs: dict(zip(names, xs))))
     rows = []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(0, 8))):
         k, coeffs = coefficients()
         if point is not None:
             rhs = sum(c * point[v] for v, c in coeffs.items())
@@ -407,6 +424,21 @@ def wide_systems(draw):
 @settings(max_examples=900, deadline=None)
 def test_lp_solve_matches_reference(system):
     _assert_matches_reference(system)
+
+
+@pytest.mark.parametrize(
+    "objective, status", [({"x": 1}, "unbounded"), ({"x": -1}, "optimal"), (None, "optimal")]
+)
+def test_a_system_with_no_equalities_matches_reference(objective, status):
+    """With no rows phase 1 has no artificial and its reduced-cost row is
+    all zero: x is unbounded above, and with no objective, or one that
+    x lowers, the optimum is 0 at x = 0."""
+    system = LinearSystem(("x",), objective=objective)
+    _assert_matches_reference(system)
+    result = lp_solve(system)
+    assert result.status == status
+    if status == "optimal":
+        assert result == LpResult("optimal", Fraction(0), {"x": Fraction(0)})
 
 
 def _integer_rows(system):
