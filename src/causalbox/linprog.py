@@ -22,12 +22,14 @@ coefficient in their row.  A system with a zero objective ends at phase 1's
 point; the drive-out of zero-level artificials and the drop of redundant
 rows happen only before a phase 2.
 
-:func:`lp_solve` reads a system into those rows and hands them to the
-private core ``_solve``.  Callers that hold integer data already (the
-polytope LPs) build the same rows themselves and call the core directly:
-the vertex LPs solve for den * w, den the target's denominator, over
-vertex rows reduced once per vertex set, which moves only the right-hand
-sides and so takes the same pivots.
+:func:`lp_solve` reads a system into those rows and hands them, with
+phase 1's reduced-cost row :func:`_phase_one_zrow`, to the private core
+``_solve``, which returns its value and basic point as integers.  Callers
+that hold integer data already (the polytope LPs) build the rows and the
+phase-1 row themselves and call the core directly: the vertex LPs solve
+for den * w, den the target's denominator, over vertex rows reduced once
+per vertex set, which moves only the right-hand sides and so takes the
+same pivots; of the phase-1 row, only the objective value moves.
 """
 
 from __future__ import annotations
@@ -211,33 +213,43 @@ def lp_solve(system: LinearSystem) -> LpResult:
     costs = [Fraction(0)] * n
     for v, c in system.objective.items():
         costs[pos[v]] = Fraction(c)
-    status, value, x = _solve(rows, dens, costs)
-    if x is None:
+    status, value, basic = _solve(rows, dens, costs, _phase_one_zrow(rows, dens, n))
+    if basic is None:
         return LpResult(status)
-    return LpResult(status, value, dict(zip(names, x)))
+    x = [Fraction(0)] * n
+    for j, a, d in basic:
+        x[j] = Fraction(a, d)
+    return LpResult(status, Fraction(*value), dict(zip(names, x)))
 
 
-def _solve(rows, dens, costs):
+def _solve(rows, dens, costs, phase_one):
     """The two-phase simplex on integer rows: maximize ``costs . x`` subject
     to ``rows[i][:-1] . x = rows[i][-1]`` over ``dens[i]``, x >= 0.
 
     Each row has a non-negative right-hand side and is reduced with its
     denominator by :func:`_lowest`; ``costs`` holds one rational per
-    column.  The lists and the rows in them are consumed: pivots update
-    rows in place.  Returns ``(status, value, x)``, the last two ``None``
-    unless the status is ``"optimal"``.
+    column.  ``phase_one`` is :func:`_phase_one_zrow` of the rows, which
+    the caller builds and the core trusts: its column part depends only on
+    the rows' coefficients, so a caller that solves many LPs over one
+    matrix builds that part once.  The lists and the rows in them,
+    ``phase_one``'s row included, are consumed: pivots update rows in
+    place.
+
+    Returns ``(status, value, basic)``, the last two ``None`` unless the
+    status is ``"optimal"``, as integers: ``value`` is the pair
+    ``(numerator, denominator)``, and ``basic`` lists ``(j, a, d)`` for
+    each basic column j, at a / d; every other column is at 0.
 
     Phase 1 maximizes minus the sum of the artificials, all of them basic
-    at the start, so its reduced-cost row is :func:`_phase_one_zrow`.
-    When every cost is zero, phase 1's point is the answer, with value 0:
-    the drive-out of zero-level artificials, the drop of redundant rows
-    and phase 2 run only when some cost is nonzero.  Skipping them changes
-    no result, since a drive-out pivot is on a row whose right-hand side
-    is 0 and so moves no basic value.
+    at the start.  When every cost is zero, phase 1's point is the answer,
+    with value 0: the drive-out of zero-level artificials, the drop of
+    redundant rows and phase 2 run only when some cost is nonzero.
+    Skipping them changes no result, since a drive-out pivot is on a row
+    whose right-hand side is 0 and so moves no basic value.
     """
     n, m = len(costs), len(rows)
     basis = [n + i for i in range(m)]
-    z, zden = _phase_one_zrow(rows, dens, n)
+    z, zden = phase_one
     rows.append(z)
     dens.append(zden)
     if _run_simplex(rows, dens, basis) != "optimal":
@@ -261,8 +273,6 @@ def _solve(rows, dens, costs):
         dens.append(zden)
         if _run_simplex(rows, dens, basis) == "unbounded":
             return "unbounded", None, None
-    x = [Fraction(0)] * n
-    for row, bi, d in zip(rows, basis, dens):
-        if bi < n:  # an artificial left basic after phase 1 is at 0
-            x[bi] = Fraction(row[-1], d)
-    return "optimal", Fraction(rows[-1][-1], dens[-1]), x
+    # an artificial left basic after phase 1 is at 0; at phase 1's end z's value is 0
+    basic = [(b, row[-1], d) for row, b, d in zip(rows, basis, dens) if b < n]
+    return "optimal", (rows[-1][-1], dens[-1]), basic

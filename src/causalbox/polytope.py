@@ -19,8 +19,9 @@ rows are reduced once per vertex set (once for each of the nine vertex
 sets of the decomposition), and they are the LP's rows as they are: the
 LP solves for den * w, den the target's denominator, so the target,
 read once in the vertices' layout by the checked ``_numerators`` of
-:mod:`causalbox.tables`, enters only the right-hand sides.  The CHSH
-lift's NS rows are built once too.
+:mod:`causalbox.tables`, enters only the right-hand sides and the
+objective value of phase 1's reduced-cost row, whose column part is built
+with the vertex matrix.  The CHSH lift's NS rows are built once too.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .graphs import (
     is_bell_type,
     topological_order,
 )
-from .linprog import _lowest, _solve
+from .linprog import _lowest, _phase_one_zrow, _solve
 from .tables import (
     Kernel,
     Record,
@@ -153,9 +154,8 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     coin, is accepted although it breaks A _||_ B.
     """
     _check_observed(p, g)
-    outcome_vars, index_vars, rows, dens = _vertex_matrix(
-        [v.table for v in enumerate_classical_vertices(g)]
-    )
+    tables = [v.table for v in enumerate_classical_vertices(g)]
+    outcome_vars, index_vars = tables[0].outcome_vars, tables[0].index_vars
     # cell i of either layout holds setting assignment i % width; a box's
     # rows each sum to its denominator, so all of them are kept
     layout = (outcome_vars + index_vars, ()) if p.is_prob_table else (outcome_vars, index_vars)
@@ -165,21 +165,30 @@ def classical_member(p: Kernel, g: CausalDag) -> MemberVerdict:
     kept = [i for i in range(len(num)) if context[i % width]]
     den = lcm(*(context[i % width] for i in kept))
     target = [num[i] * (den // context[i % width]) for i in kept]
-    vertices = (outcome_vars, index_vars, [rows[i] for i in kept], [dens[i] for i in kept])
-    return _convex_member(vertices, target, den)
+    return _convex_member(_vertex_matrix(tables, kept), target, den)
 
 
-def _vertex_matrix(tables: Sequence[Kernel]):
-    """``(outcome_vars, index_vars, rows, dens)`` for ``tables``, which share
-    the first one's layout: entry i of table j is ``rows[i][j] / dens[i]``,
-    each row reduced with its denominator by ``_lowest``."""
+def _vertex_matrix(tables: Sequence[Kernel], kept: Sequence[int] | None = None):
+    """``(outcome_vars, index_vars, rows, dens, phase_one)`` for ``tables``,
+    which share the first one's layout: entry ``kept[i]`` of table j (entry
+    i when ``kept`` is ``None``) is ``rows[i][j] / dens[i]``, each row
+    reduced with its denominator by ``_lowest``.  ``phase_one`` is
+    ``_phase_one_zrow`` of the sum row of :func:`_convex_member`'s LP and
+    these rows, read without right-hand sides: the column part of that
+    LP's phase-1 row, which does not depend on the target.
+    """
+    cells = list(zip(*(t.entries for t in tables)))
+    if kept is not None:
+        cells = [cells[i] for i in kept]
     rows, dens = [], []
-    for cell in zip(*(t.entries for t in tables)):
+    for cell in cells:
         den = lcm(*(e.denominator for e in cell))
         row, den = _lowest([e.numerator * (den // e.denominator) for e in cell], den)
         rows.append(tuple(row))
         dens.append(den)
-    return tables[0].outcome_vars, tables[0].index_vars, tuple(rows), tuple(dens)
+    n = len(tables)
+    phase_one = _phase_one_zrow([(1,) * n, *rows], [1, *dens], n)
+    return tables[0].outcome_vars, tables[0].index_vars, tuple(rows), tuple(dens), phase_one
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +206,7 @@ def _chsh_ns_rows():
     from .boxes import chsh_graph
     from .lift import _ns_rows
 
-    outcome_vars, index_vars, _, _ = _ns_vertex_matrix(None)
+    outcome_vars, index_vars = _ns_vertex_matrix(None)[:2]
     return _ns_rows(chsh_graph(), outcome_vars + index_vars)
 
 
@@ -211,15 +220,27 @@ def _convex_member(vertices, num: list[int], den: int) -> MemberVerdict:
     since the row is already primitive with its denominator.  Scaling
     every right-hand side by den > 0 scales every ratio of the ratio test
     and leaves the reduced costs alone, so the pivots are those of the LP
-    in w, and w = u / den, each nonzero weight built as one ``Fraction``.
+    in w, and w = u / den.
+
+    Phase 1's reduced-cost row is the vertex matrix's column part over its
+    denominator zden, then the objective value -zden * (den + sum(num)):
+    minus the sum of the rows' right-hand sides over their denominators.
+    The column part is in lowest terms with zden, so the whole row is.
+    Each nonzero weight is built from the core's integers a / d as one
+    ``Fraction(a, d * den)``.
     """
-    _, _, matrix, vdens = vertices
-    rows = [[1] * len(matrix[0]) + [den]]
+    _, _, matrix, vdens, (cols, zden) = vertices
+    n = len(cols)
+    rows = [[1] * n + [den]]
     rows += [[*cell, k * d] for cell, k, d in zip(matrix, num, vdens)]
-    _, _, u = _solve(rows, [1, *vdens], [0] * len(matrix[0]))
-    if u is None:
+    phase_one = [*cols, -zden * (den + sum(num))], zden
+    _, _, basic = _solve(rows, [1, *vdens], [0] * n, phase_one)
+    if basic is None:
         return MemberVerdict(False)
-    weights = (Fraction(v.numerator, v.denominator * den) if v else v for v in u)
+    weights = [Fraction(0)] * n
+    for j, a, d in basic:
+        if a:
+            weights[j] = Fraction(a, d * den)
     return MemberVerdict(True, tuple(weights))
 
 
@@ -290,7 +311,7 @@ def decompose_ns_box(q: Kernel):
     - A box at most 3 on every variant is local (Fine), and every NS box
       mixes at most one PR box with locals (Barrett et al.).
     """
-    outcome_vars, index_vars, _, _ = _ns_vertex_matrix(None)
+    outcome_vars, index_vars = _ns_vertex_matrix(None)[:2]
     try:
         num, den = _numerators(q, outcome_vars, index_vars)
     except ValueError:

@@ -177,6 +177,19 @@ def recorded_pivots():
         yield steps
 
 
+def core_answer(result, n):
+    """The simplex core's ``(status, value, basic)`` read as ``(status,
+    value, x)``: the value a ``Fraction``, and x the point over all n
+    columns; both ``None`` where the core gives none."""
+    status, value, basic = result
+    if basic is None:
+        return status, None, None
+    x = [Fraction(0)] * n
+    for j, a, d in basic:
+        x[j] = Fraction(a, d)
+    return status, Fraction(*value), x
+
+
 def polytope_lps(run):
     """Every LP that ``run()`` hands to the integer simplex core from
     ``causalbox.polytope``, each rebuilt as a ``LinearSystem``.
@@ -186,27 +199,31 @@ def polytope_lps(run):
     the target's denominator times vertex j's weight in the vertex LPs.
     Each row must reach the core reduced by ``linprog._lowest`` with
     ``b >= 0``, so ``lp_solve`` rebuilds the very same rows from that
-    system; the core's answer must equal ``lp_solve``'s.  At least one LP
-    must be captured.
+    system.  The core trusts the phase-1 row its caller hands it, so that
+    row must be ``linprog._phase_one_zrow`` of the captured rows, as
+    ``lp_solve`` builds it.  The core's answer, read as ``Fraction``s, must
+    equal ``lp_solve``'s.  At least one LP must be captured.
     """
     from causalbox import LinearSystem, linprog, lp_solve, polytope
 
     systems = []
     solve = polytope._solve
 
-    def record(rows, dens, costs):
+    def record(rows, dens, costs, phase_one):
         names = tuple(f"w{j}" for j in range(len(costs)))
         system = LinearSystem(names, objective=dict(zip(names, costs)))
         for row, den in zip(rows, dens):
             assert linprog._lowest(row, den) == (row, den) and row[-1] >= 0
             coeffs = {v: Fraction(a, den) for v, a in zip(names, row) if a}
             system.add_equality(coeffs, Fraction(row[-1], den))
+        assert phase_one == linprog._phase_one_zrow(rows, dens, len(costs))
         systems.append(system)
-        status, value, x = solve(rows, dens, costs)
+        result = solve(rows, dens, costs, phase_one)
+        status, value, x = core_answer(result, len(costs))
         want = lp_solve(system)
         assert (status, value) == (want.status, want.value)
         assert x == (None if want.assignment is None else list(want.assignment.values()))
-        return status, value, x
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polytope, "_solve", record)

@@ -1,6 +1,7 @@
 """Nested Markov machinery: district kernels, enumeration, membership."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -52,6 +53,7 @@ from causalbox.tables import (
     assignments,
     conditional,
     marginalize,
+    reorder,
     uniform_table,
 )
 
@@ -646,6 +648,113 @@ def test_a_latent_inside_a_face_changes_no_nested_or_independence_verdict(graphs
     for joint in (p, q, mixture):
         for decide in (check_nested, i_member):
             assert repr(decide(joint, wider)) == repr(decide(joint, dag))
+
+
+def _renamed(dag, names):
+    """``dag`` with its vertices renamed by ``names``, in the same order."""
+    return CausalDag(
+        [(names.get(v.name, v.name), v.kind, v.cardinality) for v in dag.vertices],
+        [(names.get(a, a), names.get(b, b)) for a, b in dag.edges],
+    )
+
+
+def _with_split_latent(dag, latent):
+    """``dag`` with one more latent over the children of ``latent``."""
+    extra = f"L{len(dag.latent())}"
+    kids = dag.children(latent)
+    return CausalDag(dag.vertices + ((extra, LATENT),), dag.edges | {(extra, c) for c in kids})
+
+
+@st.composite
+def _mdag_preserving_changes(draw):
+    """A latent-root graph and a joint of its observed vertices, a network
+    joint or one with zero cells, which can break constraints; two
+    renamings of the observed vertices, one that keeps their sorted order
+    and one that need not; a permutation of the joint's layout; and a
+    latent to split."""
+    dag, table = draw(_graphs_with_joints().filter(lambda case: case[0].latent()))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        table = random_network(dag, rng, latent_cardinality=2).joint_observed()
+    observed = sorted(dag.observed())
+    fresh = st.text("MNOPQRSTUVWXYZ", min_size=1, max_size=3)
+    new = draw(st.lists(fresh, unique=True, min_size=len(observed), max_size=len(observed)))
+    in_order = dict(zip(observed, sorted(new)))
+    shuffled = dict(zip(observed, draw(st.permutations(new))))
+    layout = draw(st.permutations(table.outcome_vars))
+    latent = draw(st.sampled_from(sorted(dag.latent())))
+    return dag, table, in_order, shuffled, layout, latent
+
+
+def _renamed_repr(value, names):
+    """``repr(value)`` with every quoted name that ``names`` maps renamed."""
+    return re.sub(r"'([^']*)'", lambda m: repr(names.get(m[1], m[1])), repr(value))
+
+
+def _but_ci_witnesses(verdict):
+    """``verdict`` without the witnesses of its CI violations, which
+    ``ci_violation`` reads in the joint's own layout."""
+    violations = [
+        (v.record, None if isinstance(v.record, CiConstraint) else v.witness)
+        for v in verdict.violations
+    ]
+    return verdict.member, violations, verdict.indeterminate
+
+
+@given(_mdag_preserving_changes())
+@settings(max_examples=30, deadline=None)
+def test_nested_and_independence_verdicts_do_not_see_names_layouts_or_split_latents(case):
+    """N and I depend on the mDAG and the joint, not on how they are
+    written down.
+
+    - Renaming the observed vertices in their sorted order gives the same
+      verdicts, violated records, witnesses and indeterminate records, up
+      to the renaming.  Under any renaming the membership verdicts agree;
+      the witnesses need not, since records are enumerated in name order
+      and a witness is the first violating context.
+    - Permuting the joint's variable layout gives the same verdicts,
+      records and Verma witnesses.  A CI witness does move with the
+      layout: see ``test_a_ci_witness_does_not_see_the_joint_layout``.
+    - Splitting a latent into two latents over the same children leaves
+      the mDAG as it is, and gives the same verdicts, reprs included.
+    """
+    dag, table, in_order, shuffled, layout, latent = case
+    split = _with_split_latent(dag, latent)
+    assert to_mdag(split) == to_mdag(dag)
+    permuted = reorder(table, layout, ())
+
+    def renamed(decide, names):
+        outcomes = tuple((names[v], c) for v, c in table.outcome_vars)
+        return decide(Kernel(outcomes, (), table.entries), _renamed(dag, names))
+
+    for decide in (check_nested, i_member):
+        verdict = decide(table, dag)
+        assert repr(renamed(decide, in_order)) == _renamed_repr(verdict, in_order)
+        assert renamed(decide, shuffled).member == verdict.member
+        assert _but_ci_witnesses(decide(permuted, dag)) == _but_ci_witnesses(verdict)
+        assert repr(decide(table, split)) == repr(verdict)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ci_violation returns the first violating cell in the joint's own layout"
+)
+def test_a_ci_witness_does_not_see_the_joint_layout():
+    """A and B share the roots Z1 and Z2, and are a perfectly correlated
+    coin where Z1 != Z2, independent coins elsewhere: A _||_ B | Z1, Z2
+    fails at both contexts with Z1 != Z2.  The same joint laid out with Z2
+    before Z1 should get the same witness, but the witness is the first
+    violating cell in the joint's layout, which differs."""
+    dag = CausalDag(
+        [(v, OBSERVED, 2) for v in ("A", "B", "Z1", "Z2")],
+        [(z, v) for z in ("Z1", "Z2") for v in ("A", "B")],
+    )
+    cells = {}
+    for a, b, z1, z2 in product(range(2), repeat=4):
+        cells[a, b, z1, z2] = Fraction(a == b, 8) if z1 != z2 else Fraction(1, 16)
+    table = Kernel.from_mapping(tuple((v, 2) for v in ("A", "B", "Z1", "Z2")), (), cells)
+    permuted = reorder(table, (("A", 2), ("B", 2), ("Z2", 2), ("Z1", 2)), ())
+    for decide in (check_nested, i_member):
+        assert decide(permuted, dag) == decide(table, dag)
 
 
 @st.composite

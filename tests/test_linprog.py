@@ -29,7 +29,7 @@ from causalbox import (
 from causalbox import linprog
 from causalbox.linprog import _lowest, _phase_one_zrow, _pivot, _zrow
 import lp_reference
-from conftest import polytope_lps, recorded_pivots, score2_table
+from conftest import core_answer, polytope_lps, recorded_pivots, score2_table
 
 
 def test_bounded_maximum():
@@ -442,10 +442,13 @@ def test_a_system_with_no_equalities_matches_reference(objective, status):
 
 
 def _integer_rows(system):
-    """The integer rows, denominators and costs that ``lp_solve`` hands ``_solve``."""
+    """The integer rows, denominators and costs that ``lp_solve`` hands
+    ``_solve``; the phase-1 row it hands over with them is
+    ``_phase_one_zrow`` of those rows."""
     captured = []
 
-    def capture(rows, dens, costs):
+    def capture(rows, dens, costs, phase_one):
+        assert phase_one == _phase_one_zrow(rows, dens, len(costs))
         captured.append((rows, dens, costs))
         return "infeasible", None, None
 
@@ -456,10 +459,13 @@ def _integer_rows(system):
 
 
 def _solve_pivoting(rows, dens, costs):
-    """``_solve`` on copies of the rows, and the ``(row, column)`` of its pivots."""
+    """``_solve`` on copies of the rows, from their phase-1 row, and the
+    ``(row, column)`` of its pivots; the value and the point come back as
+    ``Fraction``s."""
+    phase_one = _phase_one_zrow(rows, dens, len(costs))
     with recorded_pivots() as steps:
-        result = linprog._solve([list(row) for row in rows], list(dens), costs)
-    return result, steps
+        result = linprog._solve([list(row) for row in rows], list(dens), costs, phase_one)
+    return core_answer(result, len(costs)), steps
 
 
 @given(random_systems() | degenerate_feasible_systems() | wide_systems(), st.integers(2, 30))

@@ -767,6 +767,33 @@ def test_decomposition_lps_pivot_as_the_fraction_reference(box):
         assert got == _pivoting(lambda: ns_reference._convex_member(box, tables)), pr
 
 
+@given(st.one_of(sparse_mixtures(), pr_dominant(), chsh_tight()))
+@settings(max_examples=40, deadline=None)
+def test_each_ns_vertex_set_hands_the_core_its_phase_one_row(box):
+    """The core trusts the phase-1 row its caller hands it, and
+    ``_convex_member`` builds that row from the vertex matrix's column part,
+    built once per vertex set.  On each of the nine vertex sets, which may
+    or may not decompose the box, ``polytope_lps`` checks the row against
+    ``_phase_one_zrow`` of the rows ``_convex_member`` assembles."""
+    num, den = _numerators(box, *_ns_vertex_matrix(None)[:2])
+    sets = [None, *_VARIANTS]
+    lps = polytope_lps(lambda: [_convex_member(_ns_vertex_matrix(pr), num, den) for pr in sets])
+    assert len(lps) == 9
+
+
+@pytest.mark.parametrize("make_graph", [instrumental_graph, chsh_graph])
+def test_classical_member_hands_the_core_the_phase_one_row_of_its_kept_rows(make_graph):
+    """``classical_member`` builds the phase-1 row's column part over the
+    rows it keeps; a joint that never sets X = 1 drops the rows of that
+    setting, and ``polytope_lps`` checks the row against
+    ``_phase_one_zrow`` of the rows that reach the core."""
+    g = make_graph()
+    p = _never_sets_x(g, 5)
+    (system,) = polytope_lps(lambda: classical_member(p, g))
+    # the sum row and one row per kept cell, fewer than all of them
+    assert len(system.equalities) < 1 + len(p.entries)
+
+
 def test_a_box_has_no_pr_part_exactly_when_it_is_classical_on_chsh():
     """Fine's theorem, which the decomposition relies on: the 16 local boxes
     are the tables of the CHSH graph's classical vertices, in the same
